@@ -164,16 +164,8 @@ def complement_borel(
     if 2 * len(inner.euler_symbols) > total_rank:
         raise ValueError("inner summands exceed the total rank")
     ring = ring or bundle_ring(inner)
-    squares = [Polynomial.variable(ring, s) ** 2 for s in inner.euler_symbols]
-    coeffs = []
-    for i in range(order + 1):
-        if not squares:
-            coeffs.append(Polynomial.one(ring) if i == 0 else Polynomial.zero(ring))
-            continue
-        aux = symfunc.complete(i, symfunc.x_ring(len(squares)))
-        mapping = {f"x{j}": squares[j - 1] for j in range(1, len(squares) + 1)}
-        coeffs.append(aux.substitute(mapping, ring=ring))
-    return BorelSeries(ring, tuple(coeffs))
+    h = [symfunc.complete(i, ring, inner.euler_symbols) for i in range(order + 1)]
+    return BorelSeries(ring, tuple(symfunc.in_squares(p) for p in h))
 
 
 def pontryagin_series(b: SplitBundle, order: int, ring: RingSpec | None = None) -> list[Polynomial]:

@@ -77,6 +77,14 @@ def _parse_gens(text: str, ring: RingSpec) -> list[Polynomial]:
     return gens
 
 
+def _required(args, flag: str, command: str) -> str:
+    """The value of an optional flag that ``command`` cannot run without."""
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"{command} needs --{flag}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -105,10 +113,9 @@ def _cmd_poly(args) -> int:
             [str(p), _homogeneity(p)],
         )
     elif args.action in ("add", "mul"):
-        if args.other is None:
-            raise UsageError(f"poly {args.action} needs --other")
+        other = _required(args, "other", f"poly {args.action}")
         p = parse_poly(args.expr, ring)
-        q = parse_poly(args.other, ring)
+        q = parse_poly(other, ring)
         result = p + q if args.action == "add" else p * q
         _emit(args, {"result": str(result)}, [str(result)])
     elif args.action == "subst":
@@ -178,14 +185,14 @@ def _cmd_weyl(args) -> int:
         return 0
     if args.action == "invariant":
         ring = weyl.e_ring(args.n)
-        p = parse_poly(args.poly, ring)
+        p = parse_poly(_required(args, "poly", "weyl invariant"), ring)
         ok = weyl.is_invariant(p, args.group, args.n)
         _emit(args, {"invariant": ok}, ["invariant" if ok else "not invariant"])
         return 0
     if args.action == "act":
         ring = weyl.e_ring(args.n)
-        p = parse_poly(args.poly, ring)
-        perm = tuple(int(x) - 1 for x in args.perm.split(","))
+        p = parse_poly(_required(args, "poly", "weyl act"), ring)
+        perm = tuple(int(x) - 1 for x in _required(args, "perm", "weyl act").split(","))
         signs = _parse_signs(args.signs, args.n) if args.signs else (1,) * args.n
         g = weyl.SignedPermutation(perm, signs, args.group)
         image = weyl.apply_action(g, p)
@@ -249,7 +256,7 @@ def _cmd_span(args) -> int:
         return 0
     if args.action == "reduce":
         ring = weyl.e_ring(args.n)
-        p = parse_poly(args.poly, ring)
+        p = parse_poly(_required(args, "poly", "span reduce"), ring)
         dec = spanning.reduce(p, args.group, args.n)
         ok = spanning.expand(dec) == p
         items = sorted(dec.terms.items(), key=lambda kv: ring.sort_key(kv[0]))
@@ -306,11 +313,11 @@ def _cmd_ideal(args) -> int:
         return 0
     if args.action == "nf":
         G = groebner_basis(ideal)
-        r = normal_form(parse_poly(args.poly, ring), G)
+        r = normal_form(parse_poly(_required(args, "poly", "ideal nf"), ring), G)
         _emit(args, {"normal_form": str(r)}, [str(r)])
         return 0
     if args.action == "member":
-        p = parse_poly(args.poly, ring)
+        p = parse_poly(_required(args, "poly", "ideal member"), ring)
         cof = member_with_cofactors(p, ideal)
         if cof is None:
             _emit(args, {"member": False}, ["not a member"])
@@ -322,7 +329,7 @@ def _cmd_ideal(args) -> int:
         )
         return 0
     if args.action == "equal":
-        other = Ideal.make(ring, _parse_gens(args.gens2, ring))
+        other = Ideal.make(ring, _parse_gens(_required(args, "gens2", "ideal equal"), ring))
         ok = ideal_equal(ideal, other)
         _emit(args, {"equal": ok}, ["equal" if ok else "different"])
         if not ok:

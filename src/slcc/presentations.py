@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from . import series, spanning, symfunc, weyl
+from . import series, spanning, weyl
 from .groebner import (
     BudgetExceededError,
     Ideal,
@@ -49,6 +49,7 @@ from .groebner import (
     standard_monomials,
 )
 from .polyring import Monomial, Polynomial, RingSpec
+from .symfunc import complete, elementary, g_poly, in_squares
 
 __all__ = [
     "NoDeclaredBasisError",
@@ -204,24 +205,6 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
 # -- partial flag varieties SF(2, 4, ..., 2m, k) ------------------------------
 
 
-def _flag_ring(m: int, n: int, parity: str) -> RingSpec:
-    vars = [(f"e{i}", 2) for i in range(1, m + 1)]
-    if parity == "even":
-        vars.append((f"e{m}'", 2 * (n - m)))
-    return RingSpec.make(vars)
-
-
-def _h_of_squares(i: int, ring: RingSpec, names: list[str]) -> Polynomial:
-    """h_i(x_1^2, ..., x_k^2) expanded in the given ring variables."""
-    if not names:
-        return Polynomial.one(ring) if i == 0 else Polynomial.zero(ring)
-    aux = symfunc.complete(i, symfunc.x_ring(len(names)))
-    mapping = {
-        f"x{j}": Polynomial.variable(ring, names[j - 1]) ** 2 for j in range(1, len(names) + 1)
-    }
-    return aux.substitute(mapping, ring=ring)
-
-
 def _check_flag_params(m: int, n: int, parity: str) -> None:
     _check_parity(parity)
     if m < 1 or n < m:
@@ -230,91 +213,62 @@ def _check_flag_params(m: int, n: int, parity: str) -> None:
         raise ValueError("even case requires n >= m+1 (the last quotient bundle has rank 0)")
 
 
-def _flag_basis(m: int, n: int, parity: str, ring: RingSpec) -> tuple[Monomial, ...]:
-    """Declared flag basis from the splitting principle bounds (k = 2n or 2n+1)."""
-    k = 2 * n if parity == "even" else 2 * n + 1
-    import itertools
+def _partial_flag(kind: str, m: int, n: int, parity: str, relations) -> Presentation:
+    """The setup both flag generating sets share; only ``relations(ring)`` differs.
 
-    choices: list[list[Monomial]] = []
-    nvars = len(ring)
-    for i in range(1, m + 1):
-        opts: list[Monomial] = []
-        for mi in range(k - 2 * i + 1):
-            expo = [0] * nvars
-            expo[i - 1] = mi
-            opts.append(tuple(expo))
-        if parity == "even":
-            tail = [0] * nvars
-            for j in range(i + 1, m + 1):
-                tail[j - 1] = 1
-            tail[nvars - 1] = 1  # e_m'
-            opts.append(tuple(tail))
-        choices.append(opts)
-    monos: set[Monomial] = set()
-    for combo in itertools.product(*choices):
-        total = [0] * nvars
-        for expo in combo:
-            total = [a + b for a, b in zip(total, expo)]
-        monos.add(tuple(total))
-    return tuple(sorted(monos, key=ring.sort_key))
+    The ring is Z[e_1..e_m] (plus e_m' in the even case), the even ideal also
+    holds the top class e_1...e_m e_m', and the declared basis comes from the
+    splitting principle bounds (k = 2n or 2n+1).
+    """
+    _check_flag_params(m, n, parity)
+    vars = [(f"e{i}", 2) for i in range(1, m + 1)]
+    if parity == "even":
+        vars.append((f"e{m}'", 2 * (n - m)))
+    ring = RingSpec.make(vars)
+    gens = [Polynomial.monomial(ring, (1,) * (m + 1))] if parity == "even" else []
+    gens += relations(ring)
+    k = 2 * n if parity == "even" else 2 * n + 1
+    bounds = [k - 2 * i for i in range(1, m + 1)]
+    return Presentation(
+        descriptor=_descriptor(kind, m=m, n=n, parity=parity, coefficient_vars=[]),
+        ring=ring,
+        ideal=Ideal.make(ring, gens),
+        declared_basis=spanning.power_or_tail(ring, bounds, tail=parity == "even"),
+        coefficient_vars=(),
+    )
 
 
 def present_partial_flag(m: int, n: int, parity: str) -> Presentation:
     """SF(2,4,...,2m, 2n+1) or SF(2,4,...,2m, 2n) with the graded-piece relations."""
-    _check_flag_params(m, n, parity)
-    ring = _flag_ring(m, n, parity)
-    e_names = [f"e{i}" for i in range(1, m + 1)]
-    gens: list[Polynomial] = []
-    if parity == "odd":
+
+    def relations(ring: RingSpec) -> list[Polynomial]:
+        e = ring.names[:m]
+        if parity == "odd":
+            return [in_squares(complete(n - k + 1, ring, e[:k])) for k in range(1, m + 1)]
+        gens = []
         for k in range(1, m + 1):
-            gens.append(_h_of_squares(n - k + 1, ring, e_names[:k]))
-    else:
-        top = Polynomial.one(ring)
-        for name in ring.names:
-            top = top * Polynomial.variable(ring, name)
-        gens.append(top)
-        eprime = Polynomial.variable(ring, f"e{m}'")
-        for k in range(1, m + 1):
-            prod = eprime * eprime
-            for j in range(k + 1, m + 1):
-                prod = prod * Polynomial.variable(ring, f"e{j}") ** 2
+            # e_{k+1}^2 ... e_m^2 e_m'^2
+            prod = Polynomial.monomial(ring, (0,) * k + (2,) * (m - k + 1))
             sign = 1 if (n - k + 1) % 2 == 0 else -1
-            gens.append(prod * sign + _h_of_squares(n - k, ring, e_names[:k]))
-    return Presentation(
-        descriptor=_descriptor("partial_flag", m=m, n=n, parity=parity, coefficient_vars=[]),
-        ring=ring,
-        ideal=Ideal.make(ring, gens),
-        declared_basis=_flag_basis(m, n, parity, ring),
-        coefficient_vars=(),
-    )
+            gens.append(prod * sign + in_squares(complete(n - k, ring, e[:k])))
+        return gens
+
+    return _partial_flag("partial_flag", m, n, parity, relations)
 
 
 def present_partial_flag_alt(m: int, n: int, parity: str) -> Presentation:
     """The alternative generating set: tails replaced by pure h-polynomials."""
-    _check_flag_params(m, n, parity)
-    ring = _flag_ring(m, n, parity)
-    e_names = [f"e{i}" for i in range(1, m + 1)]
-    gens: list[Polynomial] = []
-    if parity == "odd":
-        for j in range(n - m + 1, n + 1):
-            gens.append(_h_of_squares(j, ring, e_names))
-    else:
-        top = Polynomial.one(ring)
-        for name in ring.names:
-            top = top * Polynomial.variable(ring, name)
-        gens.append(top)
+
+    def relations(ring: RingSpec) -> list[Polynomial]:
+        e = ring.names[:m]
+        if parity == "odd":
+            return [in_squares(complete(j, ring, e)) for j in range(n - m + 1, n + 1)]
         eprime = Polynomial.variable(ring, f"e{m}'")
         sign = 1 if (n - m + 1) % 2 == 0 else -1
-        gens.append(eprime * eprime * sign + _h_of_squares(n - m, ring, e_names))
-        for j in range(n - m + 1, n):
-            gens.append(_h_of_squares(j, ring, e_names))
-    return Presentation(
-        descriptor=_descriptor("partial_flag_alt", m=m, n=n, parity=parity, coefficient_vars=[]),
-        ring=ring,
-        ideal=Ideal.make(ring, gens),
-        declared_basis=_flag_basis(m, n, parity, ring),
-        coefficient_vars=(),
-    )
+        gens = [eprime * eprime * sign + in_squares(complete(n - m, ring, e))]
+        return gens + [in_squares(complete(j, ring, e)) for j in range(n - m + 1, n)]
+
+    return _partial_flag("partial_flag_alt", m, n, parity, relations)
 
 
 def present_max_flag(N: int) -> Presentation:
@@ -339,7 +293,7 @@ def present_max_flag(N: int) -> Presentation:
 
 def _g_in_b(j: int, m: int, ring: RingSpec, epsilon: int) -> Polynomial:
     """g_j(b_1..b_m) expanded; epsilon=-1 twists to g_j((-1)^1 b_1, ...)."""
-    base = symfunc.g_poly(j, m)
+    base = g_poly(j, m)
     mapping = {}
     for i in range(1, m + 1):
         img = Polynomial.variable(ring, f"b{i}")
@@ -355,13 +309,9 @@ def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentat
     The declared basis is generated (standard monomials of the reduced
     Groebner basis) and cross-checked against the predicted rank 2*C(n, m).
     """
-    _check_parity(parity)
+    _check_flag_params(m, n, parity)
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if m < 1 or n < m:
-        raise ValueError("need 1 <= m <= n")
-    if parity == "even" and n < m + 1:
-        raise ValueError("even case requires n >= m+1 (degenerate e' of degree 0)")
     b_vars = [(f"b{i}", 4 * i) for i in range(1, m + 1)]
     b_m = f"b{m}"
     if parity == "odd":
@@ -652,19 +602,10 @@ def _phi_mapping(m: int, parity: str, flag_ring: RingSpec, epsilon: int) -> dict
     e_names = [f"e{i}" for i in range(1, m + 1)]
     mapping: dict[str, Polynomial] = {}
     for i in range(1, m + 1):
-        sigma = Polynomial.zero(flag_ring)
-        import itertools
-
-        for combo in itertools.combinations(range(m), i):
-            term = Polynomial.one(flag_ring)
-            for j in combo:
-                term = term * Polynomial.variable(flag_ring, e_names[j]) ** 2
-            sigma = sigma + term
+        sigma = in_squares(elementary(i, flag_ring, e_names))
         mapping[f"b{i}"] = sigma if (epsilon == 1 or i % 2 == 0) else -sigma
-    prod = Polynomial.one(flag_ring)
-    for name in e_names:
-        prod = prod * Polynomial.variable(flag_ring, name)
-    mapping["e"] = prod
+    top = (1,) * m + (0,) * (len(flag_ring) - m)
+    mapping["e"] = Polynomial.monomial(flag_ring, top)
     if parity == "even":
         mapping["e'"] = Polynomial.variable(flag_ring, f"e{m}'")
     return mapping
@@ -691,27 +632,13 @@ def sgr2_relative_holds_in_splitting(n: int, parity: str, epsilon: int) -> bool:
     symmetric expression.  Vanishing must be exact (the model base is free).
     """
     ring = RingSpec.make((f"f{i}", 2) for i in range(1, n + 1))
-    f = [Polynomial.variable(ring, f"f{i}") for i in range(1, n + 1)]
-    mapping: dict[str, Polynomial] = {"e1": f[0]}
-    import itertools
-
+    mapping: dict[str, Polynomial] = {"e1": Polynomial.variable(ring, "f1")}
     for i in range(1, n + 1):
-        sigma = Polynomial.zero(ring)
-        for combo in itertools.combinations(range(n), i):
-            term = Polynomial.one(ring)
-            for j in combo:
-                term = term * f[j] ** 2
-            sigma = sigma + term
+        sigma = in_squares(elementary(i, ring))
         mapping[f"b{i}"] = sigma if (epsilon == 1 or i % 2 == 0) else -sigma
     if parity == "even":
-        rest = Polynomial.one(ring)
-        for fj in f[1:]:
-            rest = rest * fj
-        mapping["e2"] = rest
-        total = Polynomial.one(ring)
-        for fj in f:
-            total = total * fj
-        mapping["e"] = total
+        mapping["e2"] = Polynomial.monomial(ring, (0,) + (1,) * (n - 1))
+        mapping["e"] = Polynomial.monomial(ring, (1,) * n)
     pres = present_sgr2_relative(n, parity, epsilon=-1)  # printed generators
     mapping = {k: v for k, v in mapping.items() if k in pres.ring.names}
     return all(g.substitute(mapping, ring=ring).is_zero() for g in pres.ideal.generators)

@@ -42,6 +42,7 @@ __all__ = [
     "basis",
     "coefficient_ring",
     "expand",
+    "power_or_tail",
     "reduce",
     "verify_free",
 ]
@@ -76,38 +77,36 @@ class SpanningBasis:
         return [ring.monomial_text(m) for m in self.monomials]
 
 
+def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomial, ...]:
+    """Products u_1 ... u_r over the first r = len(bounds) variables of ``ring``.
+
+    u_i is x_i^m with 0 <= m <= bounds[i-1] or, when ``tail`` is set, the
+    product of every later variable of the ring.  Deduplicated, in ascending
+    canonical order.
+    """
+    n = len(ring)
+    choices = []
+    for i, bound in enumerate(bounds):
+        opts = [(0,) * i + (m,) + (0,) * (n - i - 1) for m in range(bound + 1)]
+        if tail:
+            opts.append((0,) * (i + 1) + (1,) * (n - i - 1))
+        choices.append(opts)
+    monos = {tuple(map(sum, zip((0,) * n, *combo))) for combo in itertools.product(*choices)}
+    return tuple(sorted(monos, key=ring.sort_key))
+
+
 def basis(group: str, n: int) -> SpanningBasis:
     """The spanning monomials, deduplicated, in ascending canonical order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ring = weyl.e_ring(n)
-    monos: set[Monomial] = set()
     if group == "B":
-        ranges = [range(2 * (n - i) + 2) for i in range(1, n + 1)]
-        monos.update(itertools.product(*ranges))
+        monos = power_or_tail(ring, [2 * (n - i) + 1 for i in range(1, n + 1)], tail=False)
     elif group == "D":
-        # u_i is a power of e_i within bounds, or the tail product e_{i+1}..e_n
-        choices: list[list[Monomial]] = []
-        for i in range(1, n):
-            opts: list[Monomial] = []
-            for m in range(2 * (n - i) + 1):
-                expo = [0] * n
-                expo[i - 1] = m
-                opts.append(tuple(expo))
-            tail = [0] * n
-            for j in range(i + 1, n + 1):
-                tail[j - 1] = 1
-            opts.append(tuple(tail))
-            choices.append(opts)
-        for combo in itertools.product(*choices) if choices else [()]:
-            total = [0] * n
-            for expo in combo:
-                total = [a + b for a, b in zip(total, expo)]
-            monos.add(tuple(total))
+        monos = power_or_tail(ring, [2 * (n - i) for i in range(1, n)], tail=True)
     else:
         raise ValueError(f"group must be 'B' or 'D', got {group!r}")
-    ordered = sorted(monos, key=ring.sort_key)
-    return SpanningBasis(group, n, tuple(ordered))
+    return SpanningBasis(group, n, monos)
 
 
 @dataclass

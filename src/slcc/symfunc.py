@@ -1,9 +1,10 @@
 """Elementary and complete homogeneous symmetric polynomials.
 
 ``elementary(i, ...)`` and ``complete(i, ...)`` expand sigma_i and h_i over a
-chosen subset of ring variables.  ``g_poly(i, m)`` is the unique polynomial
-expressing h_i through sigma_1..sigma_m, computed by the Newton-type
-recurrence
+chosen subset of ring variables.  ``in_squares(p)`` is p(x_1^2, ..., x_n^2), so
+``in_squares(complete(i, ring, names))`` is h_i of the squared variables.
+``g_poly(i, m)`` is the unique polynomial expressing h_i through
+sigma_1..sigma_m, computed by the Newton-type recurrence
 
     h_i = sum_{j=1..min(i,m)} (-1)^(j-1) * sigma_j * h_{i-j},    h_0 = 1,
 
@@ -32,6 +33,7 @@ __all__ = [
     "g_poly",
     "g_ring",
     "generating_function_check",
+    "in_squares",
     "verify_h_peel",
     "verify_h_split",
     "x_ring",
@@ -97,6 +99,11 @@ def complete(i: int, ring: RingSpec, names=None) -> Polynomial:
             expo[j] += 1
         terms[tuple(expo)] = 1
     return Polynomial(ring, terms)
+
+
+def in_squares(p: Polynomial) -> Polynomial:
+    """p(x_1^2, ..., x_n^2): the same terms with every exponent doubled."""
+    return Polynomial(p.ring, {tuple(2 * e for e in expo): c for expo, c in p.terms.items()})
 
 
 @lru_cache(maxsize=None)

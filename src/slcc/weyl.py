@@ -22,12 +22,12 @@ them deterministically; the identity is then re-verified over Z by expansion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .groebner import Ideal, member_with_cofactors
 from .polyring import Polynomial, RingSpec
+from .symfunc import elementary, in_squares
 
 __all__ = [
     "InvariantGenerators",
@@ -164,18 +164,6 @@ class InvariantGenerators:
         return tuple(g.homogeneous_degree() for g in self.gens)
 
 
-def _sigma_of_squares(i: int, ring: RingSpec) -> Polynomial:
-    # sigma_i(e_1^2, ..., e_n^2): one term per i-subset, all coefficients 1
-    n = len(ring)
-    terms = {}
-    for combo in itertools.combinations(range(n), i):
-        expo = [0] * n
-        for j in combo:
-            expo[j] = 2
-        terms[tuple(expo)] = 1
-    return Polynomial(ring, terms)
-
-
 def invariant_generators(group: str, n: int) -> InvariantGenerators:
     """s_1..s_n for B; s_1..s_{n-1}, t for D (t alone when n = 1)."""
     if n < 1:
@@ -183,13 +171,11 @@ def invariant_generators(group: str, n: int) -> InvariantGenerators:
     ring = e_ring(n)
     if group == "B":
         names = tuple(f"s{i}" for i in range(1, n + 1))
-        gens = tuple(_sigma_of_squares(i, ring) for i in range(1, n + 1))
+        gens = tuple(in_squares(elementary(i, ring)) for i in range(1, n + 1))
     elif group == "D":
         names = tuple(f"s{i}" for i in range(1, n)) + ("t",)
-        t = Polynomial.one(ring)
-        for name in ring.names:
-            t = t * Polynomial.variable(ring, name)
-        gens = tuple(_sigma_of_squares(i, ring) for i in range(1, n)) + (t,)
+        t = Polynomial.monomial(ring, (1,) * n)
+        gens = tuple(in_squares(elementary(i, ring)) for i in range(1, n)) + (t,)
     else:
         raise ValueError(f"group must be 'B' or 'D', got {group!r}")
     return InvariantGenerators(group, n, names, gens)

@@ -99,6 +99,18 @@ def test_usage_error_exits_two(capsys):
     assert "usage error" in err
     code, _, err = run(capsys, "present", "sgr2", "--n", "1", "--parity", "odd")
     assert code == 2
+    for argv, flag in [
+        (("ideal", "equal", "--ring", "e1:2", "--gens", "e1^2"), "--gens2"),
+        (("ideal", "nf", "--ring", "e1:2", "--gens", "e1^2"), "--poly"),
+        (("ideal", "member", "--ring", "e1:2", "--gens", "e1^2"), "--poly"),
+        (("weyl", "act", "--group", "B", "--n", "2", "--poly", "e1"), "--perm"),
+        (("weyl", "act", "--group", "B", "--n", "2", "--perm", "2,1"), "--poly"),
+        (("weyl", "invariant", "--group", "B", "--n", "2"), "--poly"),
+        (("span", "reduce", "--group", "B", "--n", "2"), "--poly"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"usage error: {argv[0]} {argv[1]} needs {flag}\n"
 
 
 def test_parse_error_exits_two(capsys):

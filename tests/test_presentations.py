@@ -120,8 +120,13 @@ def test_max_flag_equals_terminal_partial_flag(N):
 
 
 def test_max_flag_basis_is_spanning_basis():
-    assert pr.present_max_flag(5).declared_basis == spanning.basis("B", 2).monomials
-    assert pr.present_max_flag(4).declared_basis == spanning.basis("D", 2).monomials
+    for n in range(2, 6):
+        B, D = spanning.basis("B", n).monomials, spanning.basis("D", n).monomials
+        assert pr.present_max_flag(2 * n + 1).declared_basis == B
+        assert pr.present_max_flag(2 * n).declared_basis == D
+        # the partial flag with the largest m its parity allows is the full flag
+        assert pr.present_partial_flag(n, n, "odd").declared_basis == B
+        assert pr.present_partial_flag(n - 1, n, "even").declared_basis == D
 
 
 def test_sgr_even_odd_examples():

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from slcc import symfunc
-from slcc.polyring import Polynomial, parse_poly
-from slcc.symfunc import complete, elementary, g_poly, x_ring
+from slcc.polyring import Polynomial, RingSpec, parse_poly
+from slcc.symfunc import complete, elementary, g_poly, in_squares, x_ring
 
 
 def test_elementary_examples():
@@ -33,6 +33,24 @@ def test_complete_term_count(i, v):
     p = complete(i, x_ring(v))
     assert all(c == 1 for c in p.terms.values())
     assert len(p.terms) == comb(i + v - 1, v - 1)
+
+
+def test_in_squares_example():
+    r2 = x_ring(2)
+    assert in_squares(parse_poly("3*x1 - x1*x2^2 + 5", r2)) == parse_poly(
+        "3*x1^2 - x1^2*x2^4 + 5", r2
+    )
+
+
+@pytest.mark.parametrize("fn", [elementary, complete])
+@pytest.mark.parametrize("names", [None, (), ("v2",), ("v1", "v3"), ("v4", "v1", "v3")])
+@pytest.mark.parametrize("i", range(0, 6))
+def test_in_squares_against_substitution_oracle(i, names, fn):
+    ring = RingSpec.make((f"v{j}", 2) for j in range(1, 5))
+    chosen = ring.names if names is None else names
+    squares = {f"x{j}": Polynomial.variable(ring, v) ** 2 for j, v in enumerate(chosen, start=1)}
+    oracle = fn(i, x_ring(len(chosen))).substitute(squares, ring=ring)
+    assert in_squares(fn(i, ring, names)) == oracle
 
 
 def test_g_poly_examples():
