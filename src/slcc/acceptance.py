@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import charclass, presentations, spanning, symfunc, weyl
-from .groebner import ideal_equal, Ideal
+from .groebner import BudgetExceededError, ideal_equal, Ideal
 from .polyring import Polynomial
 
 __all__ = ["CheckResult", "all_names", "run_all", "run_check"]
@@ -26,12 +26,21 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    budget_exceeded: bool = False
+
+
+def _verify(pres: presentations.Presentation, bound: int) -> presentations.PresentationReport:
+    """verify_presentation, with budget exhaustion raised rather than reported."""
+    rep = presentations.verify_presentation(pres, bound)
+    if rep.budget_exceeded:
+        raise BudgetExceededError(rep.checks[-1][2])
+    return rep
 
 
 def _check_grassmannian_ranks() -> str:
     for n in range(2, 5):
         bound = 4 * n
-        rep = presentations.verify_presentation(presentations.present_sgr2(n, "odd"), bound)
+        rep = _verify(presentations.present_sgr2(n, "odd"), bound)
         if not rep.passed:
             raise AssertionError(f"sgr2({n}, odd) verification failed")
         expected = [0] * (bound + 1)
@@ -39,7 +48,7 @@ def _check_grassmannian_ranks() -> str:
             expected[2 * k] = 1
         if list(rep.hilbert) != expected:
             raise AssertionError(f"sgr2({n}, odd) degrees wrong: {rep.hilbert}")
-        rep = presentations.verify_presentation(presentations.present_sgr2(n, "even"), bound)
+        rep = _verify(presentations.present_sgr2(n, "even"), bound)
         if not rep.passed:
             raise AssertionError(f"sgr2({n}, even) verification failed")
         if sum(rep.hilbert) != 2 * n:
@@ -55,7 +64,7 @@ def _check_coinvariant_dimensions() -> str:
             if N < 2:
                 continue
             bound = 2 * n * n + 2
-            rep = presentations.verify_presentation(presentations.present_max_flag(N), bound)
+            rep = _verify(presentations.present_max_flag(N), bound)
             total = sum(rep.hilbert)
             if not rep.passed or total != expected:
                 raise AssertionError(f"max flag N={N}: rank {total}, expected {expected}")
@@ -242,7 +251,7 @@ def _determinism_payload() -> str:
         ("sgr_even", dict(m=1, n=2, parity="even")),
     ):
         pres = presentations.build(kind, **params)
-        reports.append(presentations.verify_presentation(pres, 16).to_dict())
+        reports.append(_verify(pres, 16).to_dict())
     wit = [str(w) for w in weyl.witness_B(3)]
     dec = spanning.reduce(Polynomial.variable(weyl.e_ring(2), "e1") ** 6, "B", 2)
     dec_text = {weyl.e_ring(2).monomial_text(m): str(c) for m, c in sorted(dec.terms.items())}
@@ -281,6 +290,8 @@ def run_check(name: str) -> CheckResult:
                 return CheckResult(check_name, True, detail)
             except AssertionError as exc:
                 return CheckResult(check_name, False, str(exc))
+            except BudgetExceededError as exc:
+                return CheckResult(check_name, False, f"budget exhausted: {exc}", True)
     raise KeyError(f"unknown acceptance check {name!r}")
 
 

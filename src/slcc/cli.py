@@ -529,6 +529,9 @@ def _cmd_acceptance(args) -> int:
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     lines.append("all checks passed" if payload["all_pass"] else "FAILURES present")
     _emit(args, payload, lines)
+    exhausted = ", ".join(r.name for r in results if r.budget_exceeded)
+    if exhausted:
+        raise BudgetExceededError(f"checks out of budget: {exhausted}")
     if not payload["all_pass"]:
         failing = ", ".join(r.name for r in results if not r.passed)
         raise CheckFailed(f"failing checks: {failing}")

@@ -6,10 +6,14 @@ normal selection strategy, then fully inter-reduced, so the reduced basis is
 unique for a given monomial order.  The only order implemented is grevlex
 graded by cohomological degree (the canonical order of the polynomial layer).
 
-Every basis element carries an explicit representation in terms of the
-original ideal generators; extended division then yields cofactor witnesses
-for ideal membership (member_with_cofactors), which downstream modules turn
-into the degree-lowering identities.
+Buchberger tracks how each basis element is built from the original ideal
+generators only when a caller reads it: member_with_cofactors builds its
+basis with these representations, and extended division then yields cofactor
+witnesses for ideal membership, which downstream modules turn into the
+degree-lowering identities.  Every other caller (normal forms, ideal
+equality, presentation checks) gets a basis without them, which is several
+times cheaper to build; reading GroebnerBasis.representations on such a
+basis reruns Buchberger with tracking once.
 
 A global step budget (default 10^6 single reduction steps, overridable via
 the SLCC_BUDGET environment variable or per call) turns runaway computations
@@ -19,7 +23,7 @@ into a distinct BudgetExceededError instead of a hang.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce as _reduce
 from math import gcd
@@ -97,7 +101,10 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class _Tracked:
-    """A monic working polynomial with its representation over the originals."""
+    """A monic working polynomial with its representation over the originals.
+
+    The representation is an empty list when Buchberger runs untracked.
+    """
 
     __slots__ = ("poly", "rep", "lm")
 
@@ -174,15 +181,30 @@ class _Engine:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced monic Groebner basis with representations over the generators.
-
-    ``representations[i]`` are cofactors c_j with basis[i] == sum c_j * gen_j.
-    """
+    """Reduced monic Groebner basis of an ideal."""
 
     ideal: Ideal
     order: str
     basis: tuple[Polynomial, ...]
-    representations: tuple[tuple[Polynomial, ...], ...]
+    # None until the representations are first read, unless built with them
+    _representations: tuple[tuple[Polynomial, ...], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def representations(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """``representations[i]`` are cofactors c_j with basis[i] == sum c_j * gen_j.
+
+        On a basis built without them, the first read reruns Buchberger with
+        tracking; the run is deterministic and reproduces the same basis.
+        """
+        return self._reps(None)
+
+    def _reps(self, budget: int | None) -> tuple[tuple[Polynomial, ...], ...]:
+        if self._representations is None:
+            reps = _buchberger(self.ideal, budget, track=True)._representations
+            object.__setattr__(self, "_representations", reps)
+        return self._representations
 
     @property
     def ring(self) -> RingSpec:
@@ -198,23 +220,34 @@ class GroebnerBasis:
         return self.normal_form(p, budget).is_zero()
 
 
+# one entry per ideal; an entry built with representations serves every caller
 _GB_CACHE: dict[tuple, GroebnerBasis] = {}
+
+
+def _cache_key(ideal: Ideal, order: str = "grevlex") -> tuple:
+    return (ideal.ring.vars, ideal.generators, order)
 
 
 def groebner_basis(ideal: Ideal, order: str = "grevlex", budget: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal (memoized per session)."""
     if order != "grevlex":
         raise ValueError(f"unsupported monomial order {order!r}")
-    cache_key = (ideal.ring.vars, ideal.generators, order)
+    cache_key = _cache_key(ideal, order)
     cached = _GB_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=False)
+    return cached
 
+
+def _buchberger(ideal: Ideal, budget: int | None, track: bool) -> GroebnerBasis:
+    """The reduced grevlex basis; with track, also its representations."""
     engine = _Engine(ideal.ring, _budget_limit(budget))
     ngens = len(ideal.generators)
     ring = ideal.ring
 
     def unit_rep(i: int) -> list[Polynomial]:
+        if not track:
+            return []
         return [
             Polynomial.one(ring) if j == i else Polynomial.zero(ring)
             for j in range(ngens)
@@ -310,14 +343,12 @@ def groebner_basis(ideal: Ideal, order: str = "grevlex", budget: int | None = No
             final[i] = reduced.monic()
     final.sort(key=lambda t: key(t.lm))
 
-    result = GroebnerBasis(
+    return GroebnerBasis(
         ideal=ideal,
-        order=order,
+        order="grevlex",
         basis=tuple(t.poly for t in final),
-        representations=tuple(tuple(t.rep) for t in final),
+        _representations=tuple(tuple(t.rep) for t in final) if track else None,
     )
-    _GB_CACHE[cache_key] = result
-    return result
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis, budget: int | None = None) -> Polynomial:
@@ -337,6 +368,10 @@ def member_with_cofactors(
 
     The expansion identity is re-verified exactly before returning.
     """
+    cache_key = _cache_key(ideal)
+    if cache_key not in _GB_CACHE:
+        # build a cold basis with its representations, so Buchberger runs once
+        _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=True)
     G = groebner_basis(ideal, budget=budget)
     engine = _Engine(G.ring, _budget_limit(budget))
     divisors = [_Tracked(g, []) for g in G.basis]
@@ -344,7 +379,7 @@ def member_with_cofactors(
     if remainder:
         return None
     cofactors = [Polynomial.zero(G.ring) for _ in ideal.generators]
-    for q, reps in zip(quotients, G.representations):
+    for q, reps in zip(quotients, G._reps(budget)):
         if q:
             cofactors = [c + q * r for c, r in zip(cofactors, reps)]
     check = Polynomial.zero(G.ring)

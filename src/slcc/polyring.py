@@ -42,6 +42,10 @@ __all__ = [
 # as a (deliberate) overflow so runaway computations fail loudly.
 EXPONENT_LIMIT = 2**31
 
+# The parser recurses once per parenthesis level; deeper input is a parse
+# error rather than a Python recursion overflow.
+NESTING_LIMIT = 100
+
 VAR_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
@@ -524,6 +528,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.ring = ring
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -591,7 +596,11 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", offset)
             return Polynomial.variable(self.ring, value)
         if kind == "op" and value == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", offset)
+            self.depth += 1
             poly = self.expr()
+            self.depth -= 1
             kind, value, offset = self.advance()
             if not (kind == "op" and value == ")"):
                 raise ParseError("expected ')'", offset)

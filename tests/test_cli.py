@@ -2,7 +2,7 @@
 
 import json
 
-from slcc import acceptance
+from slcc import acceptance, groebner
 from slcc.cli import main
 
 
@@ -111,6 +111,10 @@ def test_usage_error_exits_two(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == f"usage error: {argv[0]} {argv[1]} needs {flag}\n"
+    deep = "(" * 3000 + "e1" + ")" * 3000
+    code, _, err = run(capsys, "poly", "parse", "--ring", "e1:2", "--expr", deep)
+    assert code == 2
+    assert err.startswith("parse error: parentheses nested deeper than 100")
 
 
 def test_parse_error_exits_two(capsys):
@@ -138,6 +142,21 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_acceptance_budget_exhaustion_is_a_row(capsys, monkeypatch):
+    monkeypatch.setenv("SLCC_BUDGET", "5")
+    # an empty basis cache, so every criterion starts cold
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    code, out, err = run(capsys, "acceptance", "--format", "json")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert [r["name"] for r in rows] == acceptance.all_names()
+    exhausted = [r for r in rows if r["detail"].startswith("budget exhausted: ")]
+    assert exhausted and not any(r["pass"] for r in exhausted)
+    assert any(r["pass"] for r in rows)
+    assert err.startswith("budget exhausted: checks out of budget: criterion-")
+    assert acceptance.run_check("criterion-03-witnesses").budget_exceeded
 
 
 def test_class_commands(capsys):

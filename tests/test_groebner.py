@@ -16,7 +16,7 @@ from slcc.groebner import (
     standard_monomials,
 )
 from slcc.polyring import Polynomial, RingSpec, parse_poly
-from slcc import weyl
+from slcc import groebner, weyl
 
 R1 = RingSpec.make([("e1", 2)])
 R2 = RingSpec.make([("e1", 2), ("e2", 2)])
@@ -143,6 +143,39 @@ def test_representations_reconstruct_basis():
         for c, gen in zip(rep, I.generators):
             total = total + c * gen
         assert total == g
+
+
+def test_cofactors_independent_of_cache_order(monkeypatch):
+    I = ideal2()
+    p = parse_poly("e1^4", R2)
+    coinvariant = weyl.coinvariant_ideal("B", 3)
+
+    def outputs():
+        cofactors = [str(c) for c in member_with_cofactors(p, I)]
+        return cofactors, [str(w) for w in weyl.witness_B(3)]
+
+    groebner._GB_CACHE.clear()
+    cold = outputs()
+    # warm the cache with bases built without representations first
+    groebner._GB_CACHE.clear()
+    groebner_basis(I)
+    cofactors = [str(c) for c in member_with_cofactors(p, I)]
+    assert ideal_equal(coinvariant, coinvariant)
+    assert (cofactors, [str(w) for w in weyl.witness_B(3)]) == cold
+    assert len(groebner._GB_CACHE) == 2
+
+    # a cold witness runs Buchberger once, with representations
+    runs = []
+    buchberger = groebner._buchberger
+
+    def counted(ideal, budget, track):
+        runs.append(track)
+        return buchberger(ideal, budget, track)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    groebner._GB_CACHE.clear()
+    assert outputs() == cold
+    assert runs == [True, True]
 
 
 def test_normal_form_idempotent_random():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slcc.polyring import (
+    NESTING_LIMIT,
     ExponentOverflowError,
     ParseError,
     Polynomial,
@@ -22,6 +23,13 @@ def test_parse_two_term_relation():
     assert len(p.terms) == 2
     assert p.homogeneous_degree() == 4
     assert str(p) == "e1*e2 - e"
+
+
+def test_parse_nesting_bound():
+    deep = "(" * NESTING_LIMIT + "e1" + ")" * NESTING_LIMIT
+    assert parse_poly(f"2*{deep}^2", R2) == parse_poly("2*e1^2", R2)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_poly("(" + deep + ")", R2)
 
 
 def test_parse_zero():

@@ -1,10 +1,15 @@
 """Presentation builders, their verification, and the coherence theorems."""
 
+import dataclasses
+
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from slcc import presentations as pr
 from slcc import spanning
 from slcc.groebner import Ideal, ideal_equal
+from slcc.polyring import Polynomial, RingSpec
 
 
 def test_sgr2_odd_example():
@@ -213,6 +218,57 @@ def test_verify_budget_exhaustion_reported_distinctly():
     )
     rep = pr.verify_presentation(clone, 10, budget=2)
     assert rep.budget_exceeded and not rep.passed
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        # e1^2 == -e2^2 in the quotient: both normal forms nonzero, dependent
+        ((0, 0), (1, 0), (2, 0), (0, 2)),
+        # a duplicated monomial keeps the Hilbert profile but not independence
+        ((0, 0), (1, 0), (1, 0), (2, 0)),
+    ],
+)
+def test_dependent_declared_basis_fails(basis):
+    pres = dataclasses.replace(pr.present_sgr2(2, "even"), declared_basis=basis)
+    rep = pr.verify_presentation(pres, 8)
+    checks = {name: ok for name, ok, _ in rep.checks}
+    assert checks["basis_independent_in_quotient"] is False
+    assert not rep.passed and not rep.budget_exceeded
+
+
+_R2 = RingSpec.make([("e1", 2), ("e2", 2)])
+# mixed degrees 0, 2, 4 and 6, so some rows are not homogeneous
+_MONOS = [(a, d - a) for d in range(4) for a in range(d + 1)]
+_COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def _row_lists(draw):
+    polys = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        p = Polynomial.zero(_R2)
+        if kind == "combination":
+            for q in polys:
+                p = p + q * draw(_COEFFS)
+        elif kind == "random":
+            monos = draw(st.lists(st.sampled_from(_MONOS), min_size=1, max_size=5, unique=True))
+            p = Polynomial(_R2, {m: draw(_COEFFS) for m in monos})
+        polys.append(p)
+    return polys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_lists())
+def test_independence_matches_sympy_rank(polys):
+    support = sorted({m for p in polys for m in p.terms})
+    entries = [sympy.Rational(p.terms.get(m, 0)) for p in polys for m in support]
+    matrix = sympy.Matrix(len(polys), len(support), entries)
+    assert pr._independent_over_q(polys) == (matrix.rank() == len(polys))
 
 
 def test_report_schema_key_order():
