@@ -15,6 +15,14 @@ equality, presentation checks) gets a basis without them, which is several
 times cheaper to build; reading GroebnerBasis.representations on such a
 basis reruns Buchberger with tracking once.
 
+Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
+all run through one division routine, _Engine.divide.  It is a heap
+division after Monagan and Pearce ("Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): the working
+polynomial is a term dict updated in place, the pending monomials sit in a
+heap under a grevlex key computed once per monomial, and quotients stay
+term dicts unless a caller needs them as polynomials.
+
 A global step budget (default 10^6 single reduction steps, overridable via
 the SLCC_BUDGET environment variable or per call) turns runaway computations
 into a distinct BudgetExceededError instead of a hang.
@@ -22,13 +30,15 @@ into a distinct BudgetExceededError instead of a hang.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce as _reduce
+from functools import cached_property, reduce as _reduce
 from math import gcd
+from operator import add, le, sub
 
-from .polyring import Monomial, Polynomial, RingMismatchError, RingSpec
+from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
 
 __all__ = [
     "BudgetExceededError",
@@ -85,19 +95,19 @@ class Ideal:
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class _Tracked:
@@ -106,12 +116,24 @@ class _Tracked:
     The representation is an empty list when Buchberger runs untracked.
     """
 
-    __slots__ = ("poly", "rep", "lm")
+    __slots__ = ("poly", "rep", "lm", "_reducer")
 
     def __init__(self, poly: Polynomial, rep: list[Polynomial]):
         self.poly = poly
         self.rep = rep
         self.lm = poly.leading_term()[0] if poly else None
+        self._reducer = None
+
+    def reducer(self):
+        """(lm, deg(lm), tail terms with their degrees), built on first use.
+
+        A divisor serves many divisions, so its tail is split off once.
+        """
+        if self._reducer is None:
+            degree = self.poly.ring.monomial_degree
+            tail = [(m, c, degree(m)) for m, c in self.poly.terms.items() if m != self.lm]
+            self._reducer = (self.lm, degree(self.lm), tail)
+        return self._reducer
 
     def monic(self) -> _Tracked:
         _, lc = self.poly.leading_term()
@@ -124,7 +146,6 @@ class _Tracked:
 class _Engine:
     def __init__(self, ring: RingSpec, budget: int):
         self.ring = ring
-        self.key = ring.sort_key
         self.budget = budget
         self.steps = 0
 
@@ -142,31 +163,61 @@ class _Engine:
         Divisors must be monic.  The reducer for each step is the first
         divisor (in list order) whose leading monomial divides the current
         greatest reducible monomial, which makes the result deterministic.
+
+        The division runs in place on a term dict, with the pending
+        monomials in a heap (Monagan and Pearce, "Polynomial division using
+        dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+        Each monomial gets its ordering key once, when it first enters the
+        working dict; a step pops the greatest live monomial, skips
+        cancelled ones, and subtracts coeff * x^q * tail(d) term by term.
+        A popped monomial never comes back: every term a step adds is
+        smaller than it.  Returns the quotients as term dicts, one per
+        divisor, and the remainder as a Polynomial.
         """
-        quotients = [Polynomial.zero(self.ring) for _ in divisors]
-        remainder = Polynomial.zero(self.ring)
-        work = p
-        while work:
-            expo, coeff = work.leading_term()
-            for j, d in enumerate(divisors):
-                if d.lm is not None and _monomial_divides(d.lm, expo):
+        degree = self.ring.monomial_degree
+        work = dict(p.terms)
+        # min-heap on the negated grevlex key: the greatest monomial pops first
+        heap = [(-degree(m), m[::-1], m) for m in work]
+        heapq.heapify(heap)
+        queued = set(work)
+        # deg(x^q * t) = deg(q) + deg(t), so no degree is recomputed below
+        reducers = [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
+        quotients: list[dict[Monomial, Coefficient]] = [{} for _ in divisors]
+        remainder: dict[Monomial, Coefficient] = {}
+        while heap:
+            neg_degree, _, expo = heapq.heappop(heap)
+            coeff = work.pop(expo, 0)
+            if not coeff:
+                continue
+            for j, lm, lm_degree, tail in reducers:
+                if all(map(le, lm, expo)):
                     self.spend()
-                    q = Polynomial.monomial(self.ring, _monomial_div(expo, d.lm), coeff)
-                    quotients[j] = quotients[j] + q
-                    work = work - q * d.poly
+                    q = tuple(map(sub, expo, lm))
+                    quotients[j][q] = coeff
+                    neg_q_degree = neg_degree + lm_degree
+                    for m, c, m_degree in tail:
+                        m = tuple(map(add, q, m))
+                        value = work.get(m, 0) - coeff * c
+                        if value:
+                            work[m] = value
+                        else:
+                            work.pop(m, None)
+                        if m not in queued:
+                            queued.add(m)
+                            heapq.heappush(heap, (neg_q_degree - m_degree, m[::-1], m))
                     break
             else:
-                mono = Polynomial.monomial(self.ring, expo, coeff)
-                remainder = remainder + mono
-                work = work - mono
-        return quotients, remainder
+                remainder[expo] = coeff
+        return quotients, Polynomial(self.ring, remainder)
 
     def reduce_tracked(self, t: _Tracked, divisors: list[_Tracked]) -> _Tracked:
         quotients, remainder = self.divide(t.poly, divisors)
-        rep = list(t.rep)
-        for q, d in zip(quotients, divisors):
-            if q:
-                rep = [r - q * dr for r, dr in zip(rep, d.rep)]
+        rep = t.rep
+        if rep:
+            for q, d in zip(quotients, divisors):
+                if q:
+                    q = Polynomial(self.ring, q)
+                    rep = [r - q * dr for r, dr in zip(rep, d.rep)]
         return _Tracked(remainder, rep)
 
     def s_poly(self, f: _Tracked, g: _Tracked) -> _Tracked:
@@ -215,6 +266,11 @@ class GroebnerBasis:
 
     def normal_form(self, p: Polynomial, budget: int | None = None) -> Polynomial:
         return normal_form(p, self, budget)
+
+    @cached_property
+    def _divisors(self) -> list[_Tracked]:
+        """The basis as monic divisors, shared by every division against it."""
+        return [_Tracked(g, []) for g in self.basis]
 
     def contains(self, p: Polynomial, budget: int | None = None) -> bool:
         return self.normal_form(p, budget).is_zero()
@@ -356,8 +412,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis, budget: int | None = None) -> P
     if not p.ring.compatible_with(G.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
     engine = _Engine(G.ring, _budget_limit(budget))
-    divisors = [_Tracked(g, []) for g in G.basis]
-    _, remainder = engine.divide(p, divisors)
+    _, remainder = engine.divide(p, G._divisors)
     return remainder
 
 
@@ -374,13 +429,13 @@ def member_with_cofactors(
         _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=True)
     G = groebner_basis(ideal, budget=budget)
     engine = _Engine(G.ring, _budget_limit(budget))
-    divisors = [_Tracked(g, []) for g in G.basis]
-    quotients, remainder = engine.divide(p, divisors)
+    quotients, remainder = engine.divide(p, G._divisors)
     if remainder:
         return None
     cofactors = [Polynomial.zero(G.ring) for _ in ideal.generators]
     for q, reps in zip(quotients, G._reps(budget)):
         if q:
+            q = Polynomial(G.ring, q)
             cofactors = [c + q * r for c, r in zip(cofactors, reps)]
     check = Polynomial.zero(G.ring)
     for c, g in zip(cofactors, ideal.generators):

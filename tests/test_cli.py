@@ -1,6 +1,10 @@
 """CLI surface: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from slcc import acceptance, groebner
 from slcc.cli import main
@@ -29,6 +33,15 @@ def test_witness_text(capsys):
     assert code == 0
     assert "e1^3 = (e1)*s1 + (-e2)*t" in out
     assert "expansion check: ok" in out
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_witness_json_matches_benchmark_golden(capsys, group):
+    # the printed cofactors are the benchmark's golden stdout, byte for byte
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    code, out, _ = run(capsys, "witness", "--group", group, "--n", "7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[f"witness --group {group} --n 7"]
 
 
 def test_verify_spanning(capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slcc.groebner import (
     BudgetExceededError,
@@ -289,3 +290,121 @@ def test_primitive_integer_rescaling():
     assert str(primitive_integer(p)) == "e1^2 + 2*e2^2"
     q = Polynomial(R2, {(1, 0): -2, (0, 1): -4})
     assert str(primitive_integer(q)) == "e1 + 2*e2"
+
+
+def _reference_divide(engine, p, divisors):
+    """The division loop the engine used before the heap, kept as an oracle.
+
+    Every step finds the leading term of the whole working polynomial and
+    rebuilds ``work - q * d`` through Polynomial arithmetic.
+    """
+    ring = engine.ring
+    quotients = [Polynomial.zero(ring) for _ in divisors]
+    remainder = Polynomial.zero(ring)
+    work = p
+    while work:
+        expo, coeff = work.leading_term()
+        for j, d in enumerate(divisors):
+            if d.lm is not None and all(x <= y for x, y in zip(d.lm, expo)):
+                engine.spend()
+                q = Polynomial.monomial(ring, tuple(x - y for x, y in zip(expo, d.lm)), coeff)
+                quotients[j] = quotients[j] + q
+                work = work - q * d.poly
+                break
+        else:
+            mono = Polynomial.monomial(ring, expo, coeff)
+            remainder = remainder + mono
+            work = work - mono
+    return quotients, remainder
+
+
+def _heap_divide(engine, p, divisors):
+    quotients, remainder = engine.divide(p, divisors)
+    return [Polynomial(engine.ring, q) for q in quotients], remainder
+
+
+# weighted rings: unequal variable degrees, so degree and exponent order differ
+_WEIGHTED_RINGS = [
+    RingSpec.make([("x", 1), ("y", 2)]),
+    RingSpec.make([("x", 2), ("y", 1), ("z", 3)]),
+    RingSpec.make([("a", 3), ("b", 1), ("c", 2), ("d", 1)]),
+]
+_NONZERO_COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+).filter(bool)
+
+
+@st.composite
+def _division_cases(draw):
+    """A dividend (possibly zero) and a list of monic divisors whose leading
+    monomials often coincide or divide one another."""
+    ring = draw(st.sampled_from(_WEIGHTED_RINGS))
+    monomials = st.tuples(*[st.integers(0, 3)] * len(ring))
+    divisors, leads = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fresh", "same", "multiple", "zero"])) if leads else "fresh"
+        if kind == "zero":
+            divisors.append(Polynomial.zero(ring))
+            continue
+        lead = draw(st.tuples(*[st.integers(0, 2)] * len(ring)))
+        if kind == "same":
+            lead = draw(st.sampled_from(leads))
+        elif kind == "multiple":
+            lead = tuple(x + y for x, y in zip(draw(st.sampled_from(leads)), lead))
+        leads.append(lead)
+        tail = draw(st.dictionaries(monomials, _NONZERO_COEFFS, max_size=4))
+        key = ring.sort_key
+        terms = {m: c for m, c in tail.items() if key(m) < key(lead)}
+        terms[lead] = 1
+        divisors.append(Polynomial(ring, terms))
+    p = Polynomial(ring, draw(st.dictionaries(monomials, _NONZERO_COEFFS, max_size=6)))
+    if draw(st.booleans()):
+        # plus a combination of the divisors, so that most terms reduce
+        for d in divisors:
+            p = p + Polynomial.monomial(ring, draw(monomials), draw(_NONZERO_COEFFS)) * d
+    return ring, p, divisors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_cases(), st.data())
+def test_heap_division_matches_reference(case, data):
+    ring, p, divisors = case
+    tracked = [groebner._Tracked(d, []) for d in divisors]
+    results, steps = [], []
+    for divide in (_heap_divide, _reference_divide):
+        engine = groebner._Engine(ring, 10**5)
+        results.append(divide(engine, p, tracked))
+        steps.append(engine.steps)
+    (quotients, remainder), (ref_quotients, ref_remainder) = results
+    assert [str(q) for q in quotients] == [str(q) for q in ref_quotients]
+    assert str(remainder) == str(ref_remainder)
+    assert steps[0] == steps[1]
+    total = remainder
+    for q, d in zip(quotients, divisors):
+        total = total + q * d
+    assert total == p
+    # a budget short of the step count runs out at the same step in both
+    budget = data.draw(st.integers(0, steps[0]), label="budget")
+    raised_at = []
+    for divide in (_heap_divide, _reference_divide):
+        engine = groebner._Engine(ring, budget)
+        try:
+            divide(engine, p, tracked)
+            raised_at.append(None)
+        except BudgetExceededError:
+            raised_at.append(engine.steps)
+    assert raised_at[0] == raised_at[1] == (None if budget == steps[0] else budget + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_division_cases())
+def test_heap_pops_in_descending_order(case):
+    # the remainder dict is filled in pop order, and Polynomial keeps it
+    ring, p, divisors = case
+    descending = sorted(p.terms, key=ring.sort_key, reverse=True)
+    _, remainder = groebner._Engine(ring, 10**5).divide(p, [])
+    assert remainder == p and list(remainder.terms) == descending
+    tracked = [groebner._Tracked(d, []) for d in divisors]
+    _, remainder = groebner._Engine(ring, 10**5).divide(p, tracked)
+    assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)

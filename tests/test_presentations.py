@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from slcc import presentations as pr
-from slcc import spanning
+from slcc import groebner, spanning
 from slcc.groebner import Ideal, ideal_equal
 from slcc.polyring import Polynomial, RingSpec
 
@@ -206,18 +206,22 @@ def test_rank_table_no_declared_basis():
         pr.rank_table("sgr", k=1, N=2)
 
 
-def test_verify_budget_exhaustion_reported_distinctly():
-    pres = pr.present_max_flag(7)
-    # fresh ideal object so the memoized basis is not reused
-    clone = pr.Presentation(
-        descriptor=pres.descriptor,
-        ring=pres.ring,
-        ideal=Ideal.make(pres.ring, [g * 1 for g in pres.ideal.generators]),
-        declared_basis=pres.declared_basis,
-        coefficient_vars=pres.coefficient_vars,
-    )
-    rep = pr.verify_presentation(clone, 10, budget=2)
+def test_verify_budget_exhaustion_reported_distinctly(monkeypatch):
+    # an empty basis cache, so Buchberger itself runs out of budget
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    rep = pr.verify_presentation(pr.present_max_flag(7), 10, budget=2)
     assert rep.budget_exceeded and not rep.passed
+    assert [name for name, ok, _ in rep.checks if not ok] == ["groebner_budget"]
+
+
+def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
+    # with the basis already cached, the budget runs out in the normal forms
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    pres = pr.present_max_flag(7)
+    assert pr.verify_presentation(pres, 10).passed
+    rep = pr.verify_presentation(pres, 10, budget=2)
+    assert rep.budget_exceeded and not rep.passed
+    assert [name for name, ok, _ in rep.checks if not ok] == ["normal_form_budget"]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +332,9 @@ def _presentable_matrix():
     for N in range(2, 10):
         cases.append(("max_flag", dict(N=N)))
         cases.append(("bsl", dict(N=N, max_degree=24)))
+    # n = 5: W(D_5) and W(B_5) coinvariants, 1920 and 3840 normal forms
+    cases.append(("max_flag", dict(N=10)))
+    cases.append(("max_flag", dict(N=11)))
     return cases
 
 
