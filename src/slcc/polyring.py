@@ -153,6 +153,8 @@ class RingSpec:
 
 
 def _normalize_coeff(c: Coefficient) -> Coefficient:
+    if type(c) is int:  # the common case, ahead of the ABC-backed isinstance checks
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)
@@ -297,16 +299,21 @@ class Polynomial:
 
     def __add__(self, other: Polynomial | Coefficient) -> Polynomial:
         other = self._coerce(other)
+        # both operands' coefficients are normal: only sums need normalizing
         out = dict(self._terms)
         for expo, coeff in other._terms.items():
-            s = out.get(expo, 0) + coeff
-            if s == 0:
-                out.pop(expo, None)
+            cur = out.get(expo)
+            if cur is None:
+                out[expo] = coeff
             else:
-                out[expo] = s
+                s = cur + coeff
+                if s == 0:
+                    del out[expo]
+                else:
+                    out[expo] = _normalize_coeff(s)
         result = Polynomial.__new__(Polynomial)
         result.ring = self.ring
-        result._terms = {e: _normalize_coeff(c) for e, c in out.items()}
+        result._terms = out
         result._hash = None
         return result
 

@@ -24,6 +24,13 @@ termination measure of the proof.  Decomposition coefficients live in the
 abstract rings Z[s_1..s_n] (B) or Z[s_1..s_{n-1}, t] (D) with deg s_i = 4i,
 deg t = 2n; expand() substitutes the invariant polynomials back and must
 reproduce the target exactly.
+
+Decompositions are accumulated as flat terms: one dict keyed by (basis
+monomial, s-exponent) with plain number values, where every factor is a single
+monomial c * s^beta.  reduce() builds one Polynomial per basis monomial, once,
+at the end.  The rewriter is iterative: each step is a generator that yields
+the sub-decompositions it needs to an explicit stack over one memo per
+(group, n), so deep inputs never meet Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import series, weyl
-from .polyring import Monomial, Polynomial, RingMismatchError, RingSpec
+from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
 
 __all__ = [
     "FreenessReport",
@@ -120,76 +128,59 @@ class SpanDecomposition:
 
 
 # -- the rewriting engine ----------------------------------------------------
+#
+# A decomposition in flight is a tuple of (basis monomial, s-exponent, coeff)
+# triples; the s-exponent belongs to coefficient_ring(group, rank) of the level
+# that produced it.  Scaling by c * s^beta adds beta and multiplies by c.
+
+Term = tuple[Monomial, Monomial, Coefficient]
 
 
-def _shift_into(p: Polynomial, offset: int, n: int) -> Polynomial:
-    """Embed a polynomial in e_1..e_r as one in e_{offset+1}..e_{offset+r} of rank n."""
-    ring = weyl.e_ring(n)
-    r = len(p.ring)
+@lru_cache(maxsize=None)
+def _witness_shifted(group: str, n: int, level: int):
+    """Terms of the rank n-level witness cofactors, moved onto e_{level+1}..e_n.
+
+    One tuple of (exponent, coefficient) pairs per invariant generator.
+    """
+    wit = weyl.witness_B(n - level) if group == "B" else weyl.witness_D(n - level)
+    pad = (0,) * level
+    return tuple(tuple((pad + expo, c) for expo, c in w.terms.items()) for w in wit)
+
+
+def _sprime_generator(rank: int, i: int) -> dict[Monomial, int]:
+    """s'_i of the tail in level terms: sum_{u=0..i} (-1)^u E^{2u} s_{i-u}.
+
+    Keys are mixed exponents (E, s_1, ..., s_rank); the last coefficient
+    variable (s_rank in type B, t in type D) never occurs, so the image is
+    the same for both types.
+    """
     terms = {}
-    for expo, coeff in p.terms.items():
-        terms[(0,) * offset + tuple(expo) + (0,) * (n - offset - r)] = coeff
-    return Polynomial(ring, terms)
-
-
-@lru_cache(maxsize=None)
-def _witness_shifted(group: str, n: int, level: int) -> tuple[Polynomial, ...]:
-    rank = n - level
-    wit = weyl.witness_B(rank) if group == "B" else weyl.witness_D(rank)
-    return tuple(_shift_into(w, level, n) for w in wit)
-
-
-@lru_cache(maxsize=None)
-def _mixed_ring(group: str, rank: int) -> RingSpec:
-    """Ring Z[E, coefficient_ring(group, rank)]: E is the peeled variable."""
-    return RingSpec.make([("E", 2)] + list(coefficient_ring(group, rank).vars))
-
-
-@lru_cache(maxsize=None)
-def _sprime_image(group: str, rank: int, i: int) -> Polynomial:
-    """s'_i of the tail in level terms: sum_{u=0..i} (-1)^u E^{2u} s_{i-u}."""
-    mixed = _mixed_ring(group, rank)
-    acc = Polynomial.zero(mixed)
     for u in range(i + 1):
-        if i - u == 0:
-            base = Polynomial.one(mixed)
-        else:
-            base = Polynomial.variable(mixed, f"s{i - u}")
-        term = base * (Polynomial.variable(mixed, "E") ** (2 * u))
-        acc = acc + (term if u % 2 == 0 else -term)
-    return acc
+        s = [0] * rank
+        if i - u:
+            s[i - u - 1] = 1
+        terms[(2 * u, *s)] = -1 if u % 2 else 1
+    return terms
 
 
-def _convert_tail_coeff(alpha: Polynomial, group: str, rank: int) -> Polynomial:
-    """Map a Z[s'_1..s'_{rank-1}] coefficient into the mixed ring of this level."""
-    mixed = _mixed_ring(group, rank)
-    if not alpha.ring.vars:  # constant over the empty ring
-        return Polynomial.constant(mixed, alpha.constant_coefficient())
-    mapping = {f"s{i}": _sprime_image(group, rank, i) for i in range(1, len(alpha.ring) + 1)}
-    return alpha.substitute(mapping, ring=mixed)
-
-
-def _split_t_parity(alpha: Polynomial, rank: int) -> tuple[Polynomial, Polynomial]:
+def _split_t_parity(terms: dict[Monomial, Coefficient]) -> tuple[dict, dict]:
     """Write alpha(s'_*, t') = tilde(s'_*) + t' * hat(s'_*) using t'^2 = s'_{rank-1}.
 
-    alpha lives in coefficient_ring("D", rank-1); the results live in
-    coefficient_ring("B", rank-1), whose last variable is s'_{rank-1}.
+    ``terms`` are exponents of coefficient_ring("D", rank-1), whose last
+    variable is t'; the results are exponents of coefficient_ring("B",
+    rank-1), whose last variable is s'_{rank-1}.  The map is injective, so
+    no two terms meet.
     """
-    target = coefficient_ring("B", rank - 1)
-    tilde: dict[Monomial, int] = {}
-    hat: dict[Monomial, int] = {}
-    src = alpha.ring
-    nsrc = len(src)
-    for expo, coeff in alpha.terms.items():
-        t_exp = expo[nsrc - 1] if nsrc else 0
-        s_part = list(expo[: nsrc - 1]) if nsrc else []
-        new = s_part + [0] * (len(target) - len(s_part))
-        if len(target):
-            new[len(target) - 1] += t_exp // 2  # t'^2 -> s'_{rank-1}
-        key = tuple(new)
-        bucket = tilde if t_exp % 2 == 0 else hat
-        bucket[key] = bucket.get(key, 0) + coeff
-    return Polynomial(target, tilde), Polynomial(target, hat)
+    tilde: dict[Monomial, Coefficient] = {}
+    hat: dict[Monomial, Coefficient] = {}
+    for expo, coeff in terms.items():
+        if not expo:  # rank-1 == 0: the empty coefficient ring has no t'
+            tilde[expo] = coeff
+        elif expo[-1] % 2:
+            hat[expo[:-1] + (expo[-1] // 2,)] = coeff
+        else:
+            tilde[expo[:-1] + (expo[-1] // 2,)] = coeff
+    return tilde, hat
 
 
 def _basis_bound(group: str, rank: int) -> int:
@@ -201,90 +192,161 @@ def _threshold(group: str, rank: int) -> int:
 
 
 def _with_exponent(mono: Monomial, pos: int, value: int) -> Monomial:
-    out = list(mono)
-    out[pos] = value
-    return tuple(out)
+    return mono[:pos] + (value,) + mono[pos + 1 :]
 
 
-def _add_into(acc: dict[Monomial, Polynomial], items, factor: Polynomial | None = None) -> None:
-    for m, c in items:
-        inc = c if factor is None else c * factor
-        cur = acc.get(m)
-        total = inc if cur is None else cur + inc
-        if total.is_zero():
-            acc.pop(m, None)
+def _add_term(terms: dict, key, value: Coefficient) -> None:
+    v = terms.get(key, 0) + value
+    if v:
+        terms[key] = v
+    else:
+        terms.pop(key, None)
+
+
+def _mul_terms(a: dict[Monomial, Coefficient], b: dict[Monomial, Coefficient]) -> dict:
+    out: dict[Monomial, Coefficient] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _add_term(out, tuple(map(add, ea, eb)), ca * cb)
+    return out
+
+
+def _add_scaled(acc: dict, triples, shift: Monomial, factor: Coefficient) -> None:
+    """acc += (factor * s^shift) * triples, keyed by (basis monomial, s-exponent)."""
+    for b, s, c in triples:
+        key = (b, tuple(map(add, s, shift)))
+        v = acc.get(key, 0) + c * factor
+        if v:
+            acc[key] = v
         else:
-            acc[m] = total
+            acc.pop(key, None)
+
+
+class _Rewriter:
+    """The memoized rewriter for one (group, n); reduce() shares one per process.
+
+    ``_reduce_monomial`` drives the rewriting steps with an explicit stack,
+    so the depth of a rewrite is bounded by memory, not by Python's recursion
+    limit.  Each step is a generator (``_steps``) that yields the (level,
+    monomial) decompositions it needs and receives their triples.
+    """
+
+    def __init__(self, group: str, n: int):
+        self.group = group
+        self.n = n
+        self.memo: dict[tuple[int, Monomial], tuple[Term, ...]] = {}
+        # (rank, s'-exponent) -> mixed-ring image as (E-exponent, s-exponent, coeff)
+        self.images: dict[tuple[int, Monomial], tuple[tuple[int, Monomial, int], ...]] = {}
+        self.powers: dict[tuple[int, int], list[dict[Monomial, int]]] = {}
+
+    def _reduce_monomial(self, level: int, mono: Monomial) -> tuple[Term, ...]:
+        """Decompose one monomial at the given level into (basis mono, s-exponent, coeff).
+
+        ``level`` counts peeled variables: the active variables are
+        e_{level+1}..e_n and s-exponents belong to coefficient_ring(group, n-level).
+        """
+        memo = self.memo
+        root = (level, mono)
+        if root in memo:
+            return memo[root]
+        stack = [(root, self._steps(level, mono))]
+        value = None
+        while stack:
+            key, steps = stack[-1]
+            try:
+                request = steps.send(value)
+            except StopIteration as done:
+                memo[key] = value = done.value
+                stack.pop()
+                continue
+            value = memo.get(request)
+            if value is None:
+                stack.append((request, self._steps(*request)))
+        return memo[root]
+
+    def _image(self, rank: int, sprime: Monomial) -> tuple[tuple[int, Monomial, int], ...]:
+        """The mixed-ring image of the tail monomial s'^sprime at a level of this rank."""
+        key = (rank, sprime)
+        image = self.images.get(key)
+        if image is None:
+            terms = {(0,) * (rank + 1): 1}
+            for i, e in enumerate(sprime, 1):
+                if e:
+                    terms = _mul_terms(terms, self._power(rank, i, e))
+            image = tuple((m[0], m[1:], c) for m, c in terms.items())
+            self.images[key] = image
+        return image
+
+    def _power(self, rank: int, i: int, e: int) -> dict[Monomial, int]:
+        powers = self.powers.get((rank, i))
+        if powers is None:
+            powers = [{(0,) * (rank + 1): 1}, _sprime_generator(rank, i)]
+            self.powers[(rank, i)] = powers
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], powers[1]))
+        return powers[e]
+
+    def _steps(self, level: int, mono: Monomial):
+        group, n = self.group, self.n
+        rank = n - level
+        if rank == 0:
+            return ((mono, (), 1),)
+
+        a = mono[level]
+        acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
+
+        if a >= _threshold(group, rank):
+            # degree-lowering witness: e_{level+1}^threshold = sum cofactor * invariant
+            units = [(0,) * i + (1,) + (0,) * (rank - i - 1) for i in range(rank)]
+            rest = _with_exponent(mono, level, a - _threshold(group, rank))
+            for unit, wit in zip(units, _witness_shifted(group, n, level)):
+                for wexpo, wcoeff in wit:
+                    sub = yield (level, tuple(map(add, wexpo, rest)))
+                    _add_scaled(acc, sub, unit, wcoeff)
+            return tuple((b, s, c) for (b, s), c in acc.items())
+
+        tail = yield (level + 1, _with_exponent(mono, level, 0))
+        bound = _basis_bound(group, rank)
+
+        # the tail's coefficients, grouped per tail basis monomial
+        alphas: dict[Monomial, dict[Monomial, Coefficient]] = {}
+        for bprime, s, c in tail:
+            alphas.setdefault(bprime, {})[s] = c
+
+        for bprime, alpha in alphas.items():
+            # re-express through this level's invariants, (E-exponent, s-exponent) -> coeff
+            if group == "B":
+                parts = [(alpha, False)]
+            else:
+                tilde, hat = _split_t_parity(alpha)
+                parts = [(tilde, False), (hat, True)]
+            for part, has_tprime in parts:
+                mixed: dict[tuple[int, Monomial], Coefficient] = {}
+                for sprime, coeff in part.items():
+                    for l, s, c in self._image(rank, sprime):
+                        _add_term(mixed, (l, s), c * coeff)
+                for (l, s), mcoeff in mixed.items():
+                    A = a + l
+                    if not has_tprime:
+                        if A <= bound:
+                            _add_term(acc, (_with_exponent(bprime, level, A), s), mcoeff)
+                        else:
+                            sub = yield (level, _with_exponent(bprime, level, A))
+                            _add_scaled(acc, sub, s, mcoeff)
+                    elif A == 0:
+                        # u = e_{level+2} .. e_n joins the basis monomial
+                        tailprod = bprime[: level + 1] + tuple(e + 1 for e in bprime[level + 1 :])
+                        _add_term(acc, (tailprod, s), mcoeff)
+                    else:
+                        # carry t = e_{level+1} * t' out into the coefficient
+                        sub = yield (level, _with_exponent(bprime, level, A - 1))
+                        _add_scaled(acc, sub, s[:-1] + (s[-1] + 1,), mcoeff)
+        return tuple((b, s, c) for (b, s), c in acc.items())
 
 
 @lru_cache(maxsize=None)
-def _reduce_monomial(group: str, n: int, level: int, mono: Monomial):
-    """Decompose one monomial at the given level; returns ((basis mono, coeff), ...).
-
-    ``level`` counts peeled variables: the active variables are
-    e_{level+1}..e_n and coefficients live in coefficient_ring(group, n-level).
-    """
-    rank = n - level
-    cring = coefficient_ring(group, rank)
-    if rank == 0:
-        return ((mono, Polynomial.one(cring)),)
-
-    a = mono[level]
-    acc: dict[Monomial, Polynomial] = {}
-
-    if a >= _threshold(group, rank):
-        # degree-lowering witness: e_{level+1}^threshold = sum cofactor * invariant
-        wits = _witness_shifted(group, n, level)
-        rest = Polynomial.monomial(
-            weyl.e_ring(n), _with_exponent(mono, level, a - _threshold(group, rank))
-        )
-        for idx, w in enumerate(wits):
-            carried = Polynomial.variable(cring, cring.names[idx])
-            for sub_mono, sub_coeff in (w * rest).terms.items():
-                sub = _reduce_monomial(group, n, level, sub_mono)
-                _add_into(acc, sub, carried * sub_coeff)
-        return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
-
-    tail_dec = _reduce_monomial(group, n, level + 1, _with_exponent(mono, level, 0))
-    bound = _basis_bound(group, rank)
-
-    for bprime, alpha in tail_dec:
-        if group == "B":
-            parts = [(alpha, False)]
-        else:
-            tilde, hat = _split_t_parity(alpha, rank)
-            parts = [(tilde, False), (hat, True)]
-        for part, has_tprime in parts:
-            if part.is_zero():
-                continue
-            mixed = _convert_tail_coeff(part, group, rank)
-            for mexpo, mcoeff in mixed.terms.items():
-                l = mexpo[0]  # exponent of the peeled variable E
-                s_mono = Polynomial.monomial(cring, mexpo[1:], mcoeff)
-                A = a + l
-                if not has_tprime:
-                    if A <= bound:
-                        _add_into(acc, ((_with_exponent(bprime, level, A), s_mono),))
-                    else:
-                        sub = _reduce_monomial(
-                            group, n, level, _with_exponent(bprime, level, A)
-                        )
-                        _add_into(acc, sub, s_mono)
-                else:
-                    if A == 0:
-                        # u = e_{level+2} .. e_n joins the basis monomial
-                        tailprod = list(bprime)
-                        for j in range(level + 1, n):
-                            tailprod[j] += 1
-                        _add_into(acc, ((tuple(tailprod), s_mono),))
-                    else:
-                        # carry t = e_{level+1} * t' out into the coefficient
-                        carried = s_mono * Polynomial.variable(cring, "t")
-                        sub = _reduce_monomial(
-                            group, n, level, _with_exponent(bprime, level, A - 1)
-                        )
-                        _add_into(acc, sub, carried)
-    return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
+def _rewriter(group: str, n: int) -> _Rewriter:
+    return _Rewriter(group, n)
 
 
 def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
@@ -292,12 +354,17 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     ring = weyl.e_ring(n)
     if not p.ring.compatible_with(ring):
         raise RingMismatchError(f"polynomial must live in Z[e_1..e_{n}] with degree-2 variables")
-    acc: dict[Monomial, Polynomial] = {}
     cring = coefficient_ring(group, n)
+    rewriter = _rewriter(group, n)
+    zero = (0,) * n
+    acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
     for mono, coeff in p.terms.items():
-        factor = Polynomial.constant(cring, coeff)
-        _add_into(acc, _reduce_monomial(group, n, 0, mono), factor)
-    return SpanDecomposition(group=group, n=n, target=p, terms=acc)
+        _add_scaled(acc, rewriter._reduce_monomial(0, mono), zero, coeff)
+    coeffs: dict[Monomial, dict[Monomial, Coefficient]] = {}
+    for (b, s), c in acc.items():
+        coeffs.setdefault(b, {})[s] = c
+    terms = {b: Polynomial(cring, t) for b, t in coeffs.items()}
+    return SpanDecomposition(group=group, n=n, target=p, terms=terms)
 
 
 def expand(dec: SpanDecomposition) -> Polynomial:

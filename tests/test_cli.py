@@ -1,7 +1,9 @@
 """CLI surface: subcommands, output formats, exit codes."""
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,32 @@ def test_witness_json_matches_benchmark_golden(capsys, group):
     code, out, _ = run(capsys, "witness", "--group", group, "--n", "7", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[f"witness --group {group} --n 7"]
+
+
+def _benchmark_workloads():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case", ["deep", "dense"])
+def test_span_reduce_json_matches_benchmark_golden(capsys, case):
+    # the printed decompositions are the benchmark's golden stdout, byte for byte
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    if case == "deep":
+        label = "span reduce --group B --n 5 --poly e1^18"
+        argv = label.split()
+    else:
+        wl = _benchmark_workloads()
+        label = f"span reduce --group D --n 5 --poly <dense degree-10 seed={wl.DEFAULT_SEED}>"
+        argv = ["span", "reduce", "--group", "D", "--n", "5", "--poly"]
+        argv.append(wl.poly_text(wl.dense_terms(wl.DEFAULT_SEED)))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[label]
 
 
 def test_verify_spanning(capsys):

@@ -1,5 +1,7 @@
 """Polynomial kernel: parsing, exact arithmetic, grading, canonical printing."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from slcc.polyring import (
     RingMismatchError,
     RingSpec,
     UnmappedVariableError,
+    _normalize_coeff,
     parse_poly,
 )
 
@@ -178,3 +181,53 @@ def test_grading_multiplicative(p, q):
     if p.is_zero() or q.is_zero() or dp is None or dq is None:
         return
     assert (p * q).homogeneous_degree() == dp + dq
+
+
+def test_sums_that_cancel_to_integers_store_int():
+    half = Polynomial(R2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    total = half + half
+    assert total.terms == {(1, 0): 1, (0, 1): Fraction(2, 3)}
+    assert type(total.terms[(1, 0)]) is int
+    assert type(total.terms[(0, 1)]) is Fraction
+    diff = Polynomial(R2, {(1, 0): Fraction(3, 2)}) - Polynomial(R2, {(1, 0): Fraction(1, 2)})
+    assert diff.terms == {(1, 0): 1}
+    assert type(diff.terms[(1, 0)]) is int
+    assert (half - half).is_zero()
+
+
+def test_bool_coefficient_rejected():
+    with pytest.raises(TypeError):
+        Polynomial(R2, {(1, 0): True})
+    with pytest.raises(TypeError):
+        Polynomial.one(R2) + True
+    with pytest.raises(TypeError):
+        _normalize_coeff(False)
+
+
+mixed_coeffs = st.one_of(
+    coeffs,
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def mixed_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        expo = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(len(R2)))
+        terms[expo] = draw(mixed_coeffs)
+    return Polynomial(R2, terms)
+
+
+@settings(max_examples=100)
+@given(mixed_polys(), mixed_polys())
+def test_add_sub_match_normalized_dict_sum(p, q):
+    for result, sign in ((p + q, 1), (p - q, -1)):
+        expected = dict(p.terms)
+        for expo, coeff in q.terms.items():
+            expected[expo] = expected.get(expo, 0) + sign * coeff
+        expected = {e: _normalize_coeff(c) for e, c in expected.items() if c != 0}
+        assert result.terms == expected
+        assert {e: type(c) for e, c in result.terms.items()} == {
+            e: type(c) for e, c in expected.items()
+        }

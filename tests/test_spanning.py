@@ -1,11 +1,13 @@
 """Spanning sets and the constructive rewriting over the invariant rings."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slcc import weyl
-from slcc.polyring import Polynomial, parse_poly
+from slcc.polyring import Polynomial, RingSpec, parse_poly
 from slcc.spanning import basis, coefficient_ring, expand, reduce as span_reduce, verify_free
 
 
@@ -135,3 +137,190 @@ def test_uniqueness_on_basis_monomials():
             seen[mono] = dec.terms
         for mono, terms in seen.items():
             assert list(terms) == [mono]
+
+
+def _evaluate(p, values):
+    """p at an integer point, exactly; ``values`` follow p.ring's variable order."""
+    total = 0
+    for expo, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            term *= v**e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("group,n,k", [("B", 2, 2000), ("D", 1, 3000)])
+def test_reduce_deep_input(group, n, k):
+    # each rewrite of e1^k waits on the one of e1^(k-threshold): a chain far
+    # deeper than the interpreter's recursion limit.  expand() is cubic in k,
+    # so the identity is checked at integer points instead.
+    ring = weyl.e_ring(n)
+    p = Polynomial.variable(ring, "e1") ** k
+    dec = span_reduce(p, group, n)
+    assert set(dec.terms) <= set(basis(group, n).monomials)
+    inv = weyl.invariant_generators(group, n)
+    for point in ((3, -2), (-1, 5), (2, 7)):
+        point = point[:n]
+        invariants = dict(zip(inv.names, (_evaluate(g, point) for g in inv.gens)))
+        rhs = 0
+        for mono, coeff in dec.terms.items():
+            s_values = [invariants[name] for name in coeff.ring.names]
+            rhs += _evaluate(coeff, s_values) * _evaluate(Polynomial.monomial(ring, mono), point)
+        assert rhs == _evaluate(p, point)
+
+
+# -- the Polynomial-valued rewriter that the flat-term one replaced ----------
+#
+# Kept as the reference for the differential test below: every coefficient is
+# a Polynomial, and the tail's invariants are converted with substitute().
+
+
+@lru_cache(maxsize=None)
+def _ref_mixed_ring(group, rank):
+    return RingSpec.make([("E", 2)] + list(coefficient_ring(group, rank).vars))
+
+
+@lru_cache(maxsize=None)
+def _ref_sprime_image(group, rank, i):
+    mixed = _ref_mixed_ring(group, rank)
+    acc = Polynomial.zero(mixed)
+    for u in range(i + 1):
+        base = Polynomial.one(mixed) if i == u else Polynomial.variable(mixed, f"s{i - u}")
+        term = base * (Polynomial.variable(mixed, "E") ** (2 * u))
+        acc = acc + (term if u % 2 == 0 else -term)
+    return acc
+
+
+def _ref_convert_tail_coeff(alpha, group, rank):
+    mixed = _ref_mixed_ring(group, rank)
+    if not alpha.ring.vars:
+        return Polynomial.constant(mixed, alpha.constant_coefficient())
+    mapping = {f"s{i}": _ref_sprime_image(group, rank, i) for i in range(1, len(alpha.ring) + 1)}
+    return alpha.substitute(mapping, ring=mixed)
+
+
+def _ref_split_t_parity(alpha, rank):
+    target = coefficient_ring("B", rank - 1)
+    tilde, hat = {}, {}
+    nsrc = len(alpha.ring)
+    for expo, coeff in alpha.terms.items():
+        t_exp = expo[nsrc - 1] if nsrc else 0
+        new = list(expo[: nsrc - 1]) if nsrc else []
+        new += [0] * (len(target) - len(new))
+        if len(target):
+            new[len(target) - 1] += t_exp // 2
+        bucket = tilde if t_exp % 2 == 0 else hat
+        bucket[tuple(new)] = bucket.get(tuple(new), 0) + coeff
+    return Polynomial(target, tilde), Polynomial(target, hat)
+
+
+def _ref_with_exponent(mono, pos, value):
+    out = list(mono)
+    out[pos] = value
+    return tuple(out)
+
+
+def _ref_add_into(acc, items, factor=None):
+    for m, c in items:
+        inc = c if factor is None else c * factor
+        cur = acc.get(m)
+        total = inc if cur is None else cur + inc
+        if total.is_zero():
+            acc.pop(m, None)
+        else:
+            acc[m] = total
+
+
+@lru_cache(maxsize=None)
+def _ref_reduce_monomial(group, n, level, mono):
+    rank = n - level
+    cring = coefficient_ring(group, rank)
+    if rank == 0:
+        return ((mono, Polynomial.one(cring)),)
+    threshold = 2 * rank if group == "B" else 2 * rank - 1
+    bound = 2 * rank - 1 if group == "B" else 2 * rank - 2
+    ring = weyl.e_ring(n)
+    a = mono[level]
+    acc = {}
+    if a >= threshold:
+        wits = weyl.witness_B(rank) if group == "B" else weyl.witness_D(rank)
+        rest = Polynomial.monomial(ring, _ref_with_exponent(mono, level, a - threshold))
+        for idx, w in enumerate(wits):
+            shifted = Polynomial(ring, {(0,) * level + e: c for e, c in w.terms.items()})
+            carried = Polynomial.variable(cring, cring.names[idx])
+            for sub_mono, sub_coeff in (shifted * rest).terms.items():
+                sub = _ref_reduce_monomial(group, n, level, sub_mono)
+                _ref_add_into(acc, sub, carried * sub_coeff)
+        return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
+    tail_dec = _ref_reduce_monomial(group, n, level + 1, _ref_with_exponent(mono, level, 0))
+    for bprime, alpha in tail_dec:
+        if group == "B":
+            parts = [(alpha, False)]
+        else:
+            tilde, hat = _ref_split_t_parity(alpha, rank)
+            parts = [(tilde, False), (hat, True)]
+        for part, has_tprime in parts:
+            if part.is_zero():
+                continue
+            mixed = _ref_convert_tail_coeff(part, group, rank)
+            for mexpo, mcoeff in mixed.terms.items():
+                s_mono = Polynomial.monomial(cring, mexpo[1:], mcoeff)
+                A = a + mexpo[0]
+                if not has_tprime:
+                    if A <= bound:
+                        _ref_add_into(acc, ((_ref_with_exponent(bprime, level, A), s_mono),))
+                    else:
+                        sub = _ref_reduce_monomial(
+                            group, n, level, _ref_with_exponent(bprime, level, A)
+                        )
+                        _ref_add_into(acc, sub, s_mono)
+                elif A == 0:
+                    tailprod = list(bprime)
+                    for j in range(level + 1, n):
+                        tailprod[j] += 1
+                    _ref_add_into(acc, ((tuple(tailprod), s_mono),))
+                else:
+                    carried = s_mono * Polynomial.variable(cring, "t")
+                    sub = _ref_reduce_monomial(
+                        group, n, level, _ref_with_exponent(bprime, level, A - 1)
+                    )
+                    _ref_add_into(acc, sub, carried)
+    return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
+
+
+def _reference_reduce(p, group, n):
+    acc = {}
+    cring = coefficient_ring(group, n)
+    for mono, coeff in p.terms.items():
+        factor = Polynomial.constant(cring, coeff)
+        _ref_add_into(acc, _ref_reduce_monomial(group, n, 0, mono), factor)
+    return acc
+
+
+@st.composite
+def _span_inputs(draw):
+    group = draw(st.sampled_from("BD"))
+    n = draw(st.integers(min_value=1, max_value=4))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        # e_i may pass the threshold of its level, 2(n-i+1) (B) or 2(n-i+1)-1 (D)
+        expo = tuple(draw(st.integers(min_value=0, max_value=2 * (n - i) + 3)) for i in range(n))
+        if sum(expo) <= 2 * n + 4:
+            terms[expo] = draw(st.integers(min_value=-9, max_value=9))
+    return group, n, Polynomial(weyl.e_ring(n), terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_span_inputs())
+def test_reduce_matches_polynomial_valued_reference(case):
+    group, n, p = case
+    ring = weyl.e_ring(n)
+    dec = span_reduce(p, group, n)
+    ref = _reference_reduce(p, group, n)
+
+    def printed(terms):
+        return sorted((ring.monomial_text(m), str(c)) for m, c in terms.items())
+
+    assert printed(dec.terms) == printed(ref)
+    assert expand(dec) == p
