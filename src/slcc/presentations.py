@@ -34,6 +34,7 @@ independent in the quotient.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -52,6 +53,7 @@ from .polyring import Monomial, Polynomial, RingSpec
 from .symfunc import complete, elementary, g_poly, in_squares
 
 __all__ = [
+    "BUILDER_PARAMETERS",
     "NoDeclaredBasisError",
     "Presentation",
     "PresentationReport",
@@ -388,6 +390,12 @@ _BUILDERS = {
     "max_flag": present_max_flag,
     "sgr_even": present_sgr_even,
     "bsl": present_bsl,
+}
+
+# each builder's parameters, read once here: a caller still sees them after
+# the builders are wrapped (by a tracer, say) in functions without signatures
+BUILDER_PARAMETERS = {
+    kind: tuple(inspect.signature(fn).parameters.values()) for kind, fn in _BUILDERS.items()
 }
 
 

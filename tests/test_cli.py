@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slcc import acceptance, groebner
+from slcc import acceptance, groebner, weyl
 from slcc.cli import main
 
 
@@ -148,10 +148,20 @@ def test_usage_error_exits_two(capsys):
         (("weyl", "act", "--group", "B", "--n", "2", "--perm", "2,1"), "--poly"),
         (("weyl", "invariant", "--group", "B", "--n", "2"), "--poly"),
         (("span", "reduce", "--group", "B", "--n", "2"), "--poly"),
+        (("verify", "spanning"), "--group"),
+        (("verify", "spanning", "--n", "2"), "--group"),
+        (("verify", "flag-equal", "--m", "1", "--n", "2"), "--parity"),
+        (("verify", "collapse", "--n", "2"), "--parity"),
+        (("verify", "specialize", "--n", "2"), "--parity"),
+        (("present", "rank"), "--k"),
+        (("present", "rank", "--rank-kind", "sgr", "--k", "2"), "--N"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == f"usage error: {argv[0]} {argv[1]} needs {flag}\n"
+    code, _, err = run(capsys, "verify", "presentation", "--kind", "rank")
+    assert code == 2
+    assert err == "usage error: unknown presentation kind 'rank'\n"
     deep = "(" * 3000 + "e1" + ")" * 3000
     code, _, err = run(capsys, "poly", "parse", "--ring", "e1:2", "--expr", deep)
     assert code == 2
@@ -198,6 +208,19 @@ def test_acceptance_budget_exhaustion_is_a_row(capsys, monkeypatch):
     assert any(r["pass"] for r in rows)
     assert err.startswith("budget exhausted: checks out of budget: criterion-")
     assert acceptance.run_check("criterion-03-witnesses").budget_exceeded
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    # an exception outside the documented ladder is one line on stderr, exit 4
+    def broken(n):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(weyl, "witness_B", broken)
+    code, out, err = run(capsys, "witness", "--group", "B", "--n", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+    assert "Traceback" not in err
 
 
 def test_class_commands(capsys):
