@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import factorial
 
 from . import charclass, presentations, spanning, symfunc, weyl
 from .groebner import BudgetExceededError, ideal_equal, Ideal
@@ -60,9 +59,8 @@ def _check_grassmannian_ranks() -> str:
 
 def _check_coinvariant_dimensions() -> str:
     for n in range(1, 5):
-        for N, expected in ((2 * n + 1, 2**n * factorial(n)), (2 * n, 2 ** (n - 1) * factorial(n))):
-            if N < 2:
-                continue
+        for N, group in ((2 * n + 1, "B"), (2 * n, "D")):
+            expected = weyl.group_order(group, n)
             bound = 2 * n * n + 2
             rep = _verify(presentations.present_max_flag(N), bound)
             total = sum(rep.hilbert)
@@ -76,27 +74,19 @@ def _check_coinvariant_dimensions() -> str:
 def _check_witnesses() -> str:
     for n in range(1, 5):
         ring = weyl.e_ring(n)
-        inv_b = weyl.invariant_generators("B", n)
-        wits = weyl.witness_B(n)
-        total = Polynomial.zero(ring)
-        for w, s in zip(wits, inv_b.gens):
-            total = total + w * s
-        if total != Polynomial.variable(ring, "e1") ** (2 * n):
-            raise AssertionError(f"witness_B({n}) expansion failed")
-        for i, w in enumerate(wits, start=1):
-            if not w.is_zero() and w.homogeneous_degree() != 4 * n - 4 * i:
-                raise AssertionError(f"witness_B({n}) cofactor {i} degree wrong")
-        inv_d = weyl.invariant_generators("D", n)
-        wits = weyl.witness_D(n)
-        total = Polynomial.zero(ring)
-        for w, s in zip(wits, inv_d.gens):
-            total = total + w * s
-        if total != Polynomial.variable(ring, "e1") ** (2 * n - 1):
-            raise AssertionError(f"witness_D({n}) expansion failed")
-        degs = [4 * i for i in range(1, n)] + [2 * n]
-        for i, (w, d) in enumerate(zip(wits, degs), start=1):
-            if not w.is_zero() and w.homogeneous_degree() != 4 * n - 2 - d:
-                raise AssertionError(f"witness_D({n}) cofactor {i} degree wrong")
+        for group, witness in (("B", weyl.witness_B), ("D", weyl.witness_D)):
+            inv = weyl.invariant_generators(group, n)
+            wits = witness(n)
+            power = weyl.witness_power(group, n)
+            total = Polynomial.zero(ring)
+            for w, s in zip(wits, inv.gens):
+                total = total + w * s
+            if total != Polynomial.variable(ring, "e1") ** power:
+                raise AssertionError(f"witness_{group}({n}) expansion failed")
+            # deg e_1^power = 2 * power, so cofactor i has degree 2 * power - deg(gen i)
+            for i, (w, d) in enumerate(zip(wits, inv.degrees), start=1):
+                if not w.is_zero() and w.homogeneous_degree() != 2 * power - d:
+                    raise AssertionError(f"witness_{group}({n}) cofactor {i} degree wrong")
     return "degree-lowering identities hold exactly over Z for n <= 4"
 
 

@@ -7,8 +7,9 @@ JSON (--format json), and exits with
 
     0  success / all checks passed
     1  a mathematical check failed
-    2  usage error (unknown flags, malformed input, or a missing flag:
-       "usage error: <command> <action> needs --<flag>")
+    2  usage error (unknown flags, malformed input, a missing flag:
+       "usage error: <command> <action> needs --<flag>", or a flag the
+       action does not read: "... does not take --<flag>")
     3  Groebner step budget exhausted (see SLCC_BUDGET)
     4  internal error ("internal error: <type>: <message>", no traceback)
 
@@ -153,10 +154,20 @@ def _weyl_invariant(args) -> tuple:
     return {"invariant": ok}, ["invariant" if ok else "not invariant"], None
 
 
+def _int_entries(flag: str, text: str) -> tuple[int, ...]:
+    out = []
+    for x in text.split(","):
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise UsageError(f"--{flag} entries must be integers, got {x!r}") from None
+    return tuple(out)
+
+
 def _weyl_act(args) -> tuple:
     p = parse_poly(args.poly, weyl.e_ring(args.n))
-    perm = tuple(int(x) - 1 for x in args.perm.split(","))
-    signs = tuple(int(s) for s in args.signs.split(",")) if args.signs else (1,) * args.n
+    perm = tuple(x - 1 for x in _int_entries("perm", args.perm))
+    signs = _int_entries("signs", args.signs) if args.signs else (1,) * args.n
     if len(signs) != args.n:
         raise UsageError(f"expected {args.n} signs, got {len(signs)}")
     return _result(weyl.apply_action(weyl.SignedPermutation(perm, signs, args.group), p))
@@ -166,7 +177,8 @@ def _witness(args) -> tuple:
     n = args.n
     ring = weyl.e_ring(n)
     wits = weyl.witness_B(n) if args.group == "B" else weyl.witness_D(n)
-    power, prefix = (2 * n, "wit_g") if args.group == "B" else (2 * n - 1, "wit_h")
+    power = weyl.witness_power(args.group, n)
+    prefix = "wit_g" if args.group == "B" else "wit_h"
     inv = weyl.invariant_generators(args.group, n)
     target = Polynomial.variable(ring, "e1") ** power
     verified = sum((w * s for w, s in zip(wits, inv.gens)), Polynomial.zero(ring)) == target
@@ -433,7 +445,9 @@ _COMMANDS = {
     "acceptance": (None, "run the full acceptance matrix"),
 }
 
-# command -> {flag: add_argument keywords}; every command also takes --format
+# command -> {flag: add_argument keywords}; every command also takes --format.
+# The parser leaves a flag that was not given unset, so main can tell it from
+# one given at its default, and fills in the default afterwards.
 _FLAGS = {
     "poly": {
         "ring": dict(required=True, help="e.g. 'e1:2,e2:2,e:4'"),
@@ -468,7 +482,7 @@ _FLAGS = {
     },
     "class": {
         "symbols": dict(default="", help="comma separated rank-2 Euler symbols"),
-        "odd-part": dict(action="store_true", dest="odd_part"),
+        "odd-part": dict(action="store_true", default=False),
         "orientation": dict(_SIGN, default=1),
         "order": dict(_INT, default=6),
         "epsilon": dict(_SIGN, default=-1),
@@ -550,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if positional:
             p.add_argument(positional, choices=[a for c, a in _TABLE if c == command])
         for flag, kwargs in _FLAGS[command].items():
-            p.add_argument(f"--{flag}", **kwargs)
+            p.add_argument(f"--{flag}", **{**kwargs, "default": argparse.SUPPRESS})
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -584,6 +598,12 @@ def main(argv: list[str] | None = None) -> int:
     action = getattr(args, positional) if positional else None
     entry = _TABLE[args.command, action]
     try:
+        for flag, kwargs in _FLAGS[args.command].items():
+            dest = flag.replace("-", "_")
+            if not hasattr(args, dest):
+                setattr(args, dest, kwargs.get("default"))
+            elif flag not in entry.accepts.split():
+                raise UsageError(f"{args.command} {action} does not take --{flag}")
         for flag in entry.requires.split():
             if getattr(args, flag.replace("-", "_")) is None:
                 raise UsageError(f"{args.command} {action} needs --{flag}")

@@ -3,8 +3,9 @@
 Bases are computed over the rationals (generators are made monic; Fraction
 coefficients appear internally) with the Gebauer-Moller pair criteria and the
 normal selection strategy, then fully inter-reduced, so the reduced basis is
-unique for a given monomial order.  The only order implemented is grevlex
-graded by cohomological degree (the canonical order of the polynomial layer).
+unique: the one order is grevlex graded by cohomological degree (the
+canonical order of the polynomial layer), and no caller picks another.
+ideal_equal relies on that uniqueness and compares reduced bases directly.
 
 Buchberger tracks how each basis element is built from the original ideal
 generators only when a caller reads it: member_with_cofactors builds its
@@ -235,7 +236,6 @@ class GroebnerBasis:
     """Reduced monic Groebner basis of an ideal."""
 
     ideal: Ideal
-    order: str
     basis: tuple[Polynomial, ...]
     # None until the representations are first read, unless built with them
     _representations: tuple[tuple[Polynomial, ...], ...] | None = field(
@@ -264,31 +264,23 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_term()[0] for g in self.basis)
 
-    def normal_form(self, p: Polynomial, budget: int | None = None) -> Polynomial:
-        return normal_form(p, self, budget)
-
     @cached_property
     def _divisors(self) -> list[_Tracked]:
         """The basis as monic divisors, shared by every division against it."""
         return [_Tracked(g, []) for g in self.basis]
-
-    def contains(self, p: Polynomial, budget: int | None = None) -> bool:
-        return self.normal_form(p, budget).is_zero()
 
 
 # one entry per ideal; an entry built with representations serves every caller
 _GB_CACHE: dict[tuple, GroebnerBasis] = {}
 
 
-def _cache_key(ideal: Ideal, order: str = "grevlex") -> tuple:
-    return (ideal.ring.vars, ideal.generators, order)
+def _cache_key(ideal: Ideal) -> tuple:
+    return (ideal.ring.vars, ideal.generators)
 
 
-def groebner_basis(ideal: Ideal, order: str = "grevlex", budget: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal (memoized per session)."""
-    if order != "grevlex":
-        raise ValueError(f"unsupported monomial order {order!r}")
-    cache_key = _cache_key(ideal, order)
+def groebner_basis(ideal: Ideal, budget: int | None = None) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of a homogeneous ideal (memoized per session)."""
+    cache_key = _cache_key(ideal)
     cached = _GB_CACHE.get(cache_key)
     if cached is None:
         cached = _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=False)
@@ -401,7 +393,6 @@ def _buchberger(ideal: Ideal, budget: int | None, track: bool) -> GroebnerBasis:
 
     return GroebnerBasis(
         ideal=ideal,
-        order="grevlex",
         basis=tuple(t.poly for t in final),
         _representations=tuple(tuple(t.rep) for t in final) if track else None,
     )
@@ -446,16 +437,10 @@ def member_with_cofactors(
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
-    """Mutual reduction: every generator of each has zero normal form mod the other."""
+    """Whether the ideals are equal: their reduced grevlex bases, unique, coincide."""
     if not I.ring.compatible_with(J.ring):
         raise RingMismatchError("ideals live in different rings")
-    GI = groebner_basis(I, budget=budget)
-    GJ = groebner_basis(J, budget=budget)
-    if GI.basis == GJ.basis:
-        return True
-    return all(normal_form(g, GJ, budget).is_zero() for g in I.generators) and all(
-        normal_form(g, GI, budget).is_zero() for g in J.generators
-    )
+    return groebner_basis(I, budget=budget).basis == groebner_basis(J, budget=budget).basis
 
 
 def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):

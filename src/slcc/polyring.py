@@ -85,12 +85,9 @@ class RingSpec:
 
     ``vars`` is a tuple of (name, cohomological degree) pairs.  Degrees must
     be positive; names must be unique and match ``[a-zA-Z][a-zA-Z0-9_']*``.
-    ``coefficient_domain`` ("ZZ" or "QQ") records the intended coefficient
-    domain; ring compatibility for arithmetic is decided on vars alone.
     """
 
     vars: tuple[tuple[str, int], ...]
-    coefficient_domain: str = "ZZ"
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.vars]
@@ -101,14 +98,12 @@ class RingSpec:
                 raise ValueError(f"invalid variable name {name!r}")
             if not isinstance(degree, int) or degree < 1:
                 raise ValueError(f"degree of {name} must be a positive integer, got {degree}")
-        if self.coefficient_domain not in ("ZZ", "QQ"):
-            raise ValueError(f"unknown coefficient domain {self.coefficient_domain!r}")
         object.__setattr__(self, "_index", {name: i for i, (name, _) in enumerate(self.vars)})
         object.__setattr__(self, "_degrees", tuple(d for _, d in self.vars))
 
     @staticmethod
-    def make(vars: Iterable[tuple[str, int]], domain: str = "ZZ") -> RingSpec:
-        return RingSpec(tuple((str(n), int(d)) for n, d in vars), domain)
+    def make(vars: Iterable[tuple[str, int]]) -> RingSpec:
+        return RingSpec(tuple((str(n), int(d)) for n, d in vars))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -138,9 +133,6 @@ class RingSpec:
     def sort_key(self, expo: Monomial):
         """Ascending grevlex key: larger key = larger monomial."""
         return (self.monomial_degree(expo), tuple(-e for e in reversed(expo)))
-
-    def with_domain(self, domain: str) -> RingSpec:
-        return RingSpec(self.vars, domain)
 
     def monomial_text(self, expo: Monomial) -> str:
         factors = []

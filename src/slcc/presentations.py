@@ -22,14 +22,17 @@ The b_i symbols carry a sign convention: epsilon=+1 reads b_i as
 sigma_i(squares) (the J-ideals are then literally as printed), epsilon=-1 as
 the honest Borel class (-1)^i sigma_i (the relative R-ideals are then
 literal).  Builders emit the printed generators by default and apply the
-graded twist b_i -> (-1)^i b_i when asked for the other convention;
+graded twist b_i -> (-1)^i b_i when asked for the other convention; one
+helper, _b_images, applies that twist wherever b_i is given a value.
 convention_report() verifies which convention makes each family hold
 inside the splitting model.
 
 verify_presentation() certifies a presentation up to a degree bound: the
 quotient's Hilbert function must factor as (free module over the parameter
-ring) x (declared basis degrees), and the declared basis must be linearly
-independent in the quotient.
+ring) x (declared basis degrees), the same series.free_module_series test
+that spanning.verify_free runs, and the declared basis must be linearly
+independent in the quotient.  Group orders, invariant generators and the
+classes of A(BSL_N) are read from weyl.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from . import series, spanning, weyl
 from .groebner import (
@@ -133,13 +136,20 @@ def present_sgr2(n: int, parity: str) -> Presentation:
     )
 
 
-def _twist_b(p: Polynomial, b_names: list[str]) -> Polynomial:
-    """The graded automorphism b_i -> (-1)^i b_i."""
-    mapping = {}
-    for idx, name in enumerate(b_names, start=1):
-        img = Polynomial.variable(p.ring, name)
-        mapping[name] = -img if idx % 2 == 1 else img
-    return p.substitute(mapping, ring=p.ring, missing="identity")
+def _b_images(images: list[Polynomial], twist: bool) -> dict[str, Polynomial]:
+    """The substitution b_i -> images[i-1], through the graded twist
+    b_i -> (-1)^i b_i when ``twist`` is set."""
+    return {f"b{i}": -p if twist and i % 2 else p for i, p in enumerate(images, start=1)}
+
+
+def _bsl_vars(N: int) -> list[tuple[str, int]]:
+    """The classes of A(BSL_N): b_1..b_n (N = 2n+1) or b_1..b_{n-1}, e (N = 2n).
+
+    They are weyl.invariant_ring of W(B_n) resp. W(D_n), s_i read as b_i and
+    t as e.
+    """
+    cring = weyl.invariant_ring("D" if N % 2 == 0 else "B", N // 2)
+    return [("e" if name == "t" else "b" + name[1:], deg) for name, deg in cring.vars]
 
 
 def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentation:
@@ -151,55 +161,35 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
     _check_parity(parity)
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if parity == "odd":
-        if n < 1:
-            raise ValueError("odd case requires n >= 1")
-        vars = [("e1", 2)] + [(f"b{i}", 4 * i) for i in range(1, n + 1)]
-        ring = RingSpec.make(vars)
-        e1 = Polynomial.variable(ring, "e1")
-        gen = Polynomial.zero(ring)
-        for i in range(n + 1):
-            b = Polynomial.one(ring) if n - i == 0 else Polynomial.variable(ring, f"b{n - i}")
-            gen = gen + b * e1 ** (2 * i)
-        gens = [gen]
-        coeff_vars = tuple(f"b{i}" for i in range(1, n + 1))
-        basis = tuple((k,) + (0,) * n for k in range(2 * n))
+    odd = parity == "odd"
+    if odd and n < 1:
+        raise ValueError("odd case requires n >= 1")
+    if not odd and n < 2:
+        raise ValueError("even case requires n >= 2 (a rank-2 base bundle leaves e2 in degree 0)")
+    base = _bsl_vars(2 * n + 1 if odd else 2 * n)
+    ring = RingSpec.make([("e1", 2)] + ([] if odd else [("e2", 2 * n - 2)]) + base)
+    e1 = Polynomial.variable(ring, "e1")
+    # sum_i b_{k-i} e1^{2i} over the b_j of the base (epsilon convention), b_0 = 1
+    k = n if odd else n - 1
+    twisted = _b_images([Polynomial.variable(ring, f"b{j}") for j in range(1, k + 1)], epsilon == 1)
+    b = [Polynomial.one(ring), *twisted.values()]
+    total = sum((b[k - i] * e1 ** (2 * i) for i in range(k + 1)), Polynomial.zero(ring))
+    basis = [(i,) + (0,) * (len(ring) - 1) for i in range(2 * n if odd else 2 * n - 1)]
+    if odd:
+        gens = [total]
     else:
-        if n < 2:
-            raise ValueError(
-                "even case requires n >= 2 (a rank-2 base bundle leaves e2 in degree 0)"
-            )
-        vars = (
-            [("e1", 2), ("e2", 2 * n - 2)]
-            + [(f"b{i}", 4 * i) for i in range(1, n)]
-            + [("e", 2 * n)]
-        )
-        ring = RingSpec.make(vars)
-        e1 = Polynomial.variable(ring, "e1")
         e2 = Polynomial.variable(ring, "e2")
-        e = Polynomial.variable(ring, "e")
         sign = 1 if n % 2 == 0 else -1
-        total = e2 * e2 * sign
-        for i in range(n):
-            j = n - i - 1
-            b = Polynomial.one(ring) if j == 0 else Polynomial.variable(ring, f"b{j}")
-            total = total + b * e1 ** (2 * i)
-        gens = [e1 * e2 - e, total]
-        coeff_vars = tuple(f"b{i}" for i in range(1, n)) + ("e",)
-        nvars = len(ring)
-        basis = tuple((k,) + (0,) * (nvars - 1) for k in range(2 * n - 1)) + (
-            (0, 1) + (0,) * (nvars - 2),
-        )
-    if epsilon == 1:
-        b_names = [v for v in ring.names if v.startswith("b")]
-        gens = [_twist_b(g, b_names) for g in gens]
+        gens = [e1 * e2 - Polynomial.variable(ring, "e"), total + e2 * e2 * sign]
+        basis.append((0, 1) + (0,) * (len(ring) - 2))
+    coeff_vars = tuple(name for name, _ in base)
     return Presentation(
         descriptor=_descriptor(
             "sgr2_relative", n=n, parity=parity, epsilon=epsilon, coefficient_vars=list(coeff_vars)
         ),
         ring=ring,
         ideal=Ideal.make(ring, gens),
-        declared_basis=basis,
+        declared_basis=tuple(basis),
         coefficient_vars=coeff_vars,
     )
 
@@ -293,18 +283,6 @@ def present_max_flag(N: int) -> Presentation:
 # -- SGr(2m, k) in Borel/Euler generators -------------------------------------
 
 
-def _g_in_b(j: int, m: int, ring: RingSpec, epsilon: int) -> Polynomial:
-    """g_j(b_1..b_m) expanded; epsilon=-1 twists to g_j((-1)^1 b_1, ...)."""
-    base = g_poly(j, m)
-    mapping = {}
-    for i in range(1, m + 1):
-        img = Polynomial.variable(ring, f"b{i}")
-        if epsilon == -1 and i % 2 == 1:
-            img = -img
-        mapping[f"sigma{i}"] = img
-    return base.substitute(mapping, ring=ring)
-
-
 def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentation:
     """SGr(2m, 2n+1) / SGr(2m, 2n) presented on b_1..b_m and Euler classes.
 
@@ -315,26 +293,23 @@ def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentat
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     b_vars = [(f"b{i}", 4 * i) for i in range(1, m + 1)]
-    b_m = f"b{m}"
+    e_vars = [("e", 2 * m)] + ([("e'", 2 * (n - m))] if parity == "even" else [])
+    ring = RingSpec.make(e_vars + b_vars)
+    e = Polynomial.variable(ring, "e")
+    b = _b_images([Polynomial.variable(ring, f"b{i}") for i in range(1, m + 1)], epsilon == -1)
+    sigma_to_b = {f"sigma{i}": b[f"b{i}"] for i in range(1, m + 1)}
+
+    def g(j: int) -> Polynomial:  # g_j(b_1..b_m) expanded
+        return g_poly(j, m).substitute(sigma_to_b, ring=ring)
+
+    e_squared = e * e - b[f"b{m}"]
     if parity == "odd":
-        ring = RingSpec.make([("e", 2 * m)] + b_vars)
-        e = Polynomial.variable(ring, "e")
-        bm = Polynomial.variable(ring, b_m)
-        if epsilon == -1 and m % 2 == 1:
-            bm = -bm
-        gens = [e * e - bm]
-        gens += [_g_in_b(j, m, ring, epsilon) for j in range(n - m + 1, n + 1)]
+        gens = [e_squared] + [g(j) for j in range(n - m + 1, n + 1)]
     else:
-        ring = RingSpec.make([("e", 2 * m), ("e'", 2 * (n - m))] + b_vars)
-        e = Polynomial.variable(ring, "e")
         ep = Polynomial.variable(ring, "e'")
-        bm = Polynomial.variable(ring, b_m)
-        if epsilon == -1 and m % 2 == 1:
-            bm = -bm
         sign = 1 if (n - m + 1) % 2 == 0 else -1
-        gens = [e * ep, e * e - bm]
-        gens.append(ep * ep * sign + _g_in_b(n - m, m, ring, epsilon))
-        gens += [_g_in_b(j, m, ring, epsilon) for j in range(n - m + 1, n)]
+        gens = [e * ep, e_squared, ep * ep * sign + g(n - m)]
+        gens += [g(j) for j in range(n - m + 1, n)]
     ideal = Ideal.make(ring, gens)
     G = groebner_basis(ideal)
     bound = sum(g.homogeneous_degree() for g in gens)
@@ -365,20 +340,15 @@ def present_bsl(N: int, max_degree: int) -> Presentation:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    n = N // 2
-    if N % 2 == 0:
-        vars = [(f"b{i}", 4 * i) for i in range(1, n)] + [("e", 2 * n)]
-    else:
-        vars = [(f"b{i}", 4 * i) for i in range(1, n + 1)]
-    ring = RingSpec.make(vars)
+    ring = RingSpec.make(_bsl_vars(N))
     return Presentation(
         descriptor=_descriptor(
-            "bsl", N=N, max_degree=max_degree, coefficient_vars=[name for name, _ in vars]
+            "bsl", N=N, max_degree=max_degree, coefficient_vars=list(ring.names)
         ),
         ring=ring,
         ideal=Ideal.make(ring, []),
         declared_basis=((0,) * len(ring),),
-        coefficient_vars=tuple(name for name, _ in vars),
+        coefficient_vars=ring.names,
     )
 
 
@@ -479,46 +449,27 @@ def verify_presentation(
     is reported distinctly from a mathematical failure.
     """
     checks: list[tuple[str, bool, str]] = []
+    hilbert: tuple[int, ...] = ()
     try:
         G = groebner_basis(pres.ideal, budget=budget)
-    except BudgetExceededError as exc:
-        return PresentationReport(
-            presentation=pres,
-            max_degree=max_degree,
-            hilbert=(),
-            checks=(("groebner_budget", False, str(exc)),),
-            budget_exceeded=True,
-        )
-    hilbert = quotient_hilbert(G, max_degree)
-
-    coeff_degrees = [
-        deg for name, deg in pres.ring.vars if name in pres.coefficient_vars
-    ]
-    base_series = series.poly_ring_hilbert(coeff_degrees, max_degree)
-    basis_degrees = [pres.ring.monomial_degree(m) for m in pres.declared_basis]
-    rhs = series.series_mul(
-        base_series, series.series_from_degrees(basis_degrees, max_degree), max_degree
-    )
-    mismatch = next((d for d in range(max_degree + 1) if hilbert[d] != rhs[d]), None)
-    checks.append(
-        (
-            "hilbert_factorization",
-            mismatch is None,
-            "ok" if mismatch is None else f"first mismatch at degree {mismatch}",
-        )
-    )
-
-    try:
+        hilbert = tuple(quotient_hilbert(G, max_degree))
+        coeff_degrees = [deg for name, deg in pres.ring.vars if name in pres.coefficient_vars]
+        basis_degrees = [pres.ring.monomial_degree(m) for m in pres.declared_basis]
+        _, mismatch = series.free_module_series(hilbert, coeff_degrees, basis_degrees, max_degree)
+        detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
+        checks.append(("hilbert_factorization", mismatch is None, detail))
         nfs = [
             normal_form(Polynomial.monomial(pres.ring, m), G, budget=budget)
             for m in pres.declared_basis
         ]
     except BudgetExceededError as exc:
+        # the basis ran out before any check was made, the normal forms after
+        name = "normal_form_budget" if checks else "groebner_budget"
         return PresentationReport(
             presentation=pres,
             max_degree=max_degree,
-            hilbert=tuple(hilbert),
-            checks=tuple(checks) + (("normal_form_budget", False, str(exc)),),
+            hilbert=hilbert,
+            checks=(*checks, (name, False, str(exc))),
             budget_exceeded=True,
         )
     independent = _independent_over_q(nfs)
@@ -532,7 +483,7 @@ def verify_presentation(
     return PresentationReport(
         presentation=pres,
         max_degree=max_degree,
-        hilbert=tuple(hilbert),
+        hilbert=hilbert,
         checks=tuple(checks),
     )
 
@@ -575,8 +526,7 @@ def rank_table(kind: str, **params) -> int:
         N = params["N"]
         if N < 2:
             raise ValueError("need N >= 2")
-        n = N // 2
-        return (2**n if N % 2 == 1 else 2 ** (n - 1)) * factorial(n)
+        return weyl.group_order("B" if N % 2 else "D", N // 2)
     raise ValueError(f"unknown rank descriptor kind {kind!r}")
 
 
@@ -614,10 +564,8 @@ def sgr_even_collapses_to_sgr2(n: int, parity: str, epsilon: int = 1) -> bool:
 def _phi_mapping(m: int, parity: str, flag_ring: RingSpec, epsilon: int) -> dict[str, Polynomial]:
     """The invariant correspondence b_i, e, e' -> symmetric expressions in e_1..e_m."""
     e_names = [f"e{i}" for i in range(1, m + 1)]
-    mapping: dict[str, Polynomial] = {}
-    for i in range(1, m + 1):
-        sigma = in_squares(elementary(i, flag_ring, e_names))
-        mapping[f"b{i}"] = sigma if (epsilon == 1 or i % 2 == 0) else -sigma
+    sigmas = [in_squares(elementary(i, flag_ring, e_names)) for i in range(1, m + 1)]
+    mapping = _b_images(sigmas, epsilon == -1)
     top = (1,) * m + (0,) * (len(flag_ring) - m)
     mapping["e"] = Polynomial.monomial(flag_ring, top)
     if parity == "even":
@@ -646,10 +594,8 @@ def sgr2_relative_holds_in_splitting(n: int, parity: str, epsilon: int) -> bool:
     symmetric expression.  Vanishing must be exact (the model base is free).
     """
     ring = RingSpec.make((f"f{i}", 2) for i in range(1, n + 1))
-    mapping: dict[str, Polynomial] = {"e1": Polynomial.variable(ring, "f1")}
-    for i in range(1, n + 1):
-        sigma = in_squares(elementary(i, ring))
-        mapping[f"b{i}"] = sigma if (epsilon == 1 or i % 2 == 0) else -sigma
+    sigmas = [in_squares(elementary(i, ring)) for i in range(1, n + 1)]
+    mapping = {"e1": Polynomial.variable(ring, "f1"), **_b_images(sigmas, epsilon == -1)}
     if parity == "even":
         mapping["e2"] = Polynomial.monomial(ring, (0,) + (1,) * (n - 1))
         mapping["e"] = Polynomial.monomial(ring, (1,) * n)

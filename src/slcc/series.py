@@ -9,6 +9,7 @@ of graded rings, where ``q^d`` counts the degree-``d`` slice.
 from __future__ import annotations
 
 __all__ = [
+    "free_module_series",
     "geometric",
     "one",
     "poly_ring_hilbert",
@@ -60,6 +61,20 @@ def series_from_degrees(degs: list[int], bound: int) -> list[int]:
         if d <= bound:
             out[d] += 1
     return out
+
+
+def free_module_series(
+    lhs: list[int], generator_degrees, basis_degrees: list[int], bound: int
+) -> tuple[list[int], int | None]:
+    """The Hilbert series of a free module, and where ``lhs`` first departs from it.
+
+    The module is free over the polynomial ring on ``generator_degrees`` with
+    a basis in ``basis_degrees``; returns its series truncated at ``bound`` and
+    the first degree at which ``lhs`` differs (None when they agree).
+    """
+    module = series_from_degrees(basis_degrees, bound)
+    rhs = series_mul(poly_ring_hilbert(generator_degrees, bound), module, bound)
+    return rhs, next((d for d in range(bound + 1) if lhs[d] != rhs[d]), None)
 
 
 def series_text(s: list[int], var: str = "q") -> str:

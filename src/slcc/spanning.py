@@ -10,9 +10,10 @@ of cardinality 2^n n! resp. 2^{n-1} n! (the Weyl group orders).  reduce()
 rewrites any polynomial as an invariant-coefficient combination of these
 monomials by following the inductive proof literally, variable by variable:
 
-* if the e_1-exponent reaches the threshold (2n for B, 2n-1 for D), apply the
-  degree-lowering witness identity for e_1^{2n} resp. e_1^{2n-1} and carry
-  the invariant generators out into the coefficients;
+* if the e_1-exponent reaches the witness exponent (weyl.witness_power: 2n
+  for B, 2n-1 for D), apply the degree-lowering witness identity for e_1^{2n}
+  resp. e_1^{2n-1} and carry the invariant generators out into the
+  coefficients;
 * otherwise reduce the e_2..e_n tail recursively, then re-express the tail's
   invariants through the level-1 ones via s_i = e_1^2 s'_{i-1} + s'_i and
   t = e_1 t' (and t'^2 = s'_{n-1} splits coefficients by t'-parity in type D),
@@ -21,9 +22,11 @@ monomials by following the inductive proof literally, variable by variable:
 
 Every step strictly lowers (total degree, leading exponent), which is the
 termination measure of the proof.  Decomposition coefficients live in the
-abstract rings Z[s_1..s_n] (B) or Z[s_1..s_{n-1}, t] (D) with deg s_i = 4i,
-deg t = 2n; expand() substitutes the invariant polynomials back and must
-reproduce the target exactly.
+abstract invariant rings weyl.invariant_ring: Z[s_1..s_n] (B) or
+Z[s_1..s_{n-1}, t] (D) with deg s_i = 4i, deg t = 2n; expand() substitutes
+weyl.invariant_generators, named by the same ring, back and must reproduce
+the target exactly.  The Weyl-group data (witness exponents, group orders,
+the invariant ring) are weyl's; this module only reads them.
 
 Decompositions are accumulated as flat terms: one dict keyed by (basis
 monomial, s-exponent) with plain number values, where every factor is a single
@@ -48,27 +51,11 @@ __all__ = [
     "SpanDecomposition",
     "SpanningBasis",
     "basis",
-    "coefficient_ring",
     "expand",
     "power_or_tail",
     "reduce",
     "verify_free",
 ]
-
-
-@lru_cache(maxsize=None)
-def coefficient_ring(group: str, rank: int) -> RingSpec:
-    """Invariant coefficient ring: Z[s_1..s_r] (B) or Z[s_1..s_{r-1}, t] (D)."""
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    if group == "B":
-        return RingSpec.make((f"s{i}", 4 * i) for i in range(1, rank + 1))
-    if group == "D":
-        pairs = [(f"s{i}", 4 * i) for i in range(1, rank)]
-        if rank >= 1:
-            pairs.append(("t", 2 * rank))
-        return RingSpec.make(pairs)
-    raise ValueError(f"group must be 'B' or 'D', got {group!r}")
 
 
 @dataclass(frozen=True)
@@ -107,13 +94,11 @@ def basis(group: str, n: int) -> SpanningBasis:
     """The spanning monomials, deduplicated, in ascending canonical order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ring = weyl.e_ring(n)
-    if group == "B":
-        monos = power_or_tail(ring, [2 * (n - i) + 1 for i in range(1, n + 1)], tail=False)
-    elif group == "D":
-        monos = power_or_tail(ring, [2 * (n - i) for i in range(1, n)], tail=True)
-    else:
-        raise ValueError(f"group must be 'B' or 'D', got {group!r}")
+    # e_i stays below the witness exponent of rank n+1-i; type D has no
+    # factor of its own for e_n, which enters through the tail products
+    bounds = [weyl.witness_power(group, rank) - 1 for rank in range(n, 0, -1)]
+    tail = group == "D"
+    monos = power_or_tail(weyl.e_ring(n), bounds[:-1] if tail else bounds, tail)
     return SpanningBasis(group, n, monos)
 
 
@@ -130,7 +115,7 @@ class SpanDecomposition:
 # -- the rewriting engine ----------------------------------------------------
 #
 # A decomposition in flight is a tuple of (basis monomial, s-exponent, coeff)
-# triples; the s-exponent belongs to coefficient_ring(group, rank) of the level
+# triples; the s-exponent belongs to weyl.invariant_ring(group, rank) of the level
 # that produced it.  Scaling by c * s^beta adds beta and multiplies by c.
 
 Term = tuple[Monomial, Monomial, Coefficient]
@@ -166,8 +151,8 @@ def _sprime_generator(rank: int, i: int) -> dict[Monomial, int]:
 def _split_t_parity(terms: dict[Monomial, Coefficient]) -> tuple[dict, dict]:
     """Write alpha(s'_*, t') = tilde(s'_*) + t' * hat(s'_*) using t'^2 = s'_{rank-1}.
 
-    ``terms`` are exponents of coefficient_ring("D", rank-1), whose last
-    variable is t'; the results are exponents of coefficient_ring("B",
+    ``terms`` are exponents of weyl.invariant_ring("D", rank-1), whose last
+    variable is t'; the results are exponents of weyl.invariant_ring("B",
     rank-1), whose last variable is s'_{rank-1}.  The map is injective, so
     no two terms meet.
     """
@@ -181,14 +166,6 @@ def _split_t_parity(terms: dict[Monomial, Coefficient]) -> tuple[dict, dict]:
         else:
             tilde[expo[:-1] + (expo[-1] // 2,)] = coeff
     return tilde, hat
-
-
-def _basis_bound(group: str, rank: int) -> int:
-    return 2 * rank - 1 if group == "B" else 2 * rank - 2
-
-
-def _threshold(group: str, rank: int) -> int:
-    return 2 * rank if group == "B" else 2 * rank - 1
 
 
 def _with_exponent(mono: Monomial, pos: int, value: int) -> Monomial:
@@ -243,7 +220,7 @@ class _Rewriter:
         """Decompose one monomial at the given level into (basis mono, s-exponent, coeff).
 
         ``level`` counts peeled variables: the active variables are
-        e_{level+1}..e_n and s-exponents belong to coefficient_ring(group, n-level).
+        e_{level+1}..e_n and s-exponents belong to weyl.invariant_ring(group, n-level).
         """
         memo = self.memo
         root = (level, mono)
@@ -294,11 +271,12 @@ class _Rewriter:
 
         a = mono[level]
         acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
+        power = weyl.witness_power(group, rank)
 
-        if a >= _threshold(group, rank):
-            # degree-lowering witness: e_{level+1}^threshold = sum cofactor * invariant
+        if a >= power:
+            # degree-lowering witness: e_{level+1}^power = sum cofactor * invariant
             units = [(0,) * i + (1,) + (0,) * (rank - i - 1) for i in range(rank)]
-            rest = _with_exponent(mono, level, a - _threshold(group, rank))
+            rest = _with_exponent(mono, level, a - power)
             for unit, wit in zip(units, _witness_shifted(group, n, level)):
                 for wexpo, wcoeff in wit:
                     sub = yield (level, tuple(map(add, wexpo, rest)))
@@ -306,7 +284,6 @@ class _Rewriter:
             return tuple((b, s, c) for (b, s), c in acc.items())
 
         tail = yield (level + 1, _with_exponent(mono, level, 0))
-        bound = _basis_bound(group, rank)
 
         # the tail's coefficients, grouped per tail basis monomial
         alphas: dict[Monomial, dict[Monomial, Coefficient]] = {}
@@ -328,7 +305,7 @@ class _Rewriter:
                 for (l, s), mcoeff in mixed.items():
                     A = a + l
                     if not has_tprime:
-                        if A <= bound:
+                        if A < power:
                             _add_term(acc, (_with_exponent(bprime, level, A), s), mcoeff)
                         else:
                             sub = yield (level, _with_exponent(bprime, level, A))
@@ -354,7 +331,7 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     ring = weyl.e_ring(n)
     if not p.ring.compatible_with(ring):
         raise RingMismatchError(f"polynomial must live in Z[e_1..e_{n}] with degree-2 variables")
-    cring = coefficient_ring(group, n)
+    cring = weyl.invariant_ring(group, n)
     rewriter = _rewriter(group, n)
     zero = (0,) * n
     acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
@@ -393,16 +370,10 @@ class FreenessReport:
 def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
     """Check Hilb(Z[e]) == Hilb(invariants) * (sum_b q^deg b) up to max_degree."""
     lhs = series.poly_ring_hilbert([2] * n, max_degree)
-    inv_degrees = list(coefficient_ring(group, n).degrees)
-    b = basis(group, n)
     ring = weyl.e_ring(n)
-    basis_degrees = [ring.monomial_degree(m) for m in b.monomials]
-    rhs = series.series_mul(
-        series.poly_ring_hilbert(inv_degrees, max_degree),
-        series.series_from_degrees(basis_degrees, max_degree),
-        max_degree,
-    )
-    first = next((d for d in range(max_degree + 1) if lhs[d] != rhs[d]), None)
+    basis_degrees = [ring.monomial_degree(m) for m in basis(group, n).monomials]
+    inv_degrees = weyl.invariant_ring(group, n).degrees
+    rhs, first = series.free_module_series(lhs, inv_degrees, basis_degrees, max_degree)
     return FreenessReport(
         group=group,
         n=n,

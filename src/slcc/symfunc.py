@@ -21,13 +21,11 @@ defining generating-function identity prod(1 - x_j u) * sum h_i u^i == 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyring import Polynomial, RingSpec
 
 __all__ = [
-    "SymFuncRequest",
     "complete",
     "elementary",
     "g_poly",
@@ -38,25 +36,6 @@ __all__ = [
     "verify_h_split",
     "x_ring",
 ]
-
-
-@dataclass(frozen=True)
-class SymFuncRequest:
-    """A request for sigma_i or h_i over named variables of a ring."""
-
-    kind: str  # "elementary" | "complete"
-    index: int
-    variables: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("elementary", "complete"):
-            raise ValueError(f"kind must be 'elementary' or 'complete', got {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-
-    def evaluate(self, ring: RingSpec) -> Polynomial:
-        fn = elementary if self.kind == "elementary" else complete
-        return fn(self.index, ring, self.variables)
 
 
 def _resolve(ring: RingSpec, names) -> list[int]:

@@ -15,6 +15,13 @@ combinations of the invariant generators:
     e_1^{2n}   = sum_i wit_g_i * s_i
     e_1^{2n-1} = sum_{i<n} wit_h_i * s_i + wit_h_n * t
 
+This module owns the Weyl-group data every other module reads: the witness
+exponent (witness_power, which spanning's rewriter and bases are bounded
+by), the group orders (group_order), and the abstract invariant ring
+Z[s_1..s_n] resp. Z[s_1..s_{n-1}, t] (invariant_ring), in which spanning
+decompositions take their coefficients and InvariantGenerators names its
+generators.
+
 The cofactors are produced by extended normal-form reduction against the
 Groebner basis of the invariant ideal (grevlex, e_1 > ... > e_n), which fixes
 them deterministically; the identity is then re-verified over Z by expansion.
@@ -38,9 +45,11 @@ __all__ = [
     "group_generators",
     "group_order",
     "invariant_generators",
+    "invariant_ring",
     "is_invariant",
     "witness_B",
     "witness_D",
+    "witness_power",
 ]
 
 
@@ -52,13 +61,14 @@ def e_ring(n: int) -> RingSpec:
     return RingSpec.make((f"e{i}", 2) for i in range(1, n + 1))
 
 
-def group_order(group: str, n: int) -> int:
-    if group == "B":
-        order = 2**n
-    elif group == "D":
-        order = 2 ** (n - 1) if n >= 1 else 1
-    else:
+def _check_group(group: str) -> None:
+    if group not in ("B", "D"):
         raise ValueError(f"group must be 'B' or 'D', got {group!r}")
+
+
+def group_order(group: str, n: int) -> int:
+    _check_group(group)
+    order = 2**n if group == "B" else 2 ** max(n - 1, 0)
     for k in range(2, n + 1):
         order *= k
     return order
@@ -78,14 +88,9 @@ class SignedPermutation:
             raise ValueError(f"perm must be a bijection of 0..{n-1}, got {self.perm}")
         if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be a +/-1 vector matching perm")
-        if self.group == "D":
-            prod = 1
-            for s in self.signs:
-                prod *= s
-            if prod != 1:
-                raise ValueError("type D elements need an even number of sign flips")
-        elif self.group != "B":
-            raise ValueError(f"group must be 'B' or 'D', got {self.group!r}")
+        _check_group(self.group)
+        if self.group == "D" and self.signs.count(-1) % 2:
+            raise ValueError("type D elements need an even number of sign flips")
 
     @property
     def n(self) -> int:
@@ -131,23 +136,33 @@ def group_generators(group: str, n: int) -> list[SignedPermutation]:
     B: flip the sign of e_n.  D: flip the signs of e_{n-1} and e_n (none for
     n = 1, where W(D_1) is trivial).
     """
-    if group not in ("B", "D"):
-        raise ValueError(f"group must be 'B' or 'D', got {group!r}")
+    _check_group(group)
     gens = []
     for i in range(n - 1):
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(SignedPermutation(tuple(perm), (1,) * n, group))
-    if group == "B" and n >= 1:
-        signs = [1] * n
-        signs[n - 1] = -1
-        gens.append(SignedPermutation(tuple(range(n)), tuple(signs), "B"))
-    if group == "D" and n >= 2:
-        signs = [1] * n
-        signs[n - 1] = -1
-        signs[n - 2] = -1
-        gens.append(SignedPermutation(tuple(range(n)), tuple(signs), "D"))
+    flips = 1 if group == "B" else 2
+    if n >= flips:
+        signs = (1,) * (n - flips) + (-1,) * flips
+        gens.append(SignedPermutation(tuple(range(n)), signs, group))
     return gens
+
+
+@lru_cache(maxsize=None)
+def invariant_ring(group: str, rank: int) -> RingSpec:
+    """The abstract invariant ring: Z[s_1..s_r] (B) or Z[s_1..s_{r-1}, t] (D).
+
+    deg s_i = 4i and deg t = 2r, the degrees of the generators they name.
+    """
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
+    _check_group(group)
+    squares = rank if group == "B" else rank - 1
+    pairs = [(f"s{i}", 4 * i) for i in range(1, squares + 1)]
+    if group == "D" and rank >= 1:
+        pairs.append(("t", 2 * rank))
+    return RingSpec.make(pairs)
 
 
 @dataclass(frozen=True)
@@ -156,29 +171,29 @@ class InvariantGenerators:
 
     group: str
     n: int
-    names: tuple[str, ...]
+    ring: RingSpec  # invariant_ring(group, n): one variable per generator
     gens: tuple[Polynomial, ...]
 
     @property
+    def names(self) -> tuple[str, ...]:
+        return self.ring.names
+
+    @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(g.homogeneous_degree() for g in self.gens)
+        return self.ring.degrees
 
 
 def invariant_generators(group: str, n: int) -> InvariantGenerators:
     """s_1..s_n for B; s_1..s_{n-1}, t for D (t alone when n = 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    cring = invariant_ring(group, n)  # checks the group
     ring = e_ring(n)
-    if group == "B":
-        names = tuple(f"s{i}" for i in range(1, n + 1))
-        gens = tuple(in_squares(elementary(i, ring)) for i in range(1, n + 1))
-    elif group == "D":
-        names = tuple(f"s{i}" for i in range(1, n)) + ("t",)
-        t = Polynomial.monomial(ring, (1,) * n)
-        gens = tuple(in_squares(elementary(i, ring)) for i in range(1, n)) + (t,)
-    else:
-        raise ValueError(f"group must be 'B' or 'D', got {group!r}")
-    return InvariantGenerators(group, n, names, gens)
+    squares = n if group == "B" else n - 1
+    gens = tuple(in_squares(elementary(i, ring)) for i in range(1, squares + 1))
+    if group == "D":
+        gens += (Polynomial.monomial(ring, (1,) * n),)
+    return InvariantGenerators(group, n, cring, gens)
 
 
 def is_invariant(p: Polynomial, group: str, n: int | None = None) -> bool:
@@ -197,7 +212,20 @@ def coinvariant_ideal(group: str, n: int) -> Ideal:
     return Ideal(e_ring(n), inv.gens)
 
 
-def _witness(group: str, n: int, target_power: int) -> list[Polynomial]:
+def witness_power(group: str, rank: int) -> int:
+    """The witness exponent: e_1^{2r} (B) resp. e_1^{2r-1} (D) lies in the invariant ideal.
+
+    Spanning rewrites lower every exponent of e_1 that reaches it, and the
+    spanning bases stop one below it.
+    """
+    _check_group(group)
+    return 2 * rank if group == "B" else 2 * rank - 1
+
+
+def _witness(group: str, n: int) -> list[Polynomial]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    target_power = witness_power(group, n)
     ring = e_ring(n)
     target = Polynomial.variable(ring, "e1") ** target_power
     cofactors = member_with_cofactors(target, coinvariant_ideal(group, n))
@@ -216,13 +244,9 @@ def _witness(group: str, n: int, target_power: int) -> list[Polynomial]:
 
 def witness_B(n: int) -> list[Polynomial]:
     """Cofactors wit_g_i with e_1^{2n} == sum_i wit_g_i * s_i, exactly over Z."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _witness("B", n, 2 * n)
+    return _witness("B", n)
 
 
 def witness_D(n: int) -> list[Polynomial]:
     """Cofactors wit_h_i with e_1^{2n-1} == sum_{i<n} wit_h_i * s_i + wit_h_n * t."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _witness("D", n, 2 * n - 1)
+    return _witness("D", n)

@@ -162,6 +162,19 @@ def test_usage_error_exits_two(capsys):
     code, _, err = run(capsys, "verify", "presentation", "--kind", "rank")
     assert code == 2
     assert err == "usage error: unknown presentation kind 'rank'\n"
+    for argv, flag in [
+        (("verify", "spanning", "--group", "B", "--n", "2", "--parity", "even",
+          "--max-degree", "4"), "--parity"),
+        (("poly", "parse", "--ring", "e1:2", "--expr", "e1", "--other", "x"), "--other"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {argv[0]} {argv[1]} does not take {flag}\n"
+    for flag, extra in (("perm", ["--perm", "2,x"]), ("signs", ["--perm", "2,1", "--signs=1,x"])):
+        argv = ["weyl", "act", "--group", "B", "--n", "2", "--poly", "e1", *extra]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"usage error: --{flag} entries must be integers, got 'x'\n"
     deep = "(" * 3000 + "e1" + ")" * 3000
     code, _, err = run(capsys, "poly", "parse", "--ring", "e1:2", "--expr", deep)
     assert code == 2

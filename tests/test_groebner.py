@@ -1,5 +1,6 @@
 """Groebner engine: reduced bases, normal forms, membership, Hilbert data."""
 
+import itertools
 import random
 
 import pytest
@@ -408,3 +409,60 @@ def test_heap_pops_in_descending_order(case):
     tracked = [groebner._Tracked(d, []) for d in divisors]
     _, remainder = groebner._Engine(ring, 10**5).divide(p, tracked)
     assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)
+
+
+def _mutual_reduction(I, J):
+    """The reference for ideal_equal: each generator set reduces to zero mod the other's basis."""
+    GI, GJ = groebner_basis(I), groebner_basis(J)
+    return all(normal_form(g, GJ).is_zero() for g in I.generators) and all(
+        normal_form(g, GI).is_zero() for g in J.generators
+    )
+
+
+def _monomials_of_degree(ring, degree):
+    return [
+        m
+        for m in itertools.product(*(range(degree // d + 1) for d in ring.degrees))
+        if ring.monomial_degree(m) == degree
+    ]
+
+
+@st.composite
+def _homogeneous(draw, ring, degree):
+    monos = _monomials_of_degree(ring, degree)
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    return Polynomial(ring, {m: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for m in chosen})
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """Two generator sets for one ideal (permuted, or recombined by homogeneous
+    multiples of one another) or, with an extra generator, for two ideals
+    that usually differ."""
+    ring = draw(st.sampled_from(_WEIGHTED_RINGS))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        gens.append(draw(_homogeneous(ring, draw(st.integers(1, 3)))))
+    kind = draw(st.sampled_from(["permuted", "recombined", "extra"]))
+    other = list(gens)
+    if kind == "recombined":
+        for i, g in enumerate(gens):
+            new = g * draw(st.sampled_from([-2, -1, 1, 2]))
+            for h in gens[:i] + gens[i + 1 :]:
+                gap = g.homogeneous_degree() - h.homogeneous_degree()
+                if gap >= 0 and draw(st.booleans()):
+                    new = new + draw(_homogeneous(ring, gap)) * h
+            other[i] = new if new else g
+    elif kind == "extra":
+        other.append(draw(_homogeneous(ring, draw(st.integers(1, 3)))))
+    other = draw(st.permutations(other))
+    return kind, Ideal.make(ring, gens), Ideal.make(ring, other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_pairs())
+def test_ideal_equal_matches_mutual_reduction(case):
+    kind, I, J = case
+    assert ideal_equal(I, J) == ideal_equal(J, I) == _mutual_reduction(I, J)
+    if kind != "extra":
+        assert ideal_equal(I, J)

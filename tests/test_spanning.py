@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from slcc import weyl
 from slcc.polyring import Polynomial, RingSpec, parse_poly
-from slcc.spanning import basis, coefficient_ring, expand, reduce as span_reduce, verify_free
+from slcc.spanning import basis, expand, reduce as span_reduce, verify_free
 
 
 def test_basis_examples():
@@ -49,7 +49,7 @@ def test_reduce_examples_rank_two():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_reduce_idempotent_on_basis(group, n):
-    cring = coefficient_ring(group, n)
+    cring = weyl.invariant_ring(group, n)
     for mono in basis(group, n).monomials:
         p = Polynomial.monomial(weyl.e_ring(n), mono)
         dec = span_reduce(p, group, n)
@@ -86,8 +86,14 @@ def test_coefficients_are_invariant():
 
 
 def test_coefficient_ring_degrees():
-    assert coefficient_ring("B", 3).vars == (("s1", 4), ("s2", 8), ("s3", 12))
-    assert coefficient_ring("D", 3).vars == (("s1", 4), ("s2", 8), ("t", 6))
+    assert weyl.invariant_ring("B", 3).vars == (("s1", 4), ("s2", 8), ("s3", 12))
+    assert weyl.invariant_ring("D", 3).vars == (("s1", 4), ("s2", 8), ("t", 6))
+    # the decompositions' coefficients and the generators expand() substitutes
+    # are named by the same ring
+    dec = span_reduce(parse_poly("e1^7", weyl.e_ring(3)), "D", 3)
+    inv = weyl.invariant_generators("D", 3)
+    assert {c.ring for c in dec.terms.values()} == {inv.ring}
+    assert inv.degrees == tuple(g.homogeneous_degree() for g in inv.gens)
 
 
 def test_verify_free_closed_form_rank_one():
@@ -178,7 +184,7 @@ def test_reduce_deep_input(group, n, k):
 
 @lru_cache(maxsize=None)
 def _ref_mixed_ring(group, rank):
-    return RingSpec.make([("E", 2)] + list(coefficient_ring(group, rank).vars))
+    return RingSpec.make([("E", 2)] + list(weyl.invariant_ring(group, rank).vars))
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +207,7 @@ def _ref_convert_tail_coeff(alpha, group, rank):
 
 
 def _ref_split_t_parity(alpha, rank):
-    target = coefficient_ring("B", rank - 1)
+    target = weyl.invariant_ring("B", rank - 1)
     tilde, hat = {}, {}
     nsrc = len(alpha.ring)
     for expo, coeff in alpha.terms.items():
@@ -235,7 +241,7 @@ def _ref_add_into(acc, items, factor=None):
 @lru_cache(maxsize=None)
 def _ref_reduce_monomial(group, n, level, mono):
     rank = n - level
-    cring = coefficient_ring(group, rank)
+    cring = weyl.invariant_ring(group, rank)
     if rank == 0:
         return ((mono, Polynomial.one(cring)),)
     threshold = 2 * rank if group == "B" else 2 * rank - 1
@@ -291,7 +297,7 @@ def _ref_reduce_monomial(group, n, level, mono):
 
 def _reference_reduce(p, group, n):
     acc = {}
-    cring = coefficient_ring(group, n)
+    cring = weyl.invariant_ring(group, n)
     for mono, coeff in p.terms.items():
         factor = Polynomial.constant(cring, coeff)
         _ref_add_into(acc, _ref_reduce_monomial(group, n, 0, mono), factor)

@@ -96,10 +96,3 @@ def test_h_peel_identity(i, n):
 @pytest.mark.parametrize("v", range(1, 5))
 def test_generating_function_to_order_12(v):
     assert symfunc.generating_function_check(v, 12)
-
-
-def test_request_wrapper():
-    req = symfunc.SymFuncRequest("elementary", 2, ("x1", "x2"))
-    assert req.evaluate(x_ring(3)) == elementary(2, x_ring(3), ["x1", "x2"])
-    with pytest.raises(ValueError):
-        symfunc.SymFuncRequest("schur", 1, ("x1",))
