@@ -615,7 +615,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         for types, label, code in _EXIT_CODES:
             if isinstance(exc, types):
-                print(f"{label}: {exc}", file=sys.stderr)
+                # str() of a KeyError is the repr of its message: print the message
+                message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+                print(f"{label}: {message}", file=sys.stderr)
                 return code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -8,13 +8,13 @@ canonical order of the polynomial layer), and no caller picks another.
 ideal_equal relies on that uniqueness and compares reduced bases directly.
 
 Buchberger tracks how each basis element is built from the original ideal
-generators only when a caller reads it: member_with_cofactors builds its
-basis with these representations, and extended division then yields cofactor
-witnesses for ideal membership, which downstream modules turn into the
-degree-lowering identities.  Every other caller (normal forms, ideal
-equality, presentation checks) gets a basis without them, which is several
-times cheaper to build; reading GroebnerBasis.representations on such a
-basis reruns Buchberger with tracking once.
+generators only for member_with_cofactors, the one caller that reads these
+representations: extended division then yields cofactor witnesses for ideal
+membership, which downstream modules turn into the degree-lowering
+identities.  Every other caller (normal forms, ideal equality, presentation
+checks) gets a basis without them, which is several times cheaper to build,
+and whose representations field is None.  Each ideal has one cache entry;
+member_with_cofactors replaces an untracked entry with a tracked one.
 
 Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
 all run through one division routine, _Engine.divide.  It is a heap
@@ -24,9 +24,10 @@ polynomial is a term dict updated in place, the pending monomials sit in a
 heap under a grevlex key computed once per monomial, and quotients stay
 term dicts unless a caller needs them as polynomials.
 
-A global step budget (default 10^6 single reduction steps, overridable via
-the SLCC_BUDGET environment variable or per call) turns runaway computations
-into a distinct BudgetExceededError instead of a hang.
+A step budget (default 10^6 single reduction steps, set only through the
+SLCC_BUDGET environment variable) applies to each Buchberger run and to each
+division on its own, and turns a runaway computation into a distinct
+BudgetExceededError instead of a hang.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ class BudgetExceededError(Exception):
     """The reduction-step budget ran out before the computation finished."""
 
 
-def _budget_limit(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _budget_limit() -> int:
     env = os.environ.get("SLCC_BUDGET")
     if env:
         try:
@@ -145,17 +144,16 @@ class _Tracked:
 
 
 class _Engine:
-    def __init__(self, ring: RingSpec, budget: int):
+    def __init__(self, ring: RingSpec):
         self.ring = ring
-        self.budget = budget
+        self.budget = _budget_limit()
         self.steps = 0
 
     def spend(self, n: int = 1) -> None:
         self.steps += n
         if self.steps > self.budget:
             raise BudgetExceededError(
-                f"Groebner step budget of {self.budget} exceeded "
-                "(raise SLCC_BUDGET or pass a larger budget)"
+                f"Groebner step budget of {self.budget} exceeded (raise SLCC_BUDGET)"
             )
 
     def divide(self, p: Polynomial, divisors: list[_Tracked]):
@@ -237,25 +235,11 @@ class GroebnerBasis:
 
     ideal: Ideal
     basis: tuple[Polynomial, ...]
-    # None until the representations are first read, unless built with them
-    _representations: tuple[tuple[Polynomial, ...], ...] | None = field(
+    # representations[i] are cofactors c_j with basis[i] == sum c_j * gen_j;
+    # None unless Buchberger ran with tracking (for member_with_cofactors)
+    representations: tuple[tuple[Polynomial, ...], ...] | None = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def representations(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """``representations[i]`` are cofactors c_j with basis[i] == sum c_j * gen_j.
-
-        On a basis built without them, the first read reruns Buchberger with
-        tracking; the run is deterministic and reproduces the same basis.
-        """
-        return self._reps(None)
-
-    def _reps(self, budget: int | None) -> tuple[tuple[Polynomial, ...], ...]:
-        if self._representations is None:
-            reps = _buchberger(self.ideal, budget, track=True)._representations
-            object.__setattr__(self, "_representations", reps)
-        return self._representations
 
     @property
     def ring(self) -> RingSpec:
@@ -278,18 +262,18 @@ def _cache_key(ideal: Ideal) -> tuple:
     return (ideal.ring.vars, ideal.generators)
 
 
-def groebner_basis(ideal: Ideal, budget: int | None = None) -> GroebnerBasis:
+def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of a homogeneous ideal (memoized per session)."""
     cache_key = _cache_key(ideal)
     cached = _GB_CACHE.get(cache_key)
     if cached is None:
-        cached = _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=False)
+        cached = _GB_CACHE[cache_key] = _buchberger(ideal, track=False)
     return cached
 
 
-def _buchberger(ideal: Ideal, budget: int | None, track: bool) -> GroebnerBasis:
+def _buchberger(ideal: Ideal, track: bool) -> GroebnerBasis:
     """The reduced grevlex basis; with track, also its representations."""
-    engine = _Engine(ideal.ring, _budget_limit(budget))
+    engine = _Engine(ideal.ring)
     ngens = len(ideal.generators)
     ring = ideal.ring
 
@@ -370,61 +354,48 @@ def _buchberger(ideal: Ideal, budget: int | None, track: bool) -> GroebnerBasis:
             f.append(reduced.monic())
             G, CP = update(G, CP, len(f) - 1)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal = []
-    for ig in sorted(G, key=lm_key):
-        mg = f[ig].lm
-        if not any(
-            ih != ig and _monomial_divides(f[ih].lm, mg) for ih in G
-        ):
-            minimal.append(ig)
-    # fully inter-reduce tails
-    final: list[_Tracked] = [f[i] for i in minimal]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(final)):
-            others = final[:i] + final[i + 1 :]
-            reduced = engine.reduce_tracked(final[i], others)
-            if reduced.poly != final[i].poly:
-                changed = True
-            final[i] = reduced.monic()
-    final.sort(key=lambda t: key(t.lm))
+    # G is already minimal: update() drops every element whose lead the new
+    # lead divides, and each new element is reduced by all of G first.
+    # Inter-reduce in one pass.  In a minimal basis no lead divides another
+    # lead, and no tail term is divisible by its own lead (it is smaller), so
+    # dividing each element once by the others leaves its monic lead and no
+    # term in the lead ideal: the unique reduced element.  A second pass
+    # would find no quotient and leave the representations as they are.
+    # Leads do not move, so the list stays sorted by them.
+    final = [f[i] for i in sorted(G, key=lm_key)]
+    for i in range(len(final)):
+        final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
 
     return GroebnerBasis(
         ideal=ideal,
         basis=tuple(t.poly for t in final),
-        _representations=tuple(tuple(t.rep) for t in final) if track else None,
+        representations=tuple(tuple(t.rep) for t in final) if track else None,
     )
 
 
-def normal_form(p: Polynomial, G: GroebnerBasis, budget: int | None = None) -> Polynomial:
+def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo G; zero iff p lies in the ideal."""
     if not p.ring.compatible_with(G.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
-    engine = _Engine(G.ring, _budget_limit(budget))
-    _, remainder = engine.divide(p, G._divisors)
+    _, remainder = _Engine(G.ring).divide(p, G._divisors)
     return remainder
 
 
-def member_with_cofactors(
-    p: Polynomial, ideal: Ideal, budget: int | None = None
-) -> list[Polynomial] | None:
+def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | None:
     """Cofactors c_i with sum c_i * gen_i == p, or None when p is not in the ideal.
 
     The expansion identity is re-verified exactly before returning.
     """
     cache_key = _cache_key(ideal)
-    if cache_key not in _GB_CACHE:
-        # build a cold basis with its representations, so Buchberger runs once
-        _GB_CACHE[cache_key] = _buchberger(ideal, budget, track=True)
-    G = groebner_basis(ideal, budget=budget)
-    engine = _Engine(G.ring, _budget_limit(budget))
-    quotients, remainder = engine.divide(p, G._divisors)
+    G = _GB_CACHE.get(cache_key)
+    if G is None or G.representations is None:
+        # the one tracked Buchberger run; it reproduces an untracked entry's basis
+        G = _GB_CACHE[cache_key] = _buchberger(ideal, track=True)
+    quotients, remainder = _Engine(G.ring).divide(p, G._divisors)
     if remainder:
         return None
     cofactors = [Polynomial.zero(G.ring) for _ in ideal.generators]
-    for q, reps in zip(quotients, G._reps(budget)):
+    for q, reps in zip(quotients, G.representations):
         if q:
             q = Polynomial(G.ring, q)
             cofactors = [c + q * r for c, r in zip(cofactors, reps)]
@@ -436,11 +407,11 @@ def member_with_cofactors(
     return cofactors
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Whether the ideals are equal: their reduced grevlex bases, unique, coincide."""
     if not I.ring.compatible_with(J.ring):
         raise RingMismatchError("ideals live in different rings")
-    return groebner_basis(I, budget=budget).basis == groebner_basis(J, budget=budget).basis
+    return groebner_basis(I).basis == groebner_basis(J).basis
 
 
 def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):

@@ -189,6 +189,15 @@ class Polynomial:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, ring: RingSpec, terms: dict[Monomial, Coefficient]) -> Polynomial:
+        """Wrap terms the caller already normalized, skipping __init__'s checks."""
+        result = cls.__new__(cls)
+        result.ring = ring
+        result._terms = terms
+        result._hash = None
+        return result
+
     @staticmethod
     def zero(ring: RingSpec) -> Polynomial:
         return Polynomial(ring)
@@ -260,9 +269,6 @@ class Polynomial:
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) for c in self._terms.values())
 
-    def coefficient(self, expo: Monomial) -> Coefficient:
-        return self._terms.get(tuple(expo), 0)
-
     def constant_coefficient(self) -> Coefficient:
         return self._terms.get((0,) * len(self.ring), 0)
 
@@ -303,20 +309,12 @@ class Polynomial:
                     del out[expo]
                 else:
                     out[expo] = _normalize_coeff(s)
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result._terms = out
-        result._hash = None
-        return result
+        return Polynomial._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result._terms = {e: -c for e, c in self._terms.items()}
-        result._hash = None
-        return result
+        return Polynomial._trusted(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Coefficient) -> Polynomial:
         return self + (-self._coerce(other))
@@ -328,11 +326,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if other == 0:
                 return Polynomial.zero(self.ring)
-            result = Polynomial.__new__(Polynomial)
-            result.ring = self.ring
-            result._terms = {e: _normalize_coeff(c * other) for e, c in self._terms.items()}
-            result._hash = None
-            return result
+            terms = {e: _normalize_coeff(c * other) for e, c in self._terms.items()}
+            return Polynomial._trusted(self.ring, terms)
         self._check_ring(other)
         out: dict[Monomial, Coefficient] = {}
         for ea, ca in self._terms.items():
@@ -347,11 +342,7 @@ class Polynomial:
             for e in expo:
                 if e >= EXPONENT_LIMIT:
                     raise ExponentOverflowError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result._terms = {e: _normalize_coeff(c) for e, c in out.items()}
-        result._hash = None
-        return result
+        return Polynomial._trusted(self.ring, {e: _normalize_coeff(c) for e, c in out.items()})
 
     __rmul__ = __mul__
 

@@ -72,6 +72,7 @@ __all__ = [
     "rank_table",
     "relative_specializes_to_absolute",
     "sgr_even_collapses_to_sgr2",
+    "specializes_to",
     "verify_presentation",
 ]
 
@@ -436,9 +437,7 @@ def _independent_over_q(polys: list[Polynomial]) -> bool:
     return True
 
 
-def verify_presentation(
-    pres: Presentation, max_degree: int, budget: int | None = None
-) -> PresentationReport:
+def verify_presentation(pres: Presentation, max_degree: int) -> PresentationReport:
     """Certify the declared basis up to max_degree via Groebner normal forms.
 
     Checks: (1) the quotient's Hilbert function equals the parameter ring's
@@ -451,17 +450,14 @@ def verify_presentation(
     checks: list[tuple[str, bool, str]] = []
     hilbert: tuple[int, ...] = ()
     try:
-        G = groebner_basis(pres.ideal, budget=budget)
+        G = groebner_basis(pres.ideal)
         hilbert = tuple(quotient_hilbert(G, max_degree))
         coeff_degrees = [deg for name, deg in pres.ring.vars if name in pres.coefficient_vars]
         basis_degrees = [pres.ring.monomial_degree(m) for m in pres.declared_basis]
         _, mismatch = series.free_module_series(hilbert, coeff_degrees, basis_degrees, max_degree)
         detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
         checks.append(("hilbert_factorization", mismatch is None, detail))
-        nfs = [
-            normal_form(Polynomial.monomial(pres.ring, m), G, budget=budget)
-            for m in pres.declared_basis
-        ]
+        nfs = [normal_form(Polynomial.monomial(pres.ring, m), G) for m in pres.declared_basis]
     except BudgetExceededError as exc:
         # the basis ran out before any check was made, the normal forms after
         name = "normal_form_budget" if checks else "groebner_budget"
@@ -533,32 +529,34 @@ def rank_table(kind: str, **params) -> int:
 # -- coherence checks used by the acceptance suite ------------------------------
 
 
+def specializes_to(
+    pres: Presentation, values: dict, target: Ideal, renaming: dict[str, str] | None = None
+) -> bool:
+    """Whether pres's ideal, under values (other variables kept), equals target.
+
+    The nonzero images move into target's ring by renaming (unlisted names
+    keep their own) before the comparison.
+    """
+    images = [
+        g.substitute(values, ring=pres.ring, missing="identity") for g in pres.ideal.generators
+    ]
+    gens = [g.rename_into(target.ring, renaming) for g in images if not g.is_zero()]
+    return ideal_equal(Ideal.make(target.ring, gens), target)
+
+
 def relative_specializes_to_absolute(n: int, parity: str, epsilon: int = -1) -> bool:
     """Setting the base-bundle classes to zero must recover the absolute ideal."""
     rel = present_sgr2_relative(n, parity, epsilon)
     zero = {v: 0 for v in rel.coefficient_vars}
-    collapsed = [
-        g.substitute(zero, ring=rel.ring, missing="identity") for g in rel.ideal.generators
-    ]
-    absolute = present_sgr2(n, parity)
-    gens = [g.rename_into(absolute.ring) for g in collapsed if not g.is_zero()]
-    return ideal_equal(Ideal.make(absolute.ring, gens), absolute.ideal)
+    return specializes_to(rel, zero, present_sgr2(n, parity).ideal)
 
 
 def sgr_even_collapses_to_sgr2(n: int, parity: str, epsilon: int = 1) -> bool:
     """present_sgr_even(1, n, parity) under b_1 -> epsilon * e^2 equals present_sgr2."""
     pres = present_sgr_even(1, n, parity, epsilon)
     e = Polynomial.variable(pres.ring, "e")
-    collapsed = [
-        g.substitute({"b1": e * e * epsilon}, ring=pres.ring, missing="identity")
-        for g in pres.ideal.generators
-    ]
-    absolute = present_sgr2(n, parity)
-    renaming = {"e": "e1", "e'": "e2"}
-    gens = [
-        g.rename_into(absolute.ring, renaming) for g in collapsed if not g.is_zero()
-    ]
-    return ideal_equal(Ideal.make(absolute.ring, gens), absolute.ideal)
+    absolute = present_sgr2(n, parity).ideal
+    return specializes_to(pres, {"b1": e * e * epsilon}, absolute, {"e": "e1", "e'": "e2"})
 
 
 def _phi_mapping(m: int, parity: str, flag_ring: RingSpec, epsilon: int) -> dict[str, Polynomial]:

@@ -162,6 +162,11 @@ def test_usage_error_exits_two(capsys):
     code, _, err = run(capsys, "verify", "presentation", "--kind", "rank")
     assert code == 2
     assert err == "usage error: unknown presentation kind 'rank'\n"
+    argv = ["poly", "subst", "--ring", "b1:4", "--expr", "b1^2", "--map", "b2=e1",
+            "--target-ring", "e1:2"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: unknown variable 'b2' in ring ('b1',)\n"
     for argv, flag in [
         (("verify", "spanning", "--group", "B", "--n", "2", "--parity", "even",
           "--max-degree", "4"), "--parity"),

@@ -129,17 +129,27 @@ def test_buchberger_criterion_on_emitted_basis():
                 Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, mj)), 1) * fj
             )
             assert normal_form(s, G).is_zero()
-    # reduced: no leading term divides another, tails fully reduced
+    _assert_reduced(G)
+
+
+def _assert_reduced(G):
+    """Monic, no leading term divides another, and tails fully reduced."""
     leads = [g.leading_term()[0] for g in G.basis]
-    for i, lt in enumerate(leads):
+    for i, (g, lt) in enumerate(zip(G.basis, leads)):
+        assert g.leading_term()[1] == 1
         for j, other in enumerate(leads):
             if i != j:
                 assert not all(a <= b for a, b in zip(lt, other))
+        for m in g.terms:
+            if m != lt:
+                assert not any(all(a <= b for a, b in zip(d, m)) for d in leads)
 
 
 def test_representations_reconstruct_basis():
     I = ideal2()
-    G = groebner_basis(I)
+    assert groebner_basis(I).representations is None
+    G = groebner._buchberger(I, track=True)
+    assert G.basis == groebner_basis(I).basis
     for g, rep in zip(G.basis, G.representations):
         total = Polynomial.zero(R2)
         for c, gen in zip(rep, I.generators):
@@ -156,28 +166,30 @@ def test_cofactors_independent_of_cache_order(monkeypatch):
         cofactors = [str(c) for c in member_with_cofactors(p, I)]
         return cofactors, [str(w) for w in weyl.witness_B(3)]
 
-    groebner._GB_CACHE.clear()
-    cold = outputs()
-    # warm the cache with bases built without representations first
-    groebner._GB_CACHE.clear()
-    groebner_basis(I)
-    cofactors = [str(c) for c in member_with_cofactors(p, I)]
-    assert ideal_equal(coinvariant, coinvariant)
-    assert (cofactors, [str(w) for w in weyl.witness_B(3)]) == cold
-    assert len(groebner._GB_CACHE) == 2
-
-    # a cold witness runs Buchberger once, with representations
     runs = []
     buchberger = groebner._buchberger
 
-    def counted(ideal, budget, track):
+    def counted(ideal, track):
         runs.append(track)
-        return buchberger(ideal, budget, track)
+        return buchberger(ideal, track)
 
     monkeypatch.setattr(groebner, "_buchberger", counted)
     groebner._GB_CACHE.clear()
-    assert outputs() == cold
+    cold = outputs()
+    # a cold witness runs Buchberger once, with representations
     assert runs == [True, True]
+    # warm the cache with bases built without representations first: each
+    # ideal then gets exactly one tracked run, which replaces its entry
+    runs.clear()
+    groebner._GB_CACHE.clear()
+    groebner_basis(I)
+    assert ideal_equal(coinvariant, coinvariant)
+    cofactors = [str(c) for c in member_with_cofactors(p, I)]
+    assert (cofactors, [str(w) for w in weyl.witness_B(3)]) == cold
+    assert runs == [False, False, True, True]
+    assert len(groebner._GB_CACHE) == 2
+    for ideal in (I, coinvariant):
+        assert groebner._GB_CACHE[groebner._cache_key(ideal)].representations is not None
 
 
 def test_normal_form_idempotent_random():
@@ -210,7 +222,9 @@ def test_membership_agrees_with_normal_form():
         assert in_by_nf == in_by_cof
 
 
-def test_budget_exhaustion_is_distinct():
+def test_budget_exhaustion_is_distinct(monkeypatch):
+    monkeypatch.setenv("SLCC_BUDGET", "3")
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     ring = RingSpec.make([("x", 1), ("y", 1), ("z", 1)])
     gens = [
         parse_poly("x^3 + y^3 + z^3", ring),
@@ -218,7 +232,7 @@ def test_budget_exhaustion_is_distinct():
         parse_poly("x^2*y - z^3", ring),
     ]
     with pytest.raises(BudgetExceededError):
-        groebner_basis(Ideal.make(ring, gens), budget=3)
+        groebner_basis(Ideal.make(ring, gens))
 
 
 def test_homogeneity_enforced():
@@ -374,7 +388,7 @@ def test_heap_division_matches_reference(case, data):
     tracked = [groebner._Tracked(d, []) for d in divisors]
     results, steps = [], []
     for divide in (_heap_divide, _reference_divide):
-        engine = groebner._Engine(ring, 10**5)
+        engine = groebner._Engine(ring)
         results.append(divide(engine, p, tracked))
         steps.append(engine.steps)
     (quotients, remainder), (ref_quotients, ref_remainder) = results
@@ -389,7 +403,8 @@ def test_heap_division_matches_reference(case, data):
     budget = data.draw(st.integers(0, steps[0]), label="budget")
     raised_at = []
     for divide in (_heap_divide, _reference_divide):
-        engine = groebner._Engine(ring, budget)
+        engine = groebner._Engine(ring)
+        engine.budget = budget
         try:
             divide(engine, p, tracked)
             raised_at.append(None)
@@ -404,10 +419,10 @@ def test_heap_pops_in_descending_order(case):
     # the remainder dict is filled in pop order, and Polynomial keeps it
     ring, p, divisors = case
     descending = sorted(p.terms, key=ring.sort_key, reverse=True)
-    _, remainder = groebner._Engine(ring, 10**5).divide(p, [])
+    _, remainder = groebner._Engine(ring).divide(p, [])
     assert remainder == p and list(remainder.terms) == descending
     tracked = [groebner._Tracked(d, []) for d in divisors]
-    _, remainder = groebner._Engine(ring, 10**5).divide(p, tracked)
+    _, remainder = groebner._Engine(ring).divide(p, tracked)
     assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)
 
 
@@ -464,5 +479,7 @@ def _ideal_pairs(draw):
 def test_ideal_equal_matches_mutual_reduction(case):
     kind, I, J = case
     assert ideal_equal(I, J) == ideal_equal(J, I) == _mutual_reduction(I, J)
+    _assert_reduced(groebner_basis(I))
+    _assert_reduced(groebner_basis(J))
     if kind != "extra":
         assert ideal_equal(I, J)

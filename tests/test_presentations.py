@@ -209,7 +209,8 @@ def test_rank_table_no_declared_basis():
 def test_verify_budget_exhaustion_reported_distinctly(monkeypatch):
     # an empty basis cache, so Buchberger itself runs out of budget
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
-    rep = pr.verify_presentation(pr.present_max_flag(7), 10, budget=2)
+    monkeypatch.setenv("SLCC_BUDGET", "2")
+    rep = pr.verify_presentation(pr.present_max_flag(7), 10)
     assert rep.budget_exceeded and not rep.passed
     assert [name for name, ok, _ in rep.checks if not ok] == ["groebner_budget"]
 
@@ -219,7 +220,8 @@ def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
     pres = pr.present_max_flag(7)
     assert pr.verify_presentation(pres, 10).passed
-    rep = pr.verify_presentation(pres, 10, budget=2)
+    monkeypatch.setenv("SLCC_BUDGET", "2")
+    rep = pr.verify_presentation(pres, 10)
     assert rep.budget_exceeded and not rep.passed
     assert [name for name, ok, _ in rep.checks if not ok] == ["normal_form_budget"]
 
