@@ -453,7 +453,12 @@ def _homogeneous(draw, ring, degree):
 def _ideal_pairs(draw):
     """Two generator sets for one ideal (permuted, or recombined by homogeneous
     multiples of one another) or, with an extra generator, for two ideals
-    that usually differ."""
+    that usually differ.
+
+    A recombination replaces one generator at a time by a unit multiple of
+    itself plus multiples of the current others, so each step can be undone
+    and the ideal is kept. Rewriting all generators at once from the old set
+    is not invertible: -3d, -3b - 3d can both become 6b + 12d, losing d."""
     ring = draw(st.sampled_from(_WEIGHTED_RINGS))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -461,9 +466,10 @@ def _ideal_pairs(draw):
     kind = draw(st.sampled_from(["permuted", "recombined", "extra"]))
     other = list(gens)
     if kind == "recombined":
-        for i, g in enumerate(gens):
+        for i in range(len(other)):
+            g = other[i]
             new = g * draw(st.sampled_from([-2, -1, 1, 2]))
-            for h in gens[:i] + gens[i + 1 :]:
+            for h in other[:i] + other[i + 1 :]:
                 gap = g.homogeneous_degree() - h.homogeneous_degree()
                 if gap >= 0 and draw(st.booleans()):
                     new = new + draw(_homogeneous(ring, gap)) * h
