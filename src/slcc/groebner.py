@@ -5,7 +5,15 @@ coefficients appear internally) with the Gebauer-Moller pair criteria and the
 normal selection strategy, then fully inter-reduced, so the reduced basis is
 unique: the one order is grevlex graded by cohomological degree (the
 canonical order of the polynomial layer), and no caller picks another.
-ideal_equal relies on that uniqueness and compares reduced bases directly.
+
+Every ideal is homogeneous, so the normal strategy meets S-pairs in
+nondecreasing degree, and a run may stop at a degree bound: the truncated
+basis decides membership for every polynomial up to that degree (Traverso,
+"Hilbert functions and the Buchberger algorithm", JSC 1996).  ideal_equal
+tests mutual containment this way: each side's generators must reduce to
+zero modulo the other ideal's basis truncated at their top degree, or
+modulo its full basis when the cache holds one.  A truncated basis is never
+cached, so the cache keeps one full entry per ideal.
 
 Buchberger tracks how each basis element is built from the original ideal
 generators only for member_with_cofactors, the one caller that reads these
@@ -26,8 +34,9 @@ term dicts unless a caller needs them as polynomials.
 
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
-division on its own, and turns a runaway computation into a distinct
-BudgetExceededError instead of a hang.
+division on its own, and to each half of ideal_equal (the truncated run and
+the divisions of the other side's generators) as a whole.  It turns a
+runaway computation into a distinct BudgetExceededError instead of a hang.
 """
 
 from __future__ import annotations
@@ -231,7 +240,7 @@ class _Engine:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced monic Groebner basis of an ideal."""
+    """Reduced monic Groebner basis of an ideal; only minimal when truncated."""
 
     ideal: Ideal
     basis: tuple[Polynomial, ...]
@@ -271,9 +280,18 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     return cached
 
 
-def _buchberger(ideal: Ideal, track: bool) -> GroebnerBasis:
-    """The reduced grevlex basis; with track, also its representations."""
-    engine = _Engine(ideal.ring)
+def _buchberger(
+    ideal: Ideal, track: bool, max_degree: int | None = None, engine: _Engine | None = None
+) -> GroebnerBasis:
+    """The reduced grevlex basis; with track, also its representations.
+
+    With max_degree, the run stops at the first S-pair of greater lcm degree
+    (on homogeneous input every later pair has one too) and skips the
+    inter-reduction: the basis is minimal, not reduced, and decides
+    membership up to max_degree.  The run spends the budget of ``engine``,
+    a fresh one by default.
+    """
+    engine = engine or _Engine(ideal.ring)
     ngens = len(ideal.generators)
     ring = ideal.ring
 
@@ -343,7 +361,9 @@ def _buchberger(ideal: Ideal, track: bool) -> GroebnerBasis:
 
     while CP:
         # normal strategy: smallest lcm first, ties by indices for determinism
-        pair = min(CP, key=lambda pr: (key(_monomial_lcm(f[pr[0]].lm, f[pr[1]].lm)), pr))
+        (lcm_degree, _), pair = min((key(_monomial_lcm(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
+        if max_degree is not None and lcm_degree > max_degree:
+            break
         CP.remove(pair)
         s = engine.s_poly(f[pair[0]], f[pair[1]])
         if not s.poly:
@@ -363,8 +383,9 @@ def _buchberger(ideal: Ideal, track: bool) -> GroebnerBasis:
     # would find no quotient and leave the representations as they are.
     # Leads do not move, so the list stays sorted by them.
     final = [f[i] for i in sorted(G, key=lm_key)]
-    for i in range(len(final)):
-        final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
+    if max_degree is None:
+        for i in range(len(final)):
+            final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
 
     return GroebnerBasis(
         ideal=ideal,
@@ -408,10 +429,31 @@ def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | Non
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Whether the ideals are equal: their reduced grevlex bases, unique, coincide."""
+    """Whether the ideals are equal: each contains the other's generators.
+
+    Each side's generators are reduced by the other ideal's cached full
+    basis or else by its basis truncated at their top degree, which is
+    never cached.
+    """
     if not I.ring.compatible_with(J.ring):
         raise RingMismatchError("ideals live in different rings")
-    return groebner_basis(I).basis == groebner_basis(J).basis
+    return _contains(J, I.generators) and _contains(I, J.generators)
+
+
+def _contains(ideal: Ideal, polys: tuple[Polynomial, ...]) -> bool:
+    """Whether every one of the homogeneous polys lies in the ideal.
+
+    The truncated run and the divisions share one budget, so ideal_equal
+    spends at most two budgets in all.
+    """
+    if not polys:
+        return True
+    engine = _Engine(ideal.ring)
+    G = _GB_CACHE.get(_cache_key(ideal))
+    if G is None:
+        top = max(p.homogeneous_degree() for p in polys)
+        G = _buchberger(ideal, track=False, max_degree=top, engine=engine)
+    return all(not engine.divide(p, G._divisors)[1] for p in polys)
 
 
 def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):

@@ -38,8 +38,10 @@ classes of A(BSL_N) are read from weyl.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import series, spanning, weyl
@@ -83,11 +85,28 @@ class NoDeclaredBasisError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
+    """A graded ring, a homogeneous ideal in it, and a declared basis.
+
+    basis_source is the declared basis, or a zero-argument function that
+    builds it.  The basis is built the first time declared_basis is read,
+    so a caller that only compares ideals (verify flag-equal, say) never
+    pays for it.
+    """
+
     descriptor: tuple[tuple[str, object], ...]
     ring: RingSpec
     ideal: Ideal
-    declared_basis: tuple[Monomial, ...]
+    # a builder's basis is a function of its descriptor, so equality and
+    # repr leave the source out (a function compares by identity)
+    basis_source: tuple[Monomial, ...] | Callable[[], tuple[Monomial, ...]] = field(
+        compare=False, repr=False
+    )
     coefficient_vars: tuple[str, ...]
+
+    @cached_property
+    def declared_basis(self) -> tuple[Monomial, ...]:
+        source = self.basis_source
+        return source() if callable(source) else source
 
     def descriptor_dict(self) -> dict:
         return dict(self.descriptor)
@@ -132,7 +151,7 @@ def present_sgr2(n: int, parity: str) -> Presentation:
         descriptor=_descriptor("sgr2", n=n, parity=parity, coefficient_vars=[]),
         ring=ring,
         ideal=ideal,
-        declared_basis=basis,
+        basis_source=basis,
         coefficient_vars=(),
     )
 
@@ -190,7 +209,7 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
         ),
         ring=ring,
         ideal=Ideal.make(ring, gens),
-        declared_basis=tuple(basis),
+        basis_source=tuple(basis),
         coefficient_vars=coeff_vars,
     )
 
@@ -226,7 +245,7 @@ def _partial_flag(kind: str, m: int, n: int, parity: str, relations) -> Presenta
         descriptor=_descriptor(kind, m=m, n=n, parity=parity, coefficient_vars=[]),
         ring=ring,
         ideal=Ideal.make(ring, gens),
-        declared_basis=spanning.power_or_tail(ring, bounds, tail=parity == "even"),
+        basis_source=lambda: spanning.power_or_tail(ring, bounds, tail=parity == "even"),
         coefficient_vars=(),
     )
 
@@ -276,7 +295,7 @@ def present_max_flag(N: int) -> Presentation:
         descriptor=_descriptor("max_flag", N=N, group=group, n=n, coefficient_vars=[]),
         ring=ring,
         ideal=Ideal.make(ring, inv.gens),
-        declared_basis=spanning.basis(group, n).monomials,
+        basis_source=lambda: spanning.basis(group, n).monomials,
         coefficient_vars=(),
     )
 
@@ -327,7 +346,7 @@ def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentat
         ),
         ring=ring,
         ideal=ideal,
-        declared_basis=basis,
+        basis_source=basis,
         coefficient_vars=(),
     )
 
@@ -348,7 +367,7 @@ def present_bsl(N: int, max_degree: int) -> Presentation:
         ),
         ring=ring,
         ideal=Ideal.make(ring, []),
-        declared_basis=((0,) * len(ring),),
+        basis_source=((0,) * len(ring),),
         coefficient_vars=ring.names,
     )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slcc import acceptance, groebner, weyl
+from slcc import acceptance, groebner, spanning, weyl
 from slcc.cli import main
 
 
@@ -70,6 +70,20 @@ def test_span_reduce_json_matches_benchmark_golden(capsys, case):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[label]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_flag_equal_builds_no_declared_basis(capsys, monkeypatch, parity):
+    # flag-equal compares ideals only, so the 483840-monomial declared bases
+    # of the m=5, n=9 rung are never built
+    def unread(*args, **kwargs):
+        raise AssertionError("flag-equal built a declared basis")
+
+    monkeypatch.setattr(spanning, "power_or_tail", unread)
+    argv = ["verify", "flag-equal", "--m", "5", "--n", "9", "--parity", parity]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"equal": True}
 
 
 def test_verify_spanning(capsys):

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from slcc.groebner import (
@@ -183,7 +184,7 @@ def test_cofactors_independent_of_cache_order(monkeypatch):
     runs.clear()
     groebner._GB_CACHE.clear()
     groebner_basis(I)
-    assert ideal_equal(coinvariant, coinvariant)
+    groebner_basis(coinvariant)
     cofactors = [str(c) for c in member_with_cofactors(p, I)]
     assert (cofactors, [str(w) for w in weyl.witness_B(3)]) == cold
     assert runs == [False, False, True, True]
@@ -489,3 +490,134 @@ def test_ideal_equal_matches_mutual_reduction(case):
     _assert_reduced(groebner_basis(J))
     if kind != "extra":
         assert ideal_equal(I, J)
+
+
+@st.composite
+def _truncation_cases(draw):
+    """An ideal in a weighted ring, and for every degree bound D up to the
+    top generator degree + 4 a few homogeneous polynomials of degree <= D
+    (often exactly D, where a basis cut one degree short goes wrong), half
+    of them combinations of the generators."""
+    ring = draw(st.sampled_from(_WEIGHTED_RINGS))
+    gens = [
+        draw(_homogeneous(ring, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))
+    ]
+    top = max(g.homogeneous_degree() for g in gens)
+    cases = []
+    for bound in range(top + 5):
+        polys = []
+        for _ in range(3):
+            degree = draw(st.one_of(st.just(bound), st.integers(0, bound)))
+            p = draw(_homogeneous(ring, degree))
+            if draw(st.booleans()):
+                p = Polynomial.zero(ring)
+                for g in gens:
+                    gap = degree - g.homogeneous_degree()
+                    if gap >= 0:
+                        p = p + draw(_homogeneous(ring, gap)) * g
+            polys.append(p)
+        cases.append((bound, polys))
+    return Ideal.make(ring, gens), cases
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_truncation_cases())
+def test_truncated_membership_matches_full_basis(case):
+    I, cases = case
+    full = groebner_basis(I)
+    for bound, polys in cases:
+        truncated = groebner._buchberger(I, track=False, max_degree=bound)
+        # the full basis elements up to the bound are members whose leads the
+        # generators' leads need not divide: they need the S-pairs up to it
+        members = [g for g in full.basis if g.homogeneous_degree() <= bound]
+        for p in polys + members:
+            remainder, expected = normal_form(p, truncated), normal_form(p, full)
+            assert remainder.is_zero() == expected.is_zero()
+            # up to the bound the truncated basis is a Groebner basis, so the
+            # remainder is the unique normal form as well
+            assert remainder == expected
+
+
+def test_ideal_equal_caches_no_truncated_basis(monkeypatch):
+    runs = []
+    buchberger = groebner._buchberger
+
+    def counted(ideal, track, max_degree=None, engine=None):
+        runs.append((ideal, max_degree))
+        return buchberger(ideal, track, max_degree, engine)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    I = ideal2()
+    J = Ideal.make(R2, [parse_poly("e1^2+e2^2", R2), parse_poly("e1*e2", R2)])
+    # two uncached ideals: one run per side, truncated at degree 4, none cached
+    assert ideal_equal(I, J)
+    assert runs == [(J, 4), (I, 4)]
+    assert groebner._GB_CACHE == {}
+    # a cached full basis serves its side without a run
+    runs.clear()
+    full = groebner_basis(I)
+    assert ideal_equal(I, J) and ideal_equal(J, I)
+    assert runs == [(I, None), (J, 4), (J, 4)]
+    assert list(groebner._GB_CACHE) == [groebner._cache_key(I)]
+    # a later groebner_basis call still builds and caches the full reduced basis
+    runs.clear()
+    assert groebner_basis(J).basis == full.basis == buchberger(J, track=False).basis
+    assert runs == [(J, None)]
+    _assert_reduced(groebner_basis(J))
+
+
+_X, _Y, _Z = sympy.symbols("x y z")
+_XYZ = RingSpec.make([("x", 1), ("y", 1), ("z", 1)])
+
+
+def _sympy_expr(p):
+    return sum(
+        (sympy.Rational(c) * _X**a * _Y**b * _Z**e for (a, b, e), c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _grevlex_monic(terms):
+    """Sorted terms scaled to leading coefficient 1 under our grevlex order
+    (sympy's Poly.monic reads the lead under lex)."""
+    terms = dict(terms)
+    lead = terms[max(terms, key=_XYZ.sort_key)]
+    return tuple(sorted((m, sympy.Rational(c) / sympy.Rational(lead)) for m, c in terms.items()))
+
+
+def _random_homogeneous(rng, degree):
+    monos = _monomials_of_degree(_XYZ, degree)
+    chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+    return Polynomial(_XYZ, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in chosen})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_groebner_matches_sympy(seed):
+    # 50 random homogeneous ideals per seed in three unit-weight variables:
+    # the same reduced basis as sympy's grevlex one, made monic, and the same
+    # membership verdicts, for the full and for truncated bases
+    rng = random.Random(seed)
+    for _ in range(50):
+        gens = [_random_homogeneous(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        I = Ideal.make(_XYZ, gens)
+        G = groebner._buchberger(I, track=False)
+        oracle = sympy.groebner(
+            [_sympy_expr(g) for g in gens], _X, _Y, _Z, order="grevlex", domain="QQ"
+        )
+        ours = {_grevlex_monic(g.terms.items()) for g in G.basis}
+        theirs = {_grevlex_monic(p.terms()) for p in oracle.polys}
+        assert ours == theirs
+        top = max(g.homogeneous_degree() for g in gens)
+        for bound in range(top + 3):
+            truncated = groebner._buchberger(I, track=False, max_degree=bound)
+            degree = rng.randint(0, bound)
+            p = _random_homogeneous(rng, degree)
+            if rng.random() < 0.5:
+                p = Polynomial.zero(_XYZ)
+                for g in gens:
+                    if g.homogeneous_degree() <= degree:
+                        p = p + _random_homogeneous(rng, degree - g.homogeneous_degree()) * g
+            verdict = oracle.contains(_sympy_expr(p))
+            assert normal_form(p, truncated).is_zero() == verdict
+            assert normal_form(p, G).is_zero() == verdict

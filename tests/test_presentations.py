@@ -134,6 +134,24 @@ def test_max_flag_basis_is_spanning_basis():
         assert pr.present_partial_flag(n - 1, n, "even").declared_basis == D
 
 
+def test_declared_basis_built_once_on_first_read(monkeypatch):
+    built = []
+    power_or_tail = spanning.power_or_tail
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return power_or_tail(*args, **kwargs)
+
+    monkeypatch.setattr(spanning, "power_or_tail", counted)
+    p = pr.present_partial_flag(2, 3, "even")
+    # building and comparing presentations reads no basis
+    assert p == pr.present_partial_flag(2, 3, "even")
+    assert built == []
+    assert p.declared_basis is p.declared_basis
+    assert len(built) == 1
+    assert len(p.declared_basis) == pr.rank_table("partial_flag", m=2, N=6)
+
+
 def test_sgr_even_odd_examples():
     p = pr.present_sgr_even(1, 2, "odd")
     assert p.generator_texts() == ["e^2 - b1", "b1^2"]
@@ -236,7 +254,7 @@ def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
     ],
 )
 def test_dependent_declared_basis_fails(basis):
-    pres = dataclasses.replace(pr.present_sgr2(2, "even"), declared_basis=basis)
+    pres = dataclasses.replace(pr.present_sgr2(2, "even"), basis_source=basis)
     rep = pr.verify_presentation(pres, 8)
     checks = {name: ok for name, ok, _ in rep.checks}
     assert checks["basis_independent_in_quotient"] is False
