@@ -4,9 +4,9 @@ Spanning monomials over the invariant rings
 
 Z[e_1..e_n] is a free module over each invariant ring, with an explicit
 monomial basis of size 2^n n! (type B) or 2^{n-1} n! (type D).  The reduce()
-routine rewrites any polynomial in that basis with invariant coefficients,
-following the inductive proof variable by variable, and the result expands
-back to the input exactly.  Freeness is certified degree-by-degree through a
+routine writes any polynomial in that basis with invariant coefficients, by
+tracked Groebner division against the coinvariant ideal, and the result
+expands back to the input exactly.  Freeness is certified degree-by-degree through a
 Hilbert series identity.
 """
 

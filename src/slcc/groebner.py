@@ -16,13 +16,15 @@ modulo its full basis when the cache holds one.  A truncated basis is never
 cached, so the cache keeps one full entry per ideal.
 
 Buchberger tracks how each basis element is built from the original ideal
-generators only for member_with_cofactors, the one caller that reads these
-representations: extended division then yields cofactor witnesses for ideal
-membership, which downstream modules turn into the degree-lowering
-identities.  Every other caller (normal forms, ideal equality, presentation
-checks) gets a basis without them, which is several times cheaper to build,
-and whose representations field is None.  Each ideal has one cache entry;
-member_with_cofactors replaces an untracked entry with a tracked one.
+generators only for tracked_division, the one routine that reads these
+representations: it turns the quotients q_j of a division into cofactors
+over the generators, sum_j q_j * representations[j].  Through it
+member_with_cofactors yields the membership witnesses that weyl turns into
+the degree-lowering identities, and spanning reads its decompositions.
+Every other caller (normal forms, ideal equality, presentation checks) gets
+a basis without them, which is several times cheaper to build, and whose
+representations field is None.  Each ideal has one cache entry;
+tracked_division replaces an untracked entry with a tracked one.
 
 Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
 all run through one division routine, _Engine.divide.  It is a heap
@@ -34,8 +36,9 @@ term dicts unless a caller needs them as polynomials.
 
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
-division on its own, and to each half of ideal_equal (the truncated run and
-the divisions of the other side's generators) as a whole.  It turns a
+division on its own, and as a whole to each half of ideal_equal (the
+truncated run and the divisions of the other side's generators) and to all
+divisions made through one function that tracked_division returns.  It turns a
 runaway computation into a distinct BudgetExceededError instead of a hang.
 """
 
@@ -63,6 +66,7 @@ __all__ = [
     "primitive_integer",
     "quotient_hilbert",
     "standard_monomials",
+    "tracked_division",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -245,7 +249,7 @@ class GroebnerBasis:
     ideal: Ideal
     basis: tuple[Polynomial, ...]
     # representations[i] are cofactors c_j with basis[i] == sum c_j * gen_j;
-    # None unless Buchberger ran with tracking (for member_with_cofactors)
+    # None unless Buchberger ran with tracking (for tracked_division)
     representations: tuple[tuple[Polynomial, ...], ...] | None = field(
         default=None, repr=False, compare=False
     )
@@ -402,25 +406,52 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     return remainder
 
 
-def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | None:
-    """Cofactors c_i with sum c_i * gen_i == p, or None when p is not in the ideal.
+def tracked_division(ideal: Ideal):
+    """Division by the ideal's tracked basis, as a function of term dicts.
 
-    The expansion identity is re-verified exactly before returning.
+    The function maps the terms of p to (cofactors, remainder), term dicts
+    with p == sum cofactors[i] * gen_i + remainder, where the remainder is
+    the normal form of p.  Each quotient q_j by basis element j contributes
+    q_j * representations[j] to the cofactors.  The tracked basis is built
+    once per ideal; all divisions made through one returned function spend
+    one step budget.
     """
     cache_key = _cache_key(ideal)
     G = _GB_CACHE.get(cache_key)
     if G is None or G.representations is None:
         # the one tracked Buchberger run; it reproduces an untracked entry's basis
         G = _GB_CACHE[cache_key] = _buchberger(ideal, track=True)
-    quotients, remainder = _Engine(G.ring).divide(p, G._divisors)
+    engine = _Engine(ideal.ring)
+    reps = [[r.terms.items() for r in rep] for rep in G.representations]
+
+    def divide(terms: dict[Monomial, Coefficient]):
+        quotients, remainder = engine.divide(Polynomial._trusted(ideal.ring, terms), G._divisors)
+        cofactors: list[dict[Monomial, Coefficient]] = [{} for _ in ideal.generators]
+        for q, rep in zip(quotients, reps):
+            for mq, cq in q.items():
+                for acc, r in zip(cofactors, rep):
+                    for mr, cr in r:
+                        m = tuple(map(add, mq, mr))
+                        v = acc.get(m, 0) + cq * cr
+                        if v:
+                            acc[m] = v
+                        else:
+                            del acc[m]
+        return cofactors, remainder.terms
+
+    return divide
+
+
+def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | None:
+    """Cofactors c_i with sum c_i * gen_i == p, or None when p is not in the ideal.
+
+    The expansion identity is re-verified exactly before returning.
+    """
+    cofactors, remainder = tracked_division(ideal)(p.terms)
     if remainder:
         return None
-    cofactors = [Polynomial.zero(G.ring) for _ in ideal.generators]
-    for q, reps in zip(quotients, G.representations):
-        if q:
-            q = Polynomial(G.ring, q)
-            cofactors = [c + q * r for c, r in zip(cofactors, reps)]
-    check = Polynomial.zero(G.ring)
+    cofactors = [Polynomial(ideal.ring, c) for c in cofactors]
+    check = Polynomial.zero(ideal.ring)
     for c, g in zip(cofactors, ideal.generators):
         check = check + c * g
     if check != p:

@@ -402,19 +402,24 @@ class Polynomial:
                     raise UnmappedVariableError(f"variable {name!r} present but not mapped")
                 images[idx] = Polynomial.variable(target, name)
 
-        result = Polynomial.zero(target)
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+        # each needed power of an image, built from the next lower needed one
+        powers: dict[tuple[int, int], Polynomial] = {}
+        for i, image in images.items():
+            power, done = Polynomial.one(target), 0
+            for e in sorted({expo[i] for expo in self._terms if expo[i]}):
+                power = power * image ** (e - done)
+                powers[(i, e)] = power
+                done = e
+        one = {(0,) * len(target): 1}
+        out: dict[Monomial, Coefficient] = {}
         for expo, coeff in self._terms.items():
-            term = Polynomial.constant(target, coeff)
+            term = None
             for i, e in enumerate(expo):
-                if not e:
-                    continue
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = images[i] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+                if e:
+                    term = powers[(i, e)] if term is None else term * powers[(i, e)]
+            for m, c in (one if term is None else term._terms).items():
+                out[m] = out.get(m, 0) + coeff * c
+        return Polynomial._trusted(target, {m: _normalize_coeff(c) for m, c in out.items() if c})
 
     def rename_into(self, ring: RingSpec, renaming: Mapping[str, str] | None = None) -> Polynomial:
         """Move the polynomial into ``ring`` by renaming variables.

@@ -6,44 +6,43 @@ The spanning monomials are
     type D:  u_1 ... u_{n-1}                    with u_i = e_i^{m_i},
              0 <= m_i <= 2(n-i), or u_i = e_{i+1} e_{i+2} ... e_n
 
-of cardinality 2^n n! resp. 2^{n-1} n! (the Weyl group orders).  reduce()
-rewrites any polynomial as an invariant-coefficient combination of these
-monomials by following the inductive proof literally, variable by variable:
+of cardinality 2^n n! resp. 2^{n-1} n! (the Weyl group orders).  Z[e] is
+free over the invariant ring with this basis, so every polynomial has unique
+invariant coordinates, and reduce() may compute them by any exact method.  It
+divides by the coinvariant ideal I = (g_1, g_2, ...), the invariant
+generators, under grevlex with the variables reversed (e_n > ... > e_1),
+through one tracked division (groebner.tracked_division):
 
-* if the e_1-exponent reaches the witness exponent (weyl.witness_power: 2n
-  for B, 2n-1 for D), apply the degree-lowering witness identity for e_1^{2n}
-  resp. e_1^{2n-1} and carry the invariant generators out into the
-  coefficients;
-* otherwise reduce the e_2..e_n tail recursively, then re-express the tail's
-  invariants through the level-1 ones via s_i = e_1^2 s'_{i-1} + s'_i and
-  t = e_1 t' (and t'^2 = s'_{n-1} splits coefficients by t'-parity in type D),
-  splitting off powers of e_1 that either land inside the basis bounds or are
-  fed back into the threshold case.
+* p = sum_i c_i * g_i + r, where r is a combination of standard monomials of
+  I; its coordinates sit at s^0, and each cofactor c_i is decomposed in turn
+  and multiplied by s_i (or t).
+* In type B the standard monomials are exactly the basis.  In type D (n >= 3)
+  some are not; each of those is rewritten as basis monomials plus an
+  element of I, by an exact change of basis over Q in its degree, which a
+  call builds the first time one of its remainders reaches that degree.
 
-Every step strictly lowers (total degree, leading exponent), which is the
-termination measure of the proof.  Decomposition coefficients live in the
+The work is a heap of invariant monomials s^beta in increasing degree, each
+holding the terms still to be divided at it: one division per s^beta, whose
+remainder gives the coordinates at s^beta and whose cofactor i moves on to
+s^(beta + e_i), a higher degree.  Decomposition coefficients live in the
 abstract invariant rings weyl.invariant_ring: Z[s_1..s_n] (B) or
 Z[s_1..s_{n-1}, t] (D) with deg s_i = 4i, deg t = 2n; expand() substitutes
 weyl.invariant_generators, named by the same ring, back and must reproduce
 the target exactly.  The Weyl-group data (witness exponents, group orders,
 the invariant ring) are weyl's; this module only reads them.
-
-Decompositions are accumulated as flat terms: one dict keyed by (basis
-monomial, s-exponent) with plain number values, where every factor is a single
-monomial c * s^beta.  reduce() builds one Polynomial per basis monomial, once,
-at the end.  The rewriter is iterative: each step is a generator that yields
-the sub-decompositions it needs to an explicit stack over one memo per
-(group, n), so deep inputs never meet Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, le
 
 from . import series, weyl
+from .groebner import Ideal, tracked_division
 from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
 
 __all__ = [
@@ -90,13 +89,21 @@ def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomi
     return tuple(sorted(monos, key=ring.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _bounds(group: str, n: int) -> tuple[int, ...]:
+    """The exponent bounds: e_i stays below the witness exponent of rank n+1-i.
+
+    Type D has no factor of its own for e_n, which enters through the tail
+    products, so its last bound is not read.
+    """
+    return tuple(weyl.witness_power(group, rank) - 1 for rank in range(n, 0, -1))
+
+
 def basis(group: str, n: int) -> SpanningBasis:
     """The spanning monomials, deduplicated, in ascending canonical order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # e_i stays below the witness exponent of rank n+1-i; type D has no
-    # factor of its own for e_n, which enters through the tail products
-    bounds = [weyl.witness_power(group, rank) - 1 for rank in range(n, 0, -1)]
+    bounds = _bounds(group, n)
     tail = group == "D"
     monos = power_or_tail(weyl.e_ring(n), bounds[:-1] if tail else bounds, tail)
     return SpanningBasis(group, n, monos)
@@ -112,235 +119,134 @@ class SpanDecomposition:
     terms: dict[Monomial, Polynomial]  # basis monomial -> invariant coefficient
 
 
-# -- the rewriting engine ----------------------------------------------------
-#
-# A decomposition in flight is a tuple of (basis monomial, s-exponent, coeff)
-# triples; the s-exponent belongs to weyl.invariant_ring(group, rank) of the level
-# that produced it.  Scaling by c * s^beta adds beta and multiplies by c.
-
-Term = tuple[Monomial, Monomial, Coefficient]
+def _reversed(terms: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    return {m[::-1]: c for m, c in terms.items()}
 
 
 @lru_cache(maxsize=None)
-def _witness_shifted(group: str, n: int, level: int):
-    """Terms of the rank n-level witness cofactors, moved onto e_{level+1}..e_n.
-
-    One tuple of (exponent, coefficient) pairs per invariant generator.
-    """
-    wit = weyl.witness_B(n - level) if group == "B" else weyl.witness_D(n - level)
-    pad = (0,) * level
-    return tuple(tuple((pad + expo, c) for expo, c in w.terms.items()) for w in wit)
+def _reversed_ideal(group: str, n: int) -> Ideal:
+    """The coinvariant ideal in Z[e_n, ..., e_1]: grevlex with the variables reversed."""
+    ring = RingSpec.make((f"e{i}", 2) for i in range(n, 0, -1))
+    gens = weyl.invariant_generators(group, n).gens
+    return Ideal(ring, tuple(Polynomial(ring, _reversed(g.terms)) for g in gens))
 
 
-def _sprime_generator(rank: int, i: int) -> dict[Monomial, int]:
-    """s'_i of the tail in level terms: sum_{u=0..i} (-1)^u E^{2u} s_{i-u}.
-
-    Keys are mixed exponents (E, s_1, ..., s_rank); the last coefficient
-    variable (s_rank in type B, t in type D) never occurs, so the image is
-    the same for both types.
-    """
-    terms = {}
-    for u in range(i + 1):
-        s = [0] * rank
-        if i - u:
-            s[i - u - 1] = 1
-        terms[(2 * u, *s)] = -1 if u % 2 else 1
-    return terms
+def _in_basis(group: str, n: int, m: Monomial) -> bool:
+    """Whether e^m is one of the monomials of basis(group, n), without building it."""
+    bounds = _bounds(group, n)
+    if group == "B":
+        return all(map(le, m, bounds))
+    # u_i = e_i^{m_i} or the tail e_{i+1} ... e_n: track how many tails came before
+    tails = {0}
+    for e, bound in zip(m[:-1], bounds):
+        tails = {k + 1 for k in tails if e == k} | {k for k in tails if 0 <= e - k <= bound}
+    return m[-1] in tails
 
 
-def _split_t_parity(terms: dict[Monomial, Coefficient]) -> tuple[dict, dict]:
-    """Write alpha(s'_*, t') = tilde(s'_*) + t' * hat(s'_*) using t'^2 = s'_{rank-1}.
-
-    ``terms`` are exponents of weyl.invariant_ring("D", rank-1), whose last
-    variable is t'; the results are exponents of weyl.invariant_ring("B",
-    rank-1), whose last variable is s'_{rank-1}.  The map is injective, so
-    no two terms meet.
-    """
-    tilde: dict[Monomial, Coefficient] = {}
-    hat: dict[Monomial, Coefficient] = {}
-    for expo, coeff in terms.items():
-        if not expo:  # rank-1 == 0: the empty coefficient ring has no t'
-            tilde[expo] = coeff
-        elif expo[-1] % 2:
-            hat[expo[:-1] + (expo[-1] // 2,)] = coeff
+def _add_scaled(acc: dict, terms: dict, factor: Coefficient) -> None:
+    """acc += factor * terms."""
+    for m, c in terms.items():
+        v = acc.get(m, 0) + factor * c
+        if v:
+            acc[m] = v
         else:
-            tilde[expo[:-1] + (expo[-1] // 2,)] = coeff
-    return tilde, hat
+            acc.pop(m, None)
 
 
-def _with_exponent(mono: Monomial, pos: int, value: int) -> Monomial:
-    return mono[:pos] + (value,) + mono[pos + 1 :]
+def _change_of_basis(group: str, n: int, k: int, divide) -> dict:
+    """Each standard monomial m of exponent sum k outside the basis, as (x, c).
 
-
-def _add_term(terms: dict, key, value: Coefficient) -> None:
-    v = terms.get(key, 0) + value
-    if v:
-        terms[key] = v
-    else:
-        terms.pop(key, None)
-
-
-def _mul_terms(a: dict[Monomial, Coefficient], b: dict[Monomial, Coefficient]) -> dict:
-    out: dict[Monomial, Coefficient] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            _add_term(out, tuple(map(add, ea, eb)), ca * cb)
+    m == sum_b x[b] * e^b + sum_i c[i] * g_i, with x over the basis monomials
+    of that degree and c reversed term dicts over the invariant generators
+    g_i.  Modulo the ideal, a basis monomial b that is not standard equals
+    its normal form, so the part of NF(b) outside the basis equals b minus
+    the part inside; Gauss-Jordan over Q on these rows solves for each
+    standard monomial outside the basis, and ``divide`` yields the cofactors
+    of what is left, which lies in the ideal.
+    """
+    rows: dict[Monomial, tuple[dict, dict]] = {}  # pivot -> (outside part, combination)
+    for combo in itertools.combinations_with_replacement(range(n), k):
+        b = tuple(map(combo.count, range(n)))
+        if not _in_basis(group, n, b):
+            continue
+        nf = _reversed(divide({b[::-1]: 1})[1])
+        if nf == {b: 1}:
+            continue
+        row, comb = {}, {b: 1}
+        for m, c in nf.items():
+            if _in_basis(group, n, m):
+                comb[m] = -c
+            else:
+                row[m] = c
+        for pivot, (prow, pcomb) in rows.items():
+            c = row.get(pivot)
+            if c:
+                _add_scaled(row, prow, -c)
+                _add_scaled(comb, pcomb, -c)
+        # the basis is free, so these rows stay independent: row is not empty
+        pivot = next(iter(row))
+        scale = Fraction(1) / row[pivot]
+        row = {m: c * scale for m, c in row.items()}
+        comb = {m: c * scale for m, c in comb.items()}
+        for prow, pcomb in rows.values():
+            c = prow.get(pivot)
+            if c:
+                _add_scaled(prow, row, -c)
+                _add_scaled(pcomb, comb, -c)
+        rows[pivot] = (row, comb)
+    out = {}
+    for m, (_, x) in rows.items():
+        diff = {m[::-1]: 1}
+        _add_scaled(diff, _reversed(x), -1)
+        cofactors, remainder = divide(diff)
+        assert not remainder, "a change of basis left the ideal"
+        out[m] = (x, cofactors)
     return out
 
 
-def _add_scaled(acc: dict, triples, shift: Monomial, factor: Coefficient) -> None:
-    """acc += (factor * s^shift) * triples, keyed by (basis monomial, s-exponent)."""
-    for b, s, c in triples:
-        key = (b, tuple(map(add, s, shift)))
-        v = acc.get(key, 0) + c * factor
-        if v:
-            acc[key] = v
-        else:
-            acc.pop(key, None)
-
-
-class _Rewriter:
-    """The memoized rewriter for one (group, n); reduce() shares one per process.
-
-    ``_reduce_monomial`` drives the rewriting steps with an explicit stack,
-    so the depth of a rewrite is bounded by memory, not by Python's recursion
-    limit.  Each step is a generator (``_steps``) that yields the (level,
-    monomial) decompositions it needs and receives their triples.
-    """
-
-    def __init__(self, group: str, n: int):
-        self.group = group
-        self.n = n
-        self.memo: dict[tuple[int, Monomial], tuple[Term, ...]] = {}
-        # (rank, s'-exponent) -> mixed-ring image as (E-exponent, s-exponent, coeff)
-        self.images: dict[tuple[int, Monomial], tuple[tuple[int, Monomial, int], ...]] = {}
-        self.powers: dict[tuple[int, int], list[dict[Monomial, int]]] = {}
-
-    def _reduce_monomial(self, level: int, mono: Monomial) -> tuple[Term, ...]:
-        """Decompose one monomial at the given level into (basis mono, s-exponent, coeff).
-
-        ``level`` counts peeled variables: the active variables are
-        e_{level+1}..e_n and s-exponents belong to weyl.invariant_ring(group, n-level).
-        """
-        memo = self.memo
-        root = (level, mono)
-        if root in memo:
-            return memo[root]
-        stack = [(root, self._steps(level, mono))]
-        value = None
-        while stack:
-            key, steps = stack[-1]
-            try:
-                request = steps.send(value)
-            except StopIteration as done:
-                memo[key] = value = done.value
-                stack.pop()
-                continue
-            value = memo.get(request)
-            if value is None:
-                stack.append((request, self._steps(*request)))
-        return memo[root]
-
-    def _image(self, rank: int, sprime: Monomial) -> tuple[tuple[int, Monomial, int], ...]:
-        """The mixed-ring image of the tail monomial s'^sprime at a level of this rank."""
-        key = (rank, sprime)
-        image = self.images.get(key)
-        if image is None:
-            terms = {(0,) * (rank + 1): 1}
-            for i, e in enumerate(sprime, 1):
-                if e:
-                    terms = _mul_terms(terms, self._power(rank, i, e))
-            image = tuple((m[0], m[1:], c) for m, c in terms.items())
-            self.images[key] = image
-        return image
-
-    def _power(self, rank: int, i: int, e: int) -> dict[Monomial, int]:
-        powers = self.powers.get((rank, i))
-        if powers is None:
-            powers = [{(0,) * (rank + 1): 1}, _sprime_generator(rank, i)]
-            self.powers[(rank, i)] = powers
-        while len(powers) <= e:
-            powers.append(_mul_terms(powers[-1], powers[1]))
-        return powers[e]
-
-    def _steps(self, level: int, mono: Monomial):
-        group, n = self.group, self.n
-        rank = n - level
-        if rank == 0:
-            return ((mono, (), 1),)
-
-        a = mono[level]
-        acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
-        power = weyl.witness_power(group, rank)
-
-        if a >= power:
-            # degree-lowering witness: e_{level+1}^power = sum cofactor * invariant
-            units = [(0,) * i + (1,) + (0,) * (rank - i - 1) for i in range(rank)]
-            rest = _with_exponent(mono, level, a - power)
-            for unit, wit in zip(units, _witness_shifted(group, n, level)):
-                for wexpo, wcoeff in wit:
-                    sub = yield (level, tuple(map(add, wexpo, rest)))
-                    _add_scaled(acc, sub, unit, wcoeff)
-            return tuple((b, s, c) for (b, s), c in acc.items())
-
-        tail = yield (level + 1, _with_exponent(mono, level, 0))
-
-        # the tail's coefficients, grouped per tail basis monomial
-        alphas: dict[Monomial, dict[Monomial, Coefficient]] = {}
-        for bprime, s, c in tail:
-            alphas.setdefault(bprime, {})[s] = c
-
-        for bprime, alpha in alphas.items():
-            # re-express through this level's invariants, (E-exponent, s-exponent) -> coeff
-            if group == "B":
-                parts = [(alpha, False)]
-            else:
-                tilde, hat = _split_t_parity(alpha)
-                parts = [(tilde, False), (hat, True)]
-            for part, has_tprime in parts:
-                mixed: dict[tuple[int, Monomial], Coefficient] = {}
-                for sprime, coeff in part.items():
-                    for l, s, c in self._image(rank, sprime):
-                        _add_term(mixed, (l, s), c * coeff)
-                for (l, s), mcoeff in mixed.items():
-                    A = a + l
-                    if not has_tprime:
-                        if A < power:
-                            _add_term(acc, (_with_exponent(bprime, level, A), s), mcoeff)
-                        else:
-                            sub = yield (level, _with_exponent(bprime, level, A))
-                            _add_scaled(acc, sub, s, mcoeff)
-                    elif A == 0:
-                        # u = e_{level+2} .. e_n joins the basis monomial
-                        tailprod = bprime[: level + 1] + tuple(e + 1 for e in bprime[level + 1 :])
-                        _add_term(acc, (tailprod, s), mcoeff)
-                    else:
-                        # carry t = e_{level+1} * t' out into the coefficient
-                        sub = yield (level, _with_exponent(bprime, level, A - 1))
-                        _add_scaled(acc, sub, s[:-1] + (s[-1] + 1,), mcoeff)
-        return tuple((b, s, c) for (b, s), c in acc.items())
-
-
-@lru_cache(maxsize=None)
-def _rewriter(group: str, n: int) -> _Rewriter:
-    return _Rewriter(group, n)
-
-
 def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
-    """Exact decomposition of p over the spanning basis, invariant coefficients."""
+    """Exact decomposition of p over the spanning basis, invariant coefficients.
+
+    All divisions of one call, the changes of basis it builds included,
+    share one Groebner step budget (SLCC_BUDGET); the tracked basis of the
+    coinvariant ideal is built once per (group, n) under a budget of its own.
+    """
     ring = weyl.e_ring(n)
     if not p.ring.compatible_with(ring):
         raise RingMismatchError(f"polynomial must live in Z[e_1..e_{n}] with degree-2 variables")
     cring = weyl.invariant_ring(group, n)
-    rewriter = _rewriter(group, n)
-    zero = (0,) * n
-    acc: dict[tuple[Monomial, Monomial], Coefficient] = {}
-    for mono, coeff in p.terms.items():
-        _add_scaled(acc, rewriter._reduce_monomial(0, mono), zero, coeff)
-    coeffs: dict[Monomial, dict[Monomial, Coefficient]] = {}
-    for (b, s), c in acc.items():
-        coeffs.setdefault(b, {})[s] = c
-    terms = {b: Polynomial(cring, t) for b, t in coeffs.items()}
+    divide = tracked_division(_reversed_ideal(group, n))
+    units = [tuple(int(i == j) for j in range(len(cring))) for i in range(len(cring))]
+    beta = (0,) * len(cring)
+    waiting = {beta: _reversed(p.terms)}  # s-exponent -> reversed terms still to divide
+    heap = [(0, beta)]  # (degree of s^beta, beta)
+    coords: dict[Monomial, dict[Monomial, Coefficient]] = {}
+    changes: dict[int, dict] = {}  # exponent sum -> _change_of_basis
+    while heap:
+        degree, beta = heapq.heappop(heap)
+        cofactors, remainder = divide(waiting.pop(beta))
+        for m, c in remainder.items():
+            m = m[::-1]
+            if _in_basis(group, n, m):
+                x = {m: 1}
+            else:
+                k = sum(m)
+                if k not in changes:
+                    changes[k] = _change_of_basis(group, n, k, divide)
+                x, extra = changes[k][m]
+                for cofactor, e in zip(cofactors, extra):
+                    _add_scaled(cofactor, e, c)
+            for b, xb in x.items():
+                _add_scaled(coords.setdefault(b, {}), {beta: xb}, c)
+        for unit, unit_degree, cofactor in zip(units, cring.degrees, cofactors):
+            if cofactor:
+                key = tuple(map(add, beta, unit))
+                if key in waiting:
+                    _add_scaled(waiting[key], cofactor, 1)
+                else:
+                    waiting[key] = cofactor
+                    heapq.heappush(heap, (degree + unit_degree, key))
+    terms = {b: Polynomial(cring, t) for b, t in coords.items() if t}
     return SpanDecomposition(group=group, n=n, target=p, terms=terms)
 
 

@@ -16,8 +16,7 @@ combinations of the invariant generators:
     e_1^{2n-1} = sum_{i<n} wit_h_i * s_i + wit_h_n * t
 
 This module owns the Weyl-group data every other module reads: the witness
-exponent (witness_power, which spanning's rewriter and bases are bounded
-by), the group orders (group_order), and the abstract invariant ring
+exponent (witness_power, which bounds the spanning bases), the group orders (group_order), and the abstract invariant ring
 Z[s_1..s_n] resp. Z[s_1..s_{n-1}, t] (invariant_ring), in which spanning
 decompositions take their coefficients and InvariantGenerators names its
 generators.
@@ -215,8 +214,8 @@ def coinvariant_ideal(group: str, n: int) -> Ideal:
 def witness_power(group: str, rank: int) -> int:
     """The witness exponent: e_1^{2r} (B) resp. e_1^{2r-1} (D) lies in the invariant ideal.
 
-    Spanning rewrites lower every exponent of e_1 that reaches it, and the
-    spanning bases stop one below it.
+    The spanning bases stop one below it: e_i below the witness exponent of
+    rank n+1-i.
     """
     _check_group(group)
     return 2 * rank if group == "B" else 2 * rank - 1

@@ -231,3 +231,49 @@ def test_add_sub_match_normalized_dict_sum(p, q):
         assert {e: type(c) for e, c in result.terms.items()} == {
             e: type(c) for e, c in expected.items()
         }
+
+
+def _substitute_per_term(p, mapping, target):
+    """The per-term substitution: each power taken by ``**``, one sum per term."""
+    images = {}
+    for name, image in mapping.items():
+        if not isinstance(image, Polynomial):
+            image = Polynomial.constant(target, image)
+        images[p.ring.index(name)] = image
+    result = Polynomial.zero(target)
+    for expo, coeff in p.terms.items():
+        term = Polynomial.constant(target, coeff)
+        for i, e in enumerate(expo):
+            if e:
+                if i not in images:  # missing="identity"
+                    images[i] = Polynomial.variable(target, p.ring.names[i])
+                term = term * images[i] ** e
+        result = result + term
+    return result
+
+
+@st.composite
+def _substitutions(draw):
+    """A polynomial in e1, e2, e and images in Z[e1, e2]; e1, e2 may stay unmapped."""
+    source = Polynomial(R_EE, {
+        tuple(draw(st.integers(0, 6)) for _ in R_EE.vars): draw(mixed_coeffs)
+        for _ in range(draw(st.integers(0, 6)))
+    })
+    image = st.one_of(mixed_coeffs, mixed_polys())
+    mapping = {"e": draw(image)}
+    for name in ("e1", "e2"):
+        if draw(st.booleans()):
+            mapping[name] = draw(image)
+    return source, mapping
+
+
+@settings(max_examples=100)
+@given(_substitutions())
+def test_substitute_matches_per_term_powers(case):
+    p, mapping = case
+    got = p.substitute(mapping, ring=R2, missing="identity")
+    expected = _substitute_per_term(p, mapping, R2)
+    assert got.terms == expected.terms
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in expected.terms.items()
+    }

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slcc import weyl
+from slcc import spanning, weyl
 from slcc.polyring import Polynomial, RingSpec, parse_poly
 from slcc.spanning import basis, expand, reduce as span_reduce, verify_free
 
@@ -145,6 +145,42 @@ def test_uniqueness_on_basis_monomials():
             assert list(terms) == [mono]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_reversed_order_standard_monomials_are_the_type_B_basis(n):
+    # reduce() reads type-B coordinates straight off the remainders of this
+    # division, so its standard monomials must be the spanning basis
+    from slcc.groebner import Ideal, groebner_basis, standard_monomials
+
+    ring = RingSpec.make((f"e{i}", 2) for i in range(n, 0, -1))
+    gens = [
+        Polynomial(ring, {m[::-1]: c for m, c in g.terms.items()})
+        for g in weyl.invariant_generators("B", n).gens
+    ]
+    G = groebner_basis(Ideal.make(ring, gens))
+    # the top basis monomial has degree 2n^2; the quotient has no higher degree
+    std = {m[::-1] for m in standard_monomials(G, 2 * n * n)}
+    assert std == set(basis("B", n).monomials)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_reduce_never_builds_the_basis(group, monkeypatch):
+    # basis(B, 7) has 645120 monomials; reduce() needs only the degrees it meets
+    def no_basis(*args):
+        raise AssertionError("reduce() built the spanning basis")
+
+    monkeypatch.setattr(spanning, "basis", no_basis)
+    ring = weyl.e_ring(7)
+    for text in ("e1^3", "e1^2*e7", "e7^2", "e1^3*e7^3"):
+        p = parse_poly(text, ring)
+        dec = span_reduce(p, group, 7)
+        assert expand(dec) == p
+        assert _printed(ring, dec.terms) == _printed(ring, _reference_reduce(p, group, 7))
+
+
+def _printed(ring, terms):
+    return sorted((ring.monomial_text(m), str(c)) for m, c in terms.items())
+
+
 def _evaluate(p, values):
     """p at an integer point, exactly; ``values`` follow p.ring's variable order."""
     total = 0
@@ -156,11 +192,12 @@ def _evaluate(p, values):
     return total
 
 
-@pytest.mark.parametrize("group,n,k", [("B", 2, 2000), ("D", 1, 3000)])
+@pytest.mark.parametrize("group,n,k", [("B", 2, 2000), ("D", 1, 3000), ("D", 2, 600)])
 def test_reduce_deep_input(group, n, k):
-    # each rewrite of e1^k waits on the one of e1^(k-threshold): a chain far
-    # deeper than the interpreter's recursion limit.  expand() is cubic in k,
-    # so the identity is checked at integer points instead.
+    # the decomposition passes through every invariant monomial up to degree
+    # 2k, far more than the interpreter's recursion limit would allow as
+    # nested calls; the identity is checked at integer points, which is
+    # cheaper than expand() at this size.
     ring = weyl.e_ring(n)
     p = Polynomial.variable(ring, "e1") ** k
     dec = span_reduce(p, group, n)
