@@ -38,8 +38,9 @@ A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
 division on its own, and as a whole to each half of ideal_equal (the
 truncated run and the divisions of the other side's generators) and to all
-divisions made through one function that tracked_division returns.  It turns a
-runaway computation into a distinct BudgetExceededError instead of a hang.
+divisions made through one function that tracked_division returns.  It
+turns a runaway computation into a distinct BudgetExceededError instead of
+a hang.
 """
 
 from __future__ import annotations

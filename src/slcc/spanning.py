@@ -199,7 +199,8 @@ def _change_of_basis(group: str, n: int, k: int, divide) -> dict:
         diff = {m[::-1]: 1}
         _add_scaled(diff, _reversed(x), -1)
         cofactors, remainder = divide(diff)
-        assert not remainder, "a change of basis left the ideal"
+        if remainder:
+            raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
         out[m] = (x, cofactors)
     return out
 

@@ -16,10 +16,10 @@ combinations of the invariant generators:
     e_1^{2n-1} = sum_{i<n} wit_h_i * s_i + wit_h_n * t
 
 This module owns the Weyl-group data every other module reads: the witness
-exponent (witness_power, which bounds the spanning bases), the group orders (group_order), and the abstract invariant ring
-Z[s_1..s_n] resp. Z[s_1..s_{n-1}, t] (invariant_ring), in which spanning
-decompositions take their coefficients and InvariantGenerators names its
-generators.
+exponent (witness_power, which bounds the spanning bases), the group orders
+(group_order), and the abstract invariant ring Z[s_1..s_n] resp.
+Z[s_1..s_{n-1}, t] (invariant_ring), in which spanning decompositions take
+their coefficients and InvariantGenerators names its generators.
 
 The cofactors are produced by extended normal-form reduction against the
 Groebner basis of the invariant ideal (grevlex, e_1 > ... > e_n), which fixes

@@ -213,10 +213,11 @@ def test_reduce_deep_input(group, n, k):
         assert rhs == _evaluate(p, point)
 
 
-# -- the Polynomial-valued rewriter that the flat-term one replaced ----------
+# -- the inductive proof, followed literally --------------------------------
 #
-# Kept as the reference for the differential test below: every coefficient is
-# a Polynomial, and the tail's invariants are converted with substitute().
+# The reference for the differential tests: witness shifts, the tail's
+# invariants converted with substitute(), and a t'-parity split in type D,
+# with every coefficient a Polynomial; no step of it is one reduce() takes.
 
 
 @lru_cache(maxsize=None)
