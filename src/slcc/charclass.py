@@ -65,12 +65,6 @@ class SplitBundle:
         """The dual bundle.  Rank-2 pieces are self-dual, so this is the identity."""
         return self
 
-    def with_nowhere_vanishing_section(self) -> SplitBundle:
-        """Append the trivial line a nowhere vanishing section splits off."""
-        if self.odd_part:
-            raise ValueError("already carries a trivial summand")
-        return SplitBundle(self.euler_symbols, True, self.orientation)
-
     @staticmethod
     def standard(k: int, odd_part: bool = False, orientation: int = 1) -> SplitBundle:
         return SplitBundle(tuple(f"e{i}" for i in range(1, k + 1)), odd_part, orientation)

@@ -34,6 +34,10 @@ polynomial is a term dict updated in place, the pending monomials sit in a
 heap under a grevlex key computed once per monomial, and quotients stay
 term dicts unless a caller needs them as polynomials.
 
+staircase_echelon, the one exact echelon over Q, decides whether monomials
+are independent modulo an ideal and divides only those in its leading
+ideal.  verify_presentation and spanning's type-D change of basis read it.
+
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
 division on its own, and as a whole to each half of ideal_equal (the
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
@@ -60,12 +65,14 @@ __all__ = [
     "DEFAULT_BUDGET",
     "GroebnerBasis",
     "Ideal",
+    "echelon_reduce",
     "groebner_basis",
     "ideal_equal",
     "member_with_cofactors",
     "normal_form",
     "primitive_integer",
     "quotient_hilbert",
+    "staircase_echelon",
     "standard_monomials",
     "tracked_division",
 ]
@@ -486,6 +493,64 @@ def _contains(ideal: Ideal, polys: tuple[Polynomial, ...]) -> bool:
         top = max(p.homogeneous_degree() for p in polys)
         G = _buchberger(ideal, track=False, max_degree=top, engine=engine)
     return all(not engine.divide(p, G._divisors)[1] for p in polys)
+
+
+def echelon_reduce(row: dict, pivots: dict):
+    """Reduce the row in place by the pivot rows until its leading column has none.
+
+    Returns that column (the greatest key left in the row), or None when the
+    row reduces to zero.  Each pivot row is monic and keyed by its leading
+    column.
+    """
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return lead
+        factor = row[lead]
+        for m, c in pivot.items():
+            c = row.get(m, 0) - factor * c
+            if c:
+                row[m] = c
+            else:
+                del row[m]
+    return None
+
+
+def staircase_echelon(G: GroebnerBasis, members: Sequence[Monomial], divide, carry: bool = False):
+    """Echelon form of the members' normal forms, off the members' columns.
+
+    A member outside G's leading-monomial ideal (on the staircase) is its
+    own normal form, so only the others, the outliers, are divided, by
+    ``divide(m)``: the normal form of the monomial m as a term dict, under
+    the caller's budget.  The members are independent modulo the ideal
+    exactly when they are distinct and the outliers' rows stay independent
+    over Q.  Returns None when they are dependent, and otherwise the monic
+    pivot rows keyed by their leading columns.
+
+    Columns off the members are keyed (True, m).  With ``carry`` a row also
+    keeps its part on the members, keyed (False, m) to sort below them: the
+    row of an outlier o is NF(o) - o, in the ideal, so echelon_reduce turns
+    {(True, m): 1} into the members' combination that m equals modulo it.
+    """
+    member_set = set(members)
+    if len(member_set) < len(members):
+        return None
+    leads = G.leading_monomials()
+    pivots: dict[tuple[bool, Monomial], dict] = {}
+    for o in members:
+        if not any(_monomial_divides(lm, o) for lm in leads):
+            continue  # on the staircase
+        nf = divide(o).items()
+        row = {(m not in member_set, m): c for m, c in nf if carry or m not in member_set}
+        if carry:
+            row[(False, o)] = -1
+        lead = echelon_reduce(row, pivots)
+        if lead is None or not lead[0]:
+            return None
+        inv = Fraction(1) / row[lead]
+        pivots[lead] = {key: c * inv for key, c in row.items()}
+    return pivots
 
 
 def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):

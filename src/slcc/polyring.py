@@ -269,9 +269,6 @@ class Polynomial:
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) for c in self._terms.values())
 
-    def constant_coefficient(self) -> Coefficient:
-        return self._terms.get((0,) * len(self.ring), 0)
-
     def variables_present(self) -> set[str]:
         names = self.ring.names
         present: set[str] = set()

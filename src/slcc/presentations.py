@@ -31,8 +31,9 @@ verify_presentation() certifies a presentation up to a degree bound: the
 quotient's Hilbert function must factor as (free module over the parameter
 ring) x (declared basis degrees), the same series.free_module_series test
 that spanning.verify_free runs, and the declared basis must be linearly
-independent in the quotient.  Group orders, invariant generators and the
-classes of A(BSL_N) are read from weyl.
+independent in the quotient, which groebner.staircase_echelon decides by
+dividing only the declared monomials that are not standard.  Group orders,
+the coinvariant ideals and the classes of A(BSL_N) are read from weyl.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import inspect
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -52,6 +52,7 @@ from .groebner import (
     ideal_equal,
     normal_form,
     quotient_hilbert,
+    staircase_echelon,
     standard_monomials,
 )
 from .polyring import Monomial, Polynomial, RingSpec
@@ -289,12 +290,11 @@ def present_max_flag(N: int) -> Presentation:
         raise ValueError("N must be >= 2")
     n = N // 2
     group = "D" if N % 2 == 0 else "B"
-    inv = weyl.invariant_generators(group, n)
-    ring = weyl.e_ring(n)
+    ideal = weyl.coinvariant_ideal(group, n)
     return Presentation(
         descriptor=_descriptor("max_flag", N=N, group=group, n=n, coefficient_vars=[]),
-        ring=ring,
-        ideal=Ideal.make(ring, inv.gens),
+        ring=ideal.ring,
+        ideal=ideal,
         basis_source=lambda: spanning.basis(group, n).monomials,
         coefficient_vars=(),
     )
@@ -424,47 +424,16 @@ class PresentationReport:
         }
 
 
-def _independent_over_q(polys: list[Polynomial]) -> bool:
-    """Whether the polynomials are linearly independent over Q (exact).
-
-    A sparse echelon: each polynomial's term map is reduced against the pivot
-    rows found so far, one monic row per leading monomial (the greatest
-    exponent tuple).  A row that reduces to zero is dependent, so a zero
-    polynomial makes the answer False.  Rows with disjoint supports never
-    touch each other, so homogeneous rows of different degrees are
-    eliminated block by block for free.
-    """
-    pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for p in polys:
-        row = {m: Fraction(c) for m, c in p.terms.items()}
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = 1 / row[lead]
-                pivots[lead] = {m: c * inv for m, c in row.items()}
-                break
-            factor = row[lead]
-            for m, c in pivot.items():
-                c = row.get(m, 0) - factor * c
-                if c:
-                    row[m] = c
-                else:
-                    del row[m]
-        else:
-            return False
-    return True
-
-
 def verify_presentation(pres: Presentation, max_degree: int) -> PresentationReport:
     """Certify the declared basis up to max_degree via Groebner normal forms.
 
     Checks: (1) the quotient's Hilbert function equals the parameter ring's
     Hilbert series times the declared basis degrees; (2) the declared basis
-    monomials have nonzero normal forms that are linearly independent over Q,
-    decided exactly by a sparse echelon (_independent_over_q).  The basis is
-    built without representations, which no check reads.  Budget exhaustion
-    is reported distinctly from a mathematical failure.
+    monomials are linearly independent in the quotient, decided exactly by
+    groebner.staircase_echelon: only the monomials in the leading-monomial
+    ideal are normal-formed, each under a step budget of its own.  The basis
+    is built without representations, which no check reads.  Budget
+    exhaustion is reported distinctly from a mathematical failure.
     """
     checks: list[tuple[str, bool, str]] = []
     hilbert: tuple[int, ...] = ()
@@ -476,7 +445,11 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
         _, mismatch = series.free_module_series(hilbert, coeff_degrees, basis_degrees, max_degree)
         detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
         checks.append(("hilbert_factorization", mismatch is None, detail))
-        nfs = [normal_form(Polynomial.monomial(pres.ring, m), G) for m in pres.declared_basis]
+        pivots = staircase_echelon(
+            G,
+            pres.declared_basis,
+            lambda m: normal_form(Polynomial.monomial(pres.ring, m), G).terms,
+        )
     except BudgetExceededError as exc:
         # the basis ran out before any check was made, the normal forms after
         name = "normal_form_budget" if checks else "groebner_budget"
@@ -487,7 +460,7 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
             checks=(*checks, (name, False, str(exc))),
             budget_exceeded=True,
         )
-    independent = _independent_over_q(nfs)
+    independent = pivots is not None
     checks.append(
         (
             "basis_independent_in_quotient",

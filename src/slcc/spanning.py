@@ -18,8 +18,10 @@ through one tracked division (groebner.tracked_division):
   and multiplied by s_i (or t).
 * In type B the standard monomials are exactly the basis.  In type D (n >= 3)
   some are not; each of those is rewritten as basis monomials plus an
-  element of I, by an exact change of basis over Q in its degree, which a
-  call builds the first time one of its remainders reaches that degree.
+  element of I, by an exact change of basis over Q in its degree
+  (groebner.staircase_echelon over the basis monomials of that degree),
+  which a call builds the first time one of its remainders reaches that
+  degree.
 
 The work is a heap of invariant monomials s^beta in increasing degree, each
 holding the terms still to be divided at it: one division per s^beta, whose
@@ -37,12 +39,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, le
 
 from . import series, weyl
-from .groebner import Ideal, tracked_division
+from .groebner import Ideal, echelon_reduce, groebner_basis, staircase_echelon, tracked_division
 from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
 
 __all__ = [
@@ -127,7 +128,7 @@ def _reversed(terms: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]
 def _reversed_ideal(group: str, n: int) -> Ideal:
     """The coinvariant ideal in Z[e_n, ..., e_1]: grevlex with the variables reversed."""
     ring = RingSpec.make((f"e{i}", 2) for i in range(n, 0, -1))
-    gens = weyl.invariant_generators(group, n).gens
+    gens = weyl.coinvariant_ideal(group, n).generators
     return Ideal(ring, tuple(Polynomial(ring, _reversed(g.terms)) for g in gens))
 
 
@@ -158,50 +159,31 @@ def _change_of_basis(group: str, n: int, k: int, divide) -> dict:
 
     m == sum_b x[b] * e^b + sum_i c[i] * g_i, with x over the basis monomials
     of that degree and c reversed term dicts over the invariant generators
-    g_i.  Modulo the ideal, a basis monomial b that is not standard equals
-    its normal form, so the part of NF(b) outside the basis equals b minus
-    the part inside; Gauss-Jordan over Q on these rows solves for each
-    standard monomial outside the basis, and ``divide`` yields the cofactors
-    of what is left, which lies in the ideal.
+    g_i.  The basis monomials of that degree are the members of a staircase
+    echelon whose rows carry their part on the members; reducing m by its
+    pivots leaves x, and ``divide`` yields the cofactors of m - x, which
+    lies in the ideal.
     """
-    rows: dict[Monomial, tuple[dict, dict]] = {}  # pivot -> (outside part, combination)
+    members = []
     for combo in itertools.combinations_with_replacement(range(n), k):
         b = tuple(map(combo.count, range(n)))
-        if not _in_basis(group, n, b):
-            continue
-        nf = _reversed(divide({b[::-1]: 1})[1])
-        if nf == {b: 1}:
-            continue
-        row, comb = {}, {b: 1}
-        for m, c in nf.items():
-            if _in_basis(group, n, m):
-                comb[m] = -c
-            else:
-                row[m] = c
-        for pivot, (prow, pcomb) in rows.items():
-            c = row.get(pivot)
-            if c:
-                _add_scaled(row, prow, -c)
-                _add_scaled(comb, pcomb, -c)
-        # the basis is free, so these rows stay independent: row is not empty
-        pivot = next(iter(row))
-        scale = Fraction(1) / row[pivot]
-        row = {m: c * scale for m, c in row.items()}
-        comb = {m: c * scale for m, c in comb.items()}
-        for prow, pcomb in rows.values():
-            c = prow.get(pivot)
-            if c:
-                _add_scaled(prow, row, -c)
-                _add_scaled(pcomb, comb, -c)
-        rows[pivot] = (row, comb)
+        if _in_basis(group, n, b):
+            members.append(b[::-1])
+    G = groebner_basis(_reversed_ideal(group, n))
+    pivots = staircase_echelon(G, members, lambda m: divide({m: 1})[1], carry=True)
+    # the basis is free, so the members are independent and every standard
+    # monomial of degree k outside the basis leads a pivot row
     out = {}
-    for m, (_, x) in rows.items():
-        diff = {m[::-1]: 1}
-        _add_scaled(diff, _reversed(x), -1)
+    for lead in pivots:
+        row = {lead: 1}
+        echelon_reduce(row, pivots)
+        x = {b: c for (_, b), c in row.items()}
+        diff = {lead[1]: 1}
+        _add_scaled(diff, x, -1)
         cofactors, remainder = divide(diff)
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
-        out[m] = (x, cofactors)
+        out[lead[1][::-1]] = (_reversed(x), cofactors)
     return out
 
 

@@ -141,12 +141,3 @@ def test_duality_is_invisible():
     b = cc.SplitBundle(("e1", "e2"))
     assert b.dual() == b
     assert cc.euler(b.dual()) == cc.euler(b)
-
-
-def test_nowhere_vanishing_section_kills_euler():
-    b = cc.SplitBundle(("e1", "e2"))
-    sectioned = b.with_nowhere_vanishing_section()
-    assert sectioned.rank == 5
-    assert cc.euler(sectioned).is_zero()
-    with pytest.raises(ValueError):
-        sectioned.with_nowhere_vanishing_section()

@@ -213,7 +213,8 @@ def test_unknown_flag_exits_two(capsys):
 
 def test_budget_exhaustion_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("SLCC_BUDGET", "2")
-    # a fresh ideal text so no memoized basis can satisfy the request
+    # an empty basis cache: other tests may have memoized this ideal's basis
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     code, _, err = run(
         capsys,
         "ideal",

@@ -1,6 +1,8 @@
 """Presentation builders, their verification, and the coherence theorems."""
 
 import dataclasses
+import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -286,13 +288,140 @@ def _row_lists(draw):
     return polys
 
 
+_R3 = RingSpec.make([("e1", 2), ("e2", 2), ("z", 2)])
+
+
+def _echelon_independent(polys, carry):
+    """The staircase echelon's verdict on rows in e1, e2.
+
+    Member z^i lies in the ideal (z), so it is an outlier, and the division
+    hands it the row polys[i-1]; its own column z^i is in no row.
+    """
+    G = groebner.groebner_basis(Ideal.make(_R3, [Polynomial.variable(_R3, "z")]))
+    members = [(0, 0, i) for i in range(1, len(polys) + 1)]
+    rows = {m: {(a, b, 0): c for (a, b), c in p.terms.items()} for m, p in zip(members, polys)}
+    return groebner.staircase_echelon(G, members, rows.__getitem__, carry) is not None
+
+
 @settings(max_examples=100, deadline=None)
 @given(_row_lists())
 def test_independence_matches_sympy_rank(polys):
     support = sorted({m for p in polys for m in p.terms})
     entries = [sympy.Rational(p.terms.get(m, 0)) for p in polys for m in support]
     matrix = sympy.Matrix(len(polys), len(support), entries)
-    assert pr._independent_over_q(polys) == (matrix.rank() == len(polys))
+    independent = matrix.rank() == len(polys)
+    assert _echelon_independent(polys, carry=False) == independent
+    assert _echelon_independent(polys, carry=True) == independent
+    assert _reference_independent(polys) == independent
+
+
+def _reference_independent(polys: list[Polynomial]) -> bool:
+    """Whether the polynomials are linearly independent over Q (exact).
+
+    The full-matrix echelon that verify_presentation ran on every declared
+    monomial's normal form before it divided only the outliers.
+    """
+    pivots: dict = {}
+    for p in polys:
+        row = {m: Fraction(c) for m, c in p.terms.items()}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {m: c * inv for m, c in row.items()}
+                break
+            factor = row[lead]
+            for m, c in pivot.items():
+                c = row.get(m, 0) - factor * c
+                if c:
+                    row[m] = c
+                else:
+                    del row[m]
+        else:
+            return False
+    return True
+
+
+def _normal_form(pres, m) -> Polynomial:
+    G = groebner.groebner_basis(pres.ideal)
+    return groebner.normal_form(Polynomial.monomial(pres.ring, m), G)
+
+
+def _is_outlier(pres, m) -> bool:
+    """Whether the monomial m lies in the leading-monomial ideal of pres."""
+    leads = groebner.groebner_basis(pres.ideal).leading_monomials()
+    return any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+
+
+@pytest.mark.parametrize(
+    "kind,params,outliers,size",
+    [
+        ("partial_flag", dict(m=3, n=5, parity="odd"), 192, 480),
+        ("max_flag", dict(N=9), 320, 384),
+    ],
+)
+def test_verify_divides_only_the_outliers(kind, params, outliers, size, monkeypatch):
+    divided = []
+    normal_form = pr.normal_form
+
+    def counted(p, G):
+        divided.append(p)
+        return normal_form(p, G)
+
+    monkeypatch.setattr(pr, "normal_form", counted)
+    pres = pr.build(kind, **params)
+    assert pr.verify_presentation(pres, 24).passed
+    assert len(pres.declared_basis) == size
+    assert sum(_is_outlier(pres, m) for m in pres.declared_basis) == outliers
+    assert len(divided) == len(set(divided)) == outliers
+
+
+def _first(pres, outlier: bool) -> int:
+    """Index of the first declared monomial that is (or is not) an outlier."""
+    return next(i for i, m in enumerate(pres.declared_basis) if _is_outlier(pres, m) == outlier)
+
+
+def _repeat_standard(basis, pres):
+    basis[-1] = basis[_first(pres, outlier=False)]
+
+
+def _repeat_outlier(basis, pres):
+    i = _first(pres, outlier=True)
+    basis[i - 1 if i else i + 1] = basis[i]
+
+
+def _swap_into_ideal(basis, pres):
+    # the quotient has finite rank, so some monomial lies in the ideal
+    nvars = len(pres.ring)
+    for d in itertools.count(1):
+        for combo in itertools.combinations_with_replacement(range(nvars), d):
+            m = tuple(map(combo.count, range(nvars)))
+            if _normal_form(pres, m).is_zero():
+                basis[_first(pres, outlier=True)] = m
+                return
+
+
+@pytest.mark.parametrize("swap", [_repeat_standard, _repeat_outlier, _swap_into_ideal])
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("sgr2", dict(n=2, parity="even")),
+        ("partial_flag", dict(m=2, n=3, parity="odd")),
+        ("partial_flag_alt", dict(m=2, n=4, parity="even")),
+        ("max_flag", dict(N=8)),
+    ],
+)
+def test_planted_dependent_basis_fails(kind, params, swap):
+    pres = pr.build(kind, **params)
+    basis = list(pres.declared_basis)
+    swap(basis, pres)
+    planted = dataclasses.replace(pres, basis_source=tuple(basis))
+    rep = pr.verify_presentation(planted, 24)
+    checks = {name: ok for name, ok, _ in rep.checks}
+    assert checks["basis_independent_in_quotient"] is False
+    assert not rep.passed and not rep.budget_exceeded
+    assert not _reference_independent([_normal_form(pres, m) for m in planted.declared_basis])
 
 
 def test_report_schema_key_order():
@@ -362,3 +491,12 @@ def _presentable_matrix():
 def test_every_presentable_descriptor_verifies_at_24(kind, params):
     rep = pr.verify_presentation(pr.build(kind, **params), 24)
     assert rep.passed, (kind, params, rep.checks)
+
+
+@pytest.mark.parametrize("kind,params", _presentable_matrix())
+def test_staircase_verdict_matches_full_echelon(kind, params):
+    pres = pr.build(kind, **params)
+    G = groebner.groebner_basis(pres.ideal)
+    nfs = {m: _normal_form(pres, m) for m in pres.declared_basis}
+    verdict = groebner.staircase_echelon(G, pres.declared_basis, lambda m: nfs[m].terms)
+    assert (verdict is not None) == _reference_independent(list(nfs.values()))

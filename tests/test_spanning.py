@@ -1,7 +1,11 @@
 """Spanning sets and the constructive rewriting over the invariant rings."""
 
+import hashlib
 import random
+import runpy
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,7 +131,7 @@ def test_reduce_agrees_with_groebner_in_the_coinvariant_quotient():
             dec = span_reduce(p, group, n)
             constant_part = Polynomial.zero(ring)
             for mono, coeff in dec.terms.items():
-                c0 = coeff.constant_coefficient()
+                c0 = coeff.terms.get((0,) * len(coeff.ring), 0)
                 if c0:
                     constant_part = constant_part + Polynomial.monomial(ring, mono, c0)
             assert normal_form(p, G) == normal_form(constant_part, G)
@@ -239,7 +243,7 @@ def _ref_sprime_image(group, rank, i):
 def _ref_convert_tail_coeff(alpha, group, rank):
     mixed = _ref_mixed_ring(group, rank)
     if not alpha.ring.vars:
-        return Polynomial.constant(mixed, alpha.constant_coefficient())
+        return Polynomial.constant(mixed, alpha.terms.get((), 0))
     mapping = {f"s{i}": _ref_sprime_image(group, rank, i) for i in range(1, len(alpha.ring) + 1)}
     return alpha.substitute(mapping, ring=mixed)
 
@@ -368,3 +372,17 @@ def test_reduce_matches_polynomial_valued_reference(case):
 
     assert printed(dec.terms) == printed(ref)
     assert expand(dec) == p
+
+
+_DUMP_SHA256 = "4b846926416c2a976b4ea47b36a298437293c2e7bf02018cdc42f8d32a19e936"
+
+
+def test_decomposition_dump_is_pinned(capsys, monkeypatch):
+    # scripts/dump_decompositions.py over its 310 fixed inputs, in process
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dump_decompositions.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 310
+    assert hashlib.sha256(out.encode()).hexdigest() == _DUMP_SHA256
+    assert err == f"310 decompositions, sha256 {_DUMP_SHA256}\n"
