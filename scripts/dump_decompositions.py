@@ -3,8 +3,9 @@
 The inputs cover types B and D for n = 1..5: every power e1^k with
 k <= 4n + 2, and sixteen seeded random polynomials per (group, n) whose
 exponents pass the witness thresholds.  Each line is the target followed by
-the decomposition in the order `slcc span reduce` prints it.  Two checkouts
-that print the same hash decompose every input identically.
+the decomposition in the order `slcc span reduce` prints it; each
+decomposition is expanded back to its target first.  Two checkouts that
+print the same hash decompose every input identically.
 
     PYTHONPATH=src python scripts/dump_decompositions.py [OUT]
 
@@ -44,6 +45,8 @@ def main() -> int:
     for group, n, p in inputs():
         ring = weyl.e_ring(n)
         dec = spanning.reduce(p, group, n)
+        if spanning.expand(dec) != p:
+            raise AssertionError(f"{group} {n} {p}: the decomposition does not expand back")
         items = sorted(dec.terms.items(), key=lambda kv: ring.sort_key(kv[0]))
         shown = " + ".join(f"({c}) * {ring.monomial_text(m)}" for m, c in items)
         line = f"{group} {n} {p} :: {shown}\n"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -127,12 +128,11 @@ class RingSpec:
         return self.vars == other.vars
 
     def monomial_degree(self, expo: Monomial) -> int:
-        degs = self.degrees
-        return sum(e * degs[i] for i, e in enumerate(expo) if e)
+        return sum(map(mul, expo, self._degrees))  # type: ignore[attr-defined]
 
     def sort_key(self, expo: Monomial):
         """Ascending grevlex key: larger key = larger monomial."""
-        return (self.monomial_degree(expo), tuple(-e for e in reversed(expo)))
+        return (self.monomial_degree(expo), tuple(map(neg, reversed(expo))))
 
     def monomial_text(self, expo: Monomial) -> str:
         factors = []
@@ -204,7 +204,8 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: RingSpec, value: Coefficient) -> Polynomial:
-        return Polynomial(ring, {(0,) * len(ring): value})
+        value = _normalize_coeff(value)
+        return Polynomial._trusted(ring, {(0,) * len(ring): value} if value else {})
 
     @staticmethod
     def one(ring: RingSpec) -> Polynomial:
@@ -214,7 +215,7 @@ class Polynomial:
     def variable(ring: RingSpec, name: str) -> Polynomial:
         expo = [0] * len(ring)
         expo[ring.index(name)] = 1
-        return Polynomial(ring, {tuple(expo): 1})
+        return Polynomial._trusted(ring, {tuple(expo): 1})
 
     @staticmethod
     def monomial(ring: RingSpec, expo: Monomial, coeff: Coefficient = 1) -> Polynomial:
@@ -329,16 +330,15 @@ class Polynomial:
         out: dict[Monomial, Coefficient] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
+                expo = tuple(map(add, ea, eb))
                 s = out.get(expo, 0) + ca * cb
                 if s == 0:
                     out.pop(expo, None)
                 else:
                     out[expo] = s
-        for expo in out:
-            for e in expo:
-                if e >= EXPONENT_LIMIT:
-                    raise ExponentOverflowError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
+        top = max(map(max, out)) if out and self.ring.vars else 0
+        if top >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
         return Polynomial._trusted(self.ring, {e: _normalize_coeff(c) for e, c in out.items()})
 
     __rmul__ = __mul__
@@ -354,6 +354,15 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def powers(self, exponents: Iterable[int]) -> Iterator[tuple[int, Polynomial]]:
+        """(e, self^e) for each positive e in ``exponents``, ascending, each from the one before."""
+        power, done = None, 0
+        for e in sorted(set(exponents) - {0}):
+            step = self if e - done == 1 else self ** (e - done)
+            power = step if power is None else power * step
+            yield e, power
+            done = e
 
     def map_coefficients(self, fn) -> Polynomial:
         return Polynomial(self.ring, {e: fn(c) for e, c in self._terms.items()})
@@ -399,21 +408,14 @@ class Polynomial:
                     raise UnmappedVariableError(f"variable {name!r} present but not mapped")
                 images[idx] = Polynomial.variable(target, name)
 
-        # each needed power of an image, built from the next lower needed one
-        powers: dict[tuple[int, int], Polynomial] = {}
-        for i, image in images.items():
-            power, done = Polynomial.one(target), 0
-            for e in sorted({expo[i] for expo in self._terms if expo[i]}):
-                power = power * image ** (e - done)
-                powers[(i, e)] = power
-                done = e
+        powers = {i: dict(image.powers(e[i] for e in self._terms)) for i, image in images.items()}
         one = {(0,) * len(target): 1}
         out: dict[Monomial, Coefficient] = {}
         for expo, coeff in self._terms.items():
             term = None
             for i, e in enumerate(expo):
                 if e:
-                    term = powers[(i, e)] if term is None else term * powers[(i, e)]
+                    term = powers[i][e] if term is None else term * powers[i][e]
             for m, c in (one if term is None else term._terms).items():
                 out[m] = out.get(m, 0) + coeff * c
         return Polynomial._trusted(target, {m: _normalize_coeff(c) for m, c in out.items() if c})
@@ -538,20 +540,25 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
+        # every term is added into one dict; coefficients are integer literals
+        out: dict[Monomial, Coefficient] = {}
         sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
             sign = -1 if value == "-" else 1
-        poly = self.term() * sign
         while True:
+            for expo, coeff in self.term()._terms.items():
+                s = out.get(expo, 0) + sign * coeff
+                if s:
+                    out[expo] = s
+                else:
+                    del out[expo]
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                nxt = self.term()
-                poly = poly + (nxt if value == "+" else -nxt)
-            else:
-                return poly
+            if not (kind == "op" and value in "+-"):
+                return Polynomial._trusted(self.ring, out)
+            self.advance()
+            sign = -1 if value == "-" else 1
 
     def term(self) -> Polynomial:
         poly = self.factor()
@@ -584,9 +591,10 @@ class _Parser:
         if kind == "int":
             return Polynomial.constant(self.ring, int(value))
         if kind == "name":
-            if value not in self.ring.names:
-                raise ParseError(f"unknown variable {value!r}", offset)
-            return Polynomial.variable(self.ring, value)
+            try:
+                return Polynomial.variable(self.ring, value)
+            except KeyError:
+                raise ParseError(f"unknown variable {value!r}", offset) from None
         if kind == "op" and value == "(":
             if self.depth == NESTING_LIMIT:
                 raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", offset)

@@ -234,15 +234,52 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
 
 
 def expand(dec: SpanDecomposition) -> Polynomial:
-    """Substitute the invariant generators back; must reproduce dec.target."""
+    """Substitute the invariant generators back; must reproduce dec.target.
+
+    One pass per call.  The coefficient terms are grouped by invariant
+    monomial s^alpha, and each needed power of each generator is built once
+    per call, from the next lower needed one.  The image of s^alpha is the
+    image of its exponent prefix times one power.  The alphas are visited in
+    lexicographic order, so those sharing a prefix are adjacent and the
+    images of the current alpha's prefixes are the whole memo: each distinct
+    prefix costs at most one product.  Every c * image(alpha) * e^b is added
+    into one term dict.
+    """
     ring = weyl.e_ring(dec.n)
-    inv = weyl.invariant_generators(dec.group, dec.n)
-    mapping = dict(zip(inv.names, inv.gens))
-    total = Polynomial.zero(ring)
-    for mono, coeff in dec.terms.items():
-        image = coeff.substitute(mapping, ring=ring)
-        total = total + image * Polynomial.monomial(ring, mono)
-    return total
+    gens = weyl.invariant_generators(dec.group, dec.n).gens
+    by_alpha: dict[Monomial, list[tuple[Monomial, Coefficient]]] = {}
+    for b, coeff in dec.terms.items():
+        for alpha, c in coeff.terms.items():
+            by_alpha.setdefault(alpha, []).append((b, c))
+    exponents = [{alpha[i] for alpha in by_alpha} for i in range(len(gens))]
+    # alpha[0] never decreases in lexicographic order, so the powers of s_1,
+    # whose exponents run highest, are held one at a time; the others' are
+    # kept for the whole call
+    leading = gens[0].powers(exponents[0])
+    powers = [{}] + [dict(g.powers(e)) for g, e in zip(gens[1:], exponents[1:])]
+    one = Polynomial.one(ring)
+    prefix = [one] * len(gens)  # prefix[k]: the image of alpha[:k + 1]
+    previous = None
+    out: dict[Monomial, Coefficient] = {}
+    for alpha in sorted(by_alpha):
+        k = 0  # the first position where alpha leaves the previous alpha's prefixes
+        if previous is not None:
+            k = next(i for i, (x, y) in enumerate(zip(alpha, previous)) if x != y)
+        if k == 0 and alpha[0]:
+            e, power = next(leading)
+            powers[0] = {e: power}
+        image = prefix[k - 1] if k else one
+        for i in range(k, len(alpha)):
+            if alpha[i]:
+                power = powers[i][alpha[i]]
+                image = power if image is one else image * power
+            prefix[i] = image
+        previous = alpha
+        for b, c in by_alpha[alpha]:
+            for m, v in image.terms.items():
+                m = tuple(map(add, m, b))
+                out[m] = out.get(m, 0) + c * v
+    return Polynomial(ring, out)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Polynomial kernel: parsing, exact arithmetic, grading, canonical printing."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,7 @@ def test_additive_inverse_and_identity():
     assert e1 + Polynomial.zero(R2) == e1
     assert (e1 + (-e1)).is_zero()
     assert parse_poly("e1 + (-e1)", R2).is_zero()
+    assert parse_poly("e1 - e1", R2).is_zero()
 
 
 def test_sum_of_squares_is_s1():
@@ -123,6 +126,10 @@ def test_parse_errors_carry_offsets():
 def test_exponent_overflow_detected():
     with pytest.raises(ExponentOverflowError):
         Polynomial(R2, {(2**31, 0): 1})
+    # each factor is legal; their product is not
+    x = Polynomial.monomial(R2, (2**30, 0))
+    with pytest.raises(ExponentOverflowError):
+        x * x
 
 
 def test_ring_validation():
@@ -139,6 +146,8 @@ def test_canonical_printing_order():
     # grevlex by cohomological degree, leading term first
     assert str(parse_poly("e1 + e1^3", R2)) == "e1^3 + e1"
     assert str(parse_poly("-2*e1^2 - e2 + 1", R2)) == "-2*e1^2 - e2 + 1"
+    assert str(parse_poly("-(e1 + e2)", R2)) == "-e1 - e2"
+    assert str(parse_poly("-e1*(e2 - e1) + 3", R2)) == "e1^2 - e1*e2 + 3"
     # degree ties broken reverse-lex: e1^2 > e1*e2 > e2^2
     assert str(parse_poly("e2^2 + e1*e2 + e1^2", R2)) == "e1^2 + e1*e2 + e2^2"
     # weighted tie between e1*e2 (2+2) and e (4): e1*e2 wins
@@ -172,6 +181,18 @@ def test_ring_laws(p, q, r):
 @given(polys())
 def test_print_parse_round_trip(p):
     assert parse_poly(str(p), R2) == p
+
+
+def test_print_parse_round_trip_dense():
+    # every exponent vector of total 10 in e1..e5: 1001 terms in one sum
+    ring = RingSpec.make([(f"e{i}", 2) for i in range(1, 6)])
+    rng = random.Random(1001)
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(5), 10):
+        terms[tuple(map(combo.count, range(5)))] = rng.choice([-9, -5, -1, 1, 2, 7, 9])
+    p = Polynomial(ring, terms)
+    assert len(p.terms) == 1001
+    assert parse_poly(str(p), ring) == p
 
 
 @settings(max_examples=60)
@@ -231,6 +252,37 @@ def test_add_sub_match_normalized_dict_sum(p, q):
         assert {e: type(c) for e, c in result.terms.items()} == {
             e: type(c) for e, c in expected.items()
         }
+
+
+def _naive_product(p, q):
+    """Every pairwise term product summed into one dict, then normalized."""
+    acc = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            expo = tuple(x + y for x, y in zip(ea, eb))
+            acc[expo] = acc.get(expo, 0) + ca * cb
+    return {e: _normalize_coeff(c) for e, c in acc.items() if c != 0}
+
+
+@settings(max_examples=100)
+@given(mixed_polys(), mixed_polys())
+def test_mul_matches_naive_product(p, q):
+    for result in (p * q, q * p):
+        expected = _naive_product(p, q)
+        assert result.terms == expected
+        assert {e: type(c) for e, c in result.terms.items()} == {
+            e: type(c) for e, c in expected.items()
+        }
+
+
+def test_mul_cancels_and_stores_int():
+    e1, e2 = Polynomial.variable(R2, "e1"), Polynomial.variable(R2, "e2")
+    assert ((e1 + e2) * (e1 - e2)).terms == {(2, 0): 1, (0, 2): -1}
+    assert ((e1 - e2) * (e1 * e1 + e1 * e2 + e2 * e2)).terms == {(3, 0): 1, (0, 3): -1}
+    half = Polynomial(R2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+    product = half * Polynomial(R2, {(1, 0): 2, (0, 1): Fraction(3, 2)})
+    assert product.terms == {(2, 0): 1, (1, 1): Fraction(25, 12), (0, 2): 1}
+    assert {type(c) for e, c in product.terms.items() if e != (1, 1)} == {int}
 
 
 def _substitute_per_term(p, mapping, target):

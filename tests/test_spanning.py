@@ -374,6 +374,55 @@ def test_reduce_matches_polynomial_valued_reference(case):
     assert expand(dec) == p
 
 
+def _reference_expand(dec):
+    """Per-coefficient substitution: every power rebuilt for each basis monomial."""
+    ring = weyl.e_ring(dec.n)
+    inv = weyl.invariant_generators(dec.group, dec.n)
+    mapping = dict(zip(inv.names, inv.gens))
+    total = Polynomial.zero(ring)
+    for mono, coeff in dec.terms.items():
+        image = coeff.substitute(mapping, ring=ring)
+        total = total + image * Polynomial.monomial(ring, mono)
+    return total
+
+
+def _dump_inputs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dump_decompositions.py"
+    return runpy.run_path(str(script))["inputs"]()
+
+
+def test_expand_matches_reference():
+    cases = [(group, n, p) for group, n, p in _dump_inputs()]
+    assert len(cases) == 310
+    cases.append(("D", 2, Polynomial.variable(weyl.e_ring(2), "e1") ** 600))
+    for group, n, p in cases:
+        dec = span_reduce(p, group, n)
+        got = expand(dec)
+        assert got == p
+        assert got.terms == _reference_expand(dec).terms
+
+
+def test_expand_builds_each_power_and_prefix_once(monkeypatch):
+    ring = weyl.e_ring(2)
+    p = Polynomial.variable(ring, "e1") ** 400
+    dec = span_reduce(p, "B", 2)
+    alphas = {alpha for coeff in dec.terms.values() for alpha in coeff.terms}
+    exponents = sum(len({alpha[i] for alpha in alphas} - {0}) for i in range(2))
+    prefixes = {alpha[: k + 1] for alpha in alphas for k in range(2)}
+    products = 0
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert expand(dec) == p
+    # a memo that peels one generator at a time pays for every intermediate monomial
+    assert products <= exponents + len(prefixes)
+
+
 _DUMP_SHA256 = "4b846926416c2a976b4ea47b36a298437293c2e7bf02018cdc42f8d32a19e936"
 
 
