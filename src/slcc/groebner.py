@@ -3,8 +3,13 @@
 Bases are computed over the rationals (generators are made monic; Fraction
 coefficients appear internally) with the Gebauer-Moller pair criteria and the
 normal selection strategy, then fully inter-reduced, so the reduced basis is
-unique: the one order is grevlex graded by cohomological degree (the
-canonical order of the polynomial layer), and no caller picks another.
+unique: the one order is grevlex graded by cohomological degree, in the
+order of the ring's variables (the canonical order of the polynomial
+layer).  A caller that wants grevlex with the variables reversed
+(x_n > ... > x_1) moves its ideal into the reversed ring with
+Ideal.reversed and reads the results back with polyring.reverse_terms:
+spanning always does, verify_presentation when a builder declares it.  The
+reversed ideal is an ideal of its own, with its own cache entry.
 
 Every ideal is homogeneous, so the normal strategy meets S-pairs in
 nondecreasing degree, and a run may stop at a degree bound: the truncated
@@ -36,7 +41,9 @@ term dicts unless a caller needs them as polynomials.
 
 staircase_echelon, the one exact echelon over Q, decides whether monomials
 are independent modulo an ideal and divides only those in its leading
-ideal.  verify_presentation and spanning's type-D change of basis read it.
+ideal, in the order of the basis it is given.  verify_presentation runs it
+in the order the presentation's builder declares, spanning's type-D change
+of basis with the variables reversed.
 
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
@@ -58,7 +65,7 @@ from functools import cached_property, reduce as _reduce
 from math import gcd
 from operator import add, le, sub
 
-from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
+from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec, reverse_terms
 
 __all__ = [
     "BudgetExceededError",
@@ -113,6 +120,13 @@ class Ideal:
     @staticmethod
     def make(ring: RingSpec, gens) -> Ideal:
         return Ideal(ring, tuple(gens))
+
+    def reversed(self) -> Ideal:
+        """The ideal moved into ring.reversed(), whose grevlex reverses the variables."""
+        ring = self.ring.reversed()
+        return Ideal(
+            ring, tuple(Polynomial._trusted(ring, reverse_terms(g.terms)) for g in self.generators)
+        )
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -520,8 +534,12 @@ def echelon_reduce(row: dict, pivots: dict):
 def staircase_echelon(G: GroebnerBasis, members: Sequence[Monomial], divide, carry: bool = False):
     """Echelon form of the members' normal forms, off the members' columns.
 
-    A member outside G's leading-monomial ideal (on the staircase) is its
-    own normal form, so only the others, the outliers, are divided, by
+    The members are exponent tuples of G.ring, and the staircase is that of
+    G's order: the fewer members an order puts in the leading-monomial
+    ideal, the fewer divisions (callers move a basis into the ring whose
+    grevlex it is a staircase of).  A member outside G's leading-monomial
+    ideal (on the staircase) is its own normal form, so only the others,
+    the outliers, are divided, by
     ``divide(m)``: the normal form of the monomial m as a term dict, under
     the caller's budget.  The members are independent modulo the ideal
     exactly when they are distinct and the outliers' rows stay independent

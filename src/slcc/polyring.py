@@ -37,6 +37,7 @@ __all__ = [
     "RingSpec",
     "UnmappedVariableError",
     "parse_poly",
+    "reverse_terms",
 ]
 
 # Exponents are kept far below this bound; anything at or above it is treated
@@ -123,6 +124,15 @@ class RingSpec:
         except KeyError:
             raise KeyError(f"unknown variable {name!r} in ring {self.names}") from None
 
+    def reversed(self) -> RingSpec:
+        """The same variables in reverse order.
+
+        Grevlex in the returned ring is grevlex on ``self`` with the
+        variables reversed (x_n > ... > x_1); reverse_terms moves term maps
+        between the two.
+        """
+        return RingSpec(self.vars[::-1])
+
     def compatible_with(self, other: RingSpec) -> bool:
         """Same variables in the same order with the same grading."""
         return self.vars == other.vars
@@ -142,6 +152,11 @@ class RingSpec:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         return "*".join(factors) if factors else "1"
+
+
+def reverse_terms(terms: Mapping[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    """A term map moved into the reversed ring, or back: each exponent tuple reversed."""
+    return {m[::-1]: c for m, c in terms.items()}
 
 
 def _normalize_coeff(c: Coefficient) -> Coefficient:
@@ -346,12 +361,19 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Polynomial.one(self.ring)
+        if n == 0:
+            return Polynomial.one(self.ring)
+        # square up to the lowest set bit, which starts the result: no product by one
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
             n >>= 1
         return result
 

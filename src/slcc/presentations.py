@@ -32,7 +32,13 @@ quotient's Hilbert function must factor as (free module over the parameter
 ring) x (declared basis degrees), the same series.free_module_series test
 that spanning.verify_free runs, and the declared basis must be linearly
 independent in the quotient, which groebner.staircase_echelon decides by
-dividing only the declared monomials that are not standard.  Group orders,
+dividing only the declared monomials that are not standard.  Both checks
+run in the order the builder declares (Presentation.reverse_variables):
+grevlex with the variables reversed for the e^{2n} truncations and the
+e_i^{m_i} staircases, whose bases are (nearly) standard there, and the
+canonical grevlex for sgr_even and bsl.  The reversed max_flag ideal is
+spanning's reversed coinvariant ideal, so the two share one cached
+Groebner basis.  Group orders,
 the coinvariant ideals and the classes of A(BSL_N) are read from weyl.
 """
 
@@ -92,6 +98,11 @@ class Presentation:
     builds it.  The basis is built the first time declared_basis is read,
     so a caller that only compares ideals (verify flag-equal, say) never
     pays for it.
+
+    reverse_variables declares the monomial order the basis is (mostly) a
+    staircase of: grevlex with the variables reversed (x_n > ... > x_1)
+    when set, the canonical grevlex otherwise.  verify_presentation runs
+    in that order, where few declared monomials need a normal form.
     """
 
     descriptor: tuple[tuple[str, object], ...]
@@ -103,11 +114,18 @@ class Presentation:
         compare=False, repr=False
     )
     coefficient_vars: tuple[str, ...]
+    reverse_variables: bool
 
     @cached_property
     def declared_basis(self) -> tuple[Monomial, ...]:
         source = self.basis_source
         return source() if callable(source) else source
+
+    def in_declared_order(self) -> tuple[Ideal, tuple[Monomial, ...]]:
+        """The ideal and the declared basis in the ring whose grevlex is the declared order."""
+        if not self.reverse_variables:
+            return self.ideal, self.declared_basis
+        return self.ideal.reversed(), tuple(m[::-1] for m in self.declared_basis)
 
     def descriptor_dict(self) -> dict:
         return dict(self.descriptor)
@@ -154,6 +172,7 @@ def present_sgr2(n: int, parity: str) -> Presentation:
         ideal=ideal,
         basis_source=basis,
         coefficient_vars=(),
+        reverse_variables=True,
     )
 
 
@@ -212,6 +231,7 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
         ideal=Ideal.make(ring, gens),
         basis_source=tuple(basis),
         coefficient_vars=coeff_vars,
+        reverse_variables=True,
     )
 
 
@@ -248,6 +268,7 @@ def _partial_flag(kind: str, m: int, n: int, parity: str, relations) -> Presenta
         ideal=Ideal.make(ring, gens),
         basis_source=lambda: spanning.power_or_tail(ring, bounds, tail=parity == "even"),
         coefficient_vars=(),
+        reverse_variables=True,
     )
 
 
@@ -297,6 +318,7 @@ def present_max_flag(N: int) -> Presentation:
         ideal=ideal,
         basis_source=lambda: spanning.basis(group, n).monomials,
         coefficient_vars=(),
+        reverse_variables=True,
     )
 
 
@@ -348,6 +370,7 @@ def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentat
         ideal=ideal,
         basis_source=basis,
         coefficient_vars=(),
+        reverse_variables=False,
     )
 
 
@@ -369,6 +392,7 @@ def present_bsl(N: int, max_degree: int) -> Presentation:
         ideal=Ideal.make(ring, []),
         basis_source=((0,) * len(ring),),
         coefficient_vars=ring.names,
+        reverse_variables=False,
     )
 
 
@@ -427,18 +451,23 @@ class PresentationReport:
 def verify_presentation(pres: Presentation, max_degree: int) -> PresentationReport:
     """Certify the declared basis up to max_degree via Groebner normal forms.
 
-    Checks: (1) the quotient's Hilbert function equals the parameter ring's
-    Hilbert series times the declared basis degrees; (2) the declared basis
-    monomials are linearly independent in the quotient, decided exactly by
-    groebner.staircase_echelon: only the monomials in the leading-monomial
-    ideal are normal-formed, each under a step budget of its own.  The basis
-    is built without representations, which no check reads.  Budget
-    exhaustion is reported distinctly from a mathematical failure.
+    Everything runs in the order the builder declared (pres.reverse_variables):
+    the Groebner basis, the Hilbert function and the normal forms.  Checks:
+    (1) the quotient's Hilbert function equals the parameter ring's Hilbert
+    series times the declared basis degrees; any degree-compatible order
+    counts the same standard monomials per degree, so the order does not
+    change it; (2) the declared basis monomials are linearly independent in
+    the quotient, decided exactly by groebner.staircase_echelon: only the
+    monomials in the leading-monomial ideal are normal-formed, each under a
+    step budget of its own.  The basis is built without representations,
+    which no check reads.  Budget exhaustion is reported distinctly from a
+    mathematical failure.
     """
     checks: list[tuple[str, bool, str]] = []
     hilbert: tuple[int, ...] = ()
     try:
-        G = groebner_basis(pres.ideal)
+        ideal, basis = pres.in_declared_order()
+        G = groebner_basis(ideal)
         hilbert = tuple(quotient_hilbert(G, max_degree))
         coeff_degrees = [deg for name, deg in pres.ring.vars if name in pres.coefficient_vars]
         basis_degrees = [pres.ring.monomial_degree(m) for m in pres.declared_basis]
@@ -446,9 +475,7 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
         detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
         checks.append(("hilbert_factorization", mismatch is None, detail))
         pivots = staircase_echelon(
-            G,
-            pres.declared_basis,
-            lambda m: normal_form(Polynomial.monomial(pres.ring, m), G).terms,
+            G, basis, lambda m: normal_form(Polynomial.monomial(G.ring, m), G).terms
         )
     except BudgetExceededError as exc:
         # the basis ran out before any check was made, the normal forms after

@@ -11,7 +11,8 @@ free over the invariant ring with this basis, so every polynomial has unique
 invariant coordinates, and reduce() may compute them by any exact method.  It
 divides by the coinvariant ideal I = (g_1, g_2, ...), the invariant
 generators, under grevlex with the variables reversed (e_n > ... > e_1),
-through one tracked division (groebner.tracked_division):
+that is in the reversed ring of Ideal.reversed, through one tracked
+division (groebner.tracked_division):
 
 * p = sum_i c_i * g_i + r, where r is a combination of standard monomials of
   I; its coordinates sit at s^0, and each cofactor c_i is decomposed in turn
@@ -44,7 +45,7 @@ from operator import add, le
 
 from . import series, weyl
 from .groebner import Ideal, echelon_reduce, groebner_basis, staircase_echelon, tracked_division
-from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec
+from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec, reverse_terms
 
 __all__ = [
     "FreenessReport",
@@ -120,18 +121,6 @@ class SpanDecomposition:
     terms: dict[Monomial, Polynomial]  # basis monomial -> invariant coefficient
 
 
-def _reversed(terms: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
-    return {m[::-1]: c for m, c in terms.items()}
-
-
-@lru_cache(maxsize=None)
-def _reversed_ideal(group: str, n: int) -> Ideal:
-    """The coinvariant ideal in Z[e_n, ..., e_1]: grevlex with the variables reversed."""
-    ring = RingSpec.make((f"e{i}", 2) for i in range(n, 0, -1))
-    gens = weyl.coinvariant_ideal(group, n).generators
-    return Ideal(ring, tuple(Polynomial(ring, _reversed(g.terms)) for g in gens))
-
-
 def _in_basis(group: str, n: int, m: Monomial) -> bool:
     """Whether e^m is one of the monomials of basis(group, n), without building it."""
     bounds = _bounds(group, n)
@@ -154,22 +143,22 @@ def _add_scaled(acc: dict, terms: dict, factor: Coefficient) -> None:
             acc.pop(m, None)
 
 
-def _change_of_basis(group: str, n: int, k: int, divide) -> dict:
+def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
     """Each standard monomial m of exponent sum k outside the basis, as (x, c).
 
     m == sum_b x[b] * e^b + sum_i c[i] * g_i, with x over the basis monomials
-    of that degree and c reversed term dicts over the invariant generators
-    g_i.  The basis monomials of that degree are the members of a staircase
-    echelon whose rows carry their part on the members; reducing m by its
-    pivots leaves x, and ``divide`` yields the cofactors of m - x, which
-    lies in the ideal.
+    of that degree and c reversed term dicts over the generators g_i of the
+    reversed coinvariant ideal.  The basis monomials of that degree are the
+    members of a staircase echelon whose rows carry their part on the
+    members; reducing m by its pivots leaves x, and ``divide`` yields the
+    cofactors of m - x, which lies in the ideal.
     """
     members = []
     for combo in itertools.combinations_with_replacement(range(n), k):
         b = tuple(map(combo.count, range(n)))
         if _in_basis(group, n, b):
             members.append(b[::-1])
-    G = groebner_basis(_reversed_ideal(group, n))
+    G = groebner_basis(ideal)
     pivots = staircase_echelon(G, members, lambda m: divide({m: 1})[1], carry=True)
     # the basis is free, so the members are independent and every standard
     # monomial of degree k outside the basis leads a pivot row
@@ -183,7 +172,7 @@ def _change_of_basis(group: str, n: int, k: int, divide) -> dict:
         cofactors, remainder = divide(diff)
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
-        out[lead[1][::-1]] = (_reversed(x), cofactors)
+        out[lead[1][::-1]] = (reverse_terms(x), cofactors)
     return out
 
 
@@ -198,10 +187,11 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     if not p.ring.compatible_with(ring):
         raise RingMismatchError(f"polynomial must live in Z[e_1..e_{n}] with degree-2 variables")
     cring = weyl.invariant_ring(group, n)
-    divide = tracked_division(_reversed_ideal(group, n))
+    ideal = weyl.coinvariant_ideal(group, n).reversed()
+    divide = tracked_division(ideal)
     units = [tuple(int(i == j) for j in range(len(cring))) for i in range(len(cring))]
     beta = (0,) * len(cring)
-    waiting = {beta: _reversed(p.terms)}  # s-exponent -> reversed terms still to divide
+    waiting = {beta: reverse_terms(p.terms)}  # s-exponent -> reversed terms still to divide
     heap = [(0, beta)]  # (degree of s^beta, beta)
     coords: dict[Monomial, dict[Monomial, Coefficient]] = {}
     changes: dict[int, dict] = {}  # exponent sum -> _change_of_basis
@@ -215,7 +205,7 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
             else:
                 k = sum(m)
                 if k not in changes:
-                    changes[k] = _change_of_basis(group, n, k, divide)
+                    changes[k] = _change_of_basis(group, n, k, ideal, divide)
                 x, extra = changes[k][m]
                 for cofactor, e in zip(cofactors, extra):
                     _add_scaled(cofactor, e, c)

@@ -285,6 +285,28 @@ def test_mul_cancels_and_stores_int():
     assert {type(c) for e, c in product.terms.items() if e != (1, 1)} == {int}
 
 
+@pytest.mark.parametrize(
+    "n,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (13, 5)]
+)
+def test_pow_makes_no_product_by_one(n, products, monkeypatch):
+    # a squaring per bit below the top one, a product per set bit below it
+    p = parse_poly("e1 - 2*e2", R2)
+    expected = Polynomial.one(R2)
+    for _ in range(n):
+        expected = expected * p
+    count = 0
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert p**n == expected
+    assert count == products
+
+
 def _substitute_per_term(p, mapping, target):
     """The per-term substitution: each power taken by ``**``, one sum per term."""
     images = {}

@@ -236,9 +236,11 @@ def test_verify_budget_exhaustion_reported_distinctly(monkeypatch):
 
 
 def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
-    # with the basis already cached, the budget runs out in the normal forms
+    # with the basis already cached, the budget runs out in the normal forms;
+    # in its declared order max_flag N=10 divides 231 outliers, the costliest
+    # in 15 steps (odd N divides none, N=8 none in more than 2)
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
-    pres = pr.present_max_flag(7)
+    pres = pr.present_max_flag(10)
     assert pr.verify_presentation(pres, 10).passed
     monkeypatch.setenv("SLCC_BUDGET", "2")
     rep = pr.verify_presentation(pres, 10)
@@ -348,17 +350,27 @@ def _normal_form(pres, m) -> Polynomial:
     return groebner.normal_form(Polynomial.monomial(pres.ring, m), G)
 
 
-def _is_outlier(pres, m) -> bool:
-    """Whether the monomial m lies in the leading-monomial ideal of pres."""
-    leads = groebner.groebner_basis(pres.ideal).leading_monomials()
+def _declared_leads(pres):
+    """The leading monomials of pres's ideal in its declared order, in pres's own variables."""
+    if not pres.reverse_variables:
+        return groebner.groebner_basis(pres.ideal).leading_monomials()
+    return [lm[::-1] for lm in groebner.groebner_basis(pres.ideal.reversed()).leading_monomials()]
+
+
+def _is_outlier(leads, m) -> bool:
+    """Whether the monomial m lies in the ideal of the leading monomials ``leads``."""
     return any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
 
 
 @pytest.mark.parametrize(
     "kind,params,outliers,size",
     [
-        ("partial_flag", dict(m=3, n=5, parity="odd"), 192, 480),
-        ("max_flag", dict(N=9), 320, 384),
+        ("partial_flag", dict(m=3, n=5, parity="odd"), 0, 480),
+        ("max_flag", dict(N=9), 0, 384),
+        ("partial_flag", dict(m=3, n=5, parity="even"), 22, 480),
+        # the ladder's work: 21124 outliers in the canonical order at N=12
+        ("max_flag", dict(N=12), 3516, 23040),
+        ("max_flag", dict(N=13), 0, 46080),
     ],
 )
 def test_verify_divides_only_the_outliers(kind, params, outliers, size, monkeypatch):
@@ -373,13 +385,41 @@ def test_verify_divides_only_the_outliers(kind, params, outliers, size, monkeypa
     pres = pr.build(kind, **params)
     assert pr.verify_presentation(pres, 24).passed
     assert len(pres.declared_basis) == size
-    assert sum(_is_outlier(pres, m) for m in pres.declared_basis) == outliers
+    leads = _declared_leads(pres)
+    assert sum(_is_outlier(leads, m) for m in pres.declared_basis) == outliers
     assert len(divided) == len(set(divided)) == outliers
 
 
-def _first(pres, outlier: bool) -> int:
-    """Index of the first declared monomial that is (or is not) an outlier."""
-    return next(i for i, m in enumerate(pres.declared_basis) if _is_outlier(pres, m) == outlier)
+def _first(pres, outlier: bool) -> int | None:
+    """Index of the first declared monomial that is (or is not) an outlier in the declared order."""
+    leads = _declared_leads(pres)
+    flags = (_is_outlier(leads, m) for m in pres.declared_basis)
+    return next((i for i, flag in enumerate(flags) if flag == outlier), None)
+
+
+def _monomials(pres):
+    """Every monomial of pres's ring, by increasing exponent sum."""
+    nvars = len(pres.ring)
+    for d in itertools.count(1):
+        for combo in itertools.combinations_with_replacement(range(nvars), d):
+            yield tuple(map(combo.count, range(nvars)))
+
+
+def _outlier_index(basis, pres) -> int:
+    """Index of the first declared-order outlier in basis.
+
+    Where the declared order puts every declared monomial on the staircase
+    (sgr2, odd flags), the last one is swapped for the first outlier that
+    is not in the ideal, so the plant is still divided.
+    """
+    i = _first(pres, outlier=True)
+    if i is None:
+        leads = _declared_leads(pres)
+        i = len(basis) - 1
+        basis[i] = next(
+            m for m in _monomials(pres) if _is_outlier(leads, m) and _normal_form(pres, m)
+        )
+    return i
 
 
 def _repeat_standard(basis, pres):
@@ -387,19 +427,14 @@ def _repeat_standard(basis, pres):
 
 
 def _repeat_outlier(basis, pres):
-    i = _first(pres, outlier=True)
+    i = _outlier_index(basis, pres)
     basis[i - 1 if i else i + 1] = basis[i]
 
 
 def _swap_into_ideal(basis, pres):
     # the quotient has finite rank, so some monomial lies in the ideal
-    nvars = len(pres.ring)
-    for d in itertools.count(1):
-        for combo in itertools.combinations_with_replacement(range(nvars), d):
-            m = tuple(map(combo.count, range(nvars)))
-            if _normal_form(pres, m).is_zero():
-                basis[_first(pres, outlier=True)] = m
-                return
+    m = next(m for m in _monomials(pres) if _normal_form(pres, m).is_zero())
+    basis[_outlier_index(basis, pres)] = m
 
 
 @pytest.mark.parametrize("swap", [_repeat_standard, _repeat_outlier, _swap_into_ideal])
@@ -493,10 +528,34 @@ def test_every_presentable_descriptor_verifies_at_24(kind, params):
     assert rep.passed, (kind, params, rep.checks)
 
 
+def test_verify_shares_the_spanning_basis(monkeypatch):
+    # the reversed max_flag ideal is spanning's reversed coinvariant ideal:
+    # one cache entry serves both, tracked once spanning has divided by it
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    pres = pr.present_max_flag(8)
+    assert pr.verify_presentation(pres, 24).passed
+    # e3^3 is standard but not a basis monomial: it needs a change of basis
+    p = Polynomial.monomial(pres.ring, (0, 0, 3, 0))
+    assert spanning.expand(spanning.reduce(p, "D", 4)) == p
+    (key, G), = groebner._GB_CACHE.items()
+    assert key == groebner._cache_key(pres.ideal.reversed())
+    assert G.representations is not None
+
+
 @pytest.mark.parametrize("kind,params", _presentable_matrix())
 def test_staircase_verdict_matches_full_echelon(kind, params):
     pres = pr.build(kind, **params)
     G = groebner.groebner_basis(pres.ideal)
     nfs = {m: _normal_form(pres, m) for m in pres.declared_basis}
+    reference = _reference_independent(list(nfs.values()))
     verdict = groebner.staircase_echelon(G, pres.declared_basis, lambda m: nfs[m].terms)
-    assert (verdict is not None) == _reference_independent(list(nfs.values()))
+    assert (verdict is not None) == reference
+    # the declared order, which verify_presentation runs in, against the
+    # canonical full-normal-form echelon and Hilbert function
+    ideal, basis = pres.in_declared_order()
+    D = groebner.groebner_basis(ideal)
+    verdict = groebner.staircase_echelon(
+        D, basis, lambda m: groebner.normal_form(Polynomial.monomial(D.ring, m), D).terms
+    )
+    assert (verdict is not None) == reference
+    assert groebner.quotient_hilbert(D, 24) == groebner.quotient_hilbert(G, 24)
