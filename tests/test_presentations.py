@@ -1,7 +1,9 @@
 """Presentation builders, their verification, and the coherence theorems."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -559,3 +561,31 @@ def test_staircase_verdict_matches_full_echelon(kind, params):
     )
     assert (verdict is not None) == reference
     assert groebner.quotient_hilbert(D, 24) == groebner.quotient_hilbert(G, 24)
+
+
+# verify_presentation's reports over _presentable_matrix at two bounds and
+# five larger cases, each from an empty Groebner cache: to_dict(), the
+# check tuples with their details and budget_exceeded, one JSON line each
+_REPORT_DUMP_LINES = 156
+_REPORT_DUMP_SHA256 = "c0ab744957ba6d6f82571b1a40a110e6a42978db96658e4d1b1d24e132dc07ab"
+
+
+def test_report_dump_is_pinned(monkeypatch):
+    cases = [(kind, params, bound) for bound in (24, 10) for kind, params in _presentable_matrix()]
+    cases += [
+        ("sgr_even", dict(m=4, n=7, parity="even"), 40),
+        ("sgr_even", dict(m=3, n=7, parity="odd"), 40),
+        ("sgr_even", dict(m=4, n=6, parity="odd"), 40),
+        ("bsl", dict(N=9, max_degree=40), 40),
+    ]
+    cache = {}
+    monkeypatch.setattr(groebner, "_GB_CACHE", cache)
+    lines = []
+    for kind, params, bound in cases:
+        cache.clear()
+        rep = pr.verify_presentation(pr.build(kind, **params), bound)
+        entry = {"report": rep.to_dict(), "checks": rep.checks, "budget": rep.budget_exceeded}
+        lines.append(json.dumps(entry) + "\n")
+    dump = "".join(lines)
+    assert len(lines) == _REPORT_DUMP_LINES
+    assert hashlib.sha256(dump.encode()).hexdigest() == _REPORT_DUMP_SHA256
