@@ -7,9 +7,9 @@ unique: the one order is grevlex graded by cohomological degree, in the
 order of the ring's variables (the canonical order of the polynomial
 layer).  A caller that wants grevlex with the variables reversed
 (x_n > ... > x_1) moves its ideal into the reversed ring with
-Ideal.reversed and reads the results back with polyring.reverse_terms:
-spanning always does, verify_presentation when a builder declares it.  The
-reversed ideal is an ideal of its own, with its own cache entry.
+Ideal.reversed and reads the results back with polyring.reverse_terms, as
+spanning and verify_presentation do.  The reversed ideal is an ideal of its
+own, with its own cache entry.
 
 Every ideal is homogeneous, so the normal strategy meets S-pairs in
 nondecreasing degree, and a run may stop at a degree bound: the truncated
@@ -41,9 +41,8 @@ term dicts unless a caller needs them as polynomials.
 
 staircase_echelon, the one exact echelon over Q, decides whether monomials
 are independent modulo an ideal and divides only those in its leading
-ideal, in the order of the basis it is given.  verify_presentation runs it
-in the order the presentation's builder declares, spanning's type-D change
-of basis with the variables reversed.
+ideal, in the order of the basis it is given: verify_presentation and
+spanning's type-D change of basis run it with the variables reversed.
 
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each

@@ -33,13 +33,11 @@ ring) x (declared basis degrees), the same series.free_module_series test
 that spanning.verify_free runs, and the declared basis must be linearly
 independent in the quotient, which groebner.staircase_echelon decides by
 dividing only the declared monomials that are not standard.  Both checks
-run in the order the builder declares (Presentation.reverse_variables):
-grevlex with the variables reversed for the e^{2n} truncations and the
-e_i^{m_i} staircases, whose bases are (nearly) standard there, and the
-canonical grevlex for sgr_even and bsl.  The reversed max_flag ideal is
-spanning's reversed coinvariant ideal, so the two share one cached
-Groebner basis.  Group orders,
-the coinvariant ideals and the classes of A(BSL_N) are read from weyl.
+run in grevlex with the variables reversed, the order spanning divides in,
+where the e^{2n} truncations and the e_i^{m_i} staircases are (nearly)
+standard.  The reversed max_flag ideal is spanning's reversed coinvariant
+ideal, so the two share one cached Groebner basis.  Group orders, the
+coinvariant ideals and the classes of A(BSL_N) are read from weyl.
 """
 
 from __future__ import annotations
@@ -92,40 +90,36 @@ class NoDeclaredBasisError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """A graded ring, a homogeneous ideal in it, and a declared basis.
+    """A homogeneous ideal, its descriptor, and a declared basis.
 
+    The descriptor names the builder, its parameters and the
+    coefficient_vars, the variables that are base-ring parameters.
     basis_source is the declared basis, or a zero-argument function that
     builds it.  The basis is built the first time declared_basis is read,
     so a caller that only compares ideals (verify flag-equal, say) never
     pays for it.
-
-    reverse_variables declares the monomial order the basis is (mostly) a
-    staircase of: grevlex with the variables reversed (x_n > ... > x_1)
-    when set, the canonical grevlex otherwise.  verify_presentation runs
-    in that order, where few declared monomials need a normal form.
     """
 
     descriptor: tuple[tuple[str, object], ...]
-    ring: RingSpec
     ideal: Ideal
-    # a builder's basis is a function of its descriptor, so equality and
-    # repr leave the source out (a function compares by identity)
+    # a builder's basis is a function of its descriptor, so equality, hash
+    # and repr leave the source out (a function compares by identity)
     basis_source: tuple[Monomial, ...] | Callable[[], tuple[Monomial, ...]] = field(
         compare=False, repr=False
     )
-    coefficient_vars: tuple[str, ...]
-    reverse_variables: bool
+
+    @property
+    def ring(self) -> RingSpec:
+        return self.ideal.ring
+
+    @property
+    def coefficient_vars(self) -> tuple[str, ...]:
+        return self.descriptor_dict()["coefficient_vars"]
 
     @cached_property
     def declared_basis(self) -> tuple[Monomial, ...]:
         source = self.basis_source
         return source() if callable(source) else source
-
-    def in_declared_order(self) -> tuple[Ideal, tuple[Monomial, ...]]:
-        """The ideal and the declared basis in the ring whose grevlex is the declared order."""
-        if not self.reverse_variables:
-            return self.ideal, self.declared_basis
-        return self.ideal.reversed(), tuple(m[::-1] for m in self.declared_basis)
 
     def descriptor_dict(self) -> dict:
         return dict(self.descriptor)
@@ -167,12 +161,9 @@ def present_sgr2(n: int, parity: str) -> Presentation:
         ideal = Ideal.make(ring, [e1 * e2, e1 ** (2 * n - 2) + e2 * e2 * sign])
         basis = tuple((k, 0) for k in range(2 * n - 1)) + ((0, 1),)
     return Presentation(
-        descriptor=_descriptor("sgr2", n=n, parity=parity, coefficient_vars=[]),
-        ring=ring,
+        descriptor=_descriptor("sgr2", n=n, parity=parity, coefficient_vars=()),
         ideal=ideal,
         basis_source=basis,
-        coefficient_vars=(),
-        reverse_variables=True,
     )
 
 
@@ -225,13 +216,10 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
     coeff_vars = tuple(name for name, _ in base)
     return Presentation(
         descriptor=_descriptor(
-            "sgr2_relative", n=n, parity=parity, epsilon=epsilon, coefficient_vars=list(coeff_vars)
+            "sgr2_relative", n=n, parity=parity, epsilon=epsilon, coefficient_vars=coeff_vars
         ),
-        ring=ring,
         ideal=Ideal.make(ring, gens),
         basis_source=tuple(basis),
-        coefficient_vars=coeff_vars,
-        reverse_variables=True,
     )
 
 
@@ -263,12 +251,9 @@ def _partial_flag(kind: str, m: int, n: int, parity: str, relations) -> Presenta
     k = 2 * n if parity == "even" else 2 * n + 1
     bounds = [k - 2 * i for i in range(1, m + 1)]
     return Presentation(
-        descriptor=_descriptor(kind, m=m, n=n, parity=parity, coefficient_vars=[]),
-        ring=ring,
+        descriptor=_descriptor(kind, m=m, n=n, parity=parity, coefficient_vars=()),
         ideal=Ideal.make(ring, gens),
         basis_source=lambda: spanning.power_or_tail(ring, bounds, tail=parity == "even"),
-        coefficient_vars=(),
-        reverse_variables=True,
     )
 
 
@@ -313,12 +298,9 @@ def present_max_flag(N: int) -> Presentation:
     group = "D" if N % 2 == 0 else "B"
     ideal = weyl.coinvariant_ideal(group, n)
     return Presentation(
-        descriptor=_descriptor("max_flag", N=N, group=group, n=n, coefficient_vars=[]),
-        ring=ideal.ring,
+        descriptor=_descriptor("max_flag", N=N, group=group, n=n, coefficient_vars=()),
         ideal=ideal,
         basis_source=lambda: spanning.basis(group, n).monomials,
-        coefficient_vars=(),
-        reverse_variables=True,
     )
 
 
@@ -364,13 +346,10 @@ def present_sgr_even(m: int, n: int, parity: str, epsilon: int = 1) -> Presentat
         )
     return Presentation(
         descriptor=_descriptor(
-            "sgr_even", m=m, n=n, parity=parity, epsilon=epsilon, coefficient_vars=[]
+            "sgr_even", m=m, n=n, parity=parity, epsilon=epsilon, coefficient_vars=()
         ),
-        ring=ring,
         ideal=ideal,
         basis_source=basis,
-        coefficient_vars=(),
-        reverse_variables=False,
     )
 
 
@@ -385,14 +364,9 @@ def present_bsl(N: int, max_degree: int) -> Presentation:
         raise ValueError("N must be >= 2")
     ring = RingSpec.make(_bsl_vars(N))
     return Presentation(
-        descriptor=_descriptor(
-            "bsl", N=N, max_degree=max_degree, coefficient_vars=list(ring.names)
-        ),
-        ring=ring,
+        descriptor=_descriptor("bsl", N=N, max_degree=max_degree, coefficient_vars=ring.names),
         ideal=Ideal.make(ring, []),
         basis_source=((0,) * len(ring),),
-        coefficient_vars=ring.names,
-        reverse_variables=False,
     )
 
 
@@ -428,7 +402,6 @@ def build(kind: str, **params) -> Presentation:
 @dataclass(frozen=True)
 class PresentationReport:
     presentation: Presentation
-    max_degree: int
     hilbert: tuple[int, ...]
     checks: tuple[tuple[str, bool, str], ...]
     budget_exceeded: bool = False
@@ -451,8 +424,8 @@ class PresentationReport:
 def verify_presentation(pres: Presentation, max_degree: int) -> PresentationReport:
     """Certify the declared basis up to max_degree via Groebner normal forms.
 
-    Everything runs in the order the builder declared (pres.reverse_variables):
-    the Groebner basis, the Hilbert function and the normal forms.  Checks:
+    The Groebner basis, the Hilbert function and the normal forms are taken
+    in grevlex with the variables reversed (x_n > ... > x_1).  Checks:
     (1) the quotient's Hilbert function equals the parameter ring's Hilbert
     series times the declared basis degrees; any degree-compatible order
     counts the same standard monomials per degree, so the order does not
@@ -466,14 +439,14 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
     checks: list[tuple[str, bool, str]] = []
     hilbert: tuple[int, ...] = ()
     try:
-        ideal, basis = pres.in_declared_order()
-        G = groebner_basis(ideal)
+        G = groebner_basis(pres.ideal.reversed())
         hilbert = tuple(quotient_hilbert(G, max_degree))
         coeff_degrees = [deg for name, deg in pres.ring.vars if name in pres.coefficient_vars]
         basis_degrees = [pres.ring.monomial_degree(m) for m in pres.declared_basis]
         _, mismatch = series.free_module_series(hilbert, coeff_degrees, basis_degrees, max_degree)
         detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
         checks.append(("hilbert_factorization", mismatch is None, detail))
+        basis = [m[::-1] for m in pres.declared_basis]
         pivots = staircase_echelon(
             G, basis, lambda m: normal_form(Polynomial.monomial(G.ring, m), G).terms
         )
@@ -482,7 +455,6 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
         name = "normal_form_budget" if checks else "groebner_budget"
         return PresentationReport(
             presentation=pres,
-            max_degree=max_degree,
             hilbert=hilbert,
             checks=(*checks, (name, False, str(exc))),
             budget_exceeded=True,
@@ -497,7 +469,6 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
     )
     return PresentationReport(
         presentation=pres,
-        max_degree=max_degree,
         hilbert=hilbert,
         checks=tuple(checks),
     )

@@ -277,10 +277,13 @@ class FreenessReport:
     group: str
     n: int
     max_degree: int
-    passed: bool
     first_mismatch: int | None
     lhs: tuple[int, ...]  # Hilbert series of Z[e_1..e_n]
     rhs: tuple[int, ...]  # Hilbert series of invariants times basis degrees
+
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
 
 
 def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
@@ -294,7 +297,6 @@ def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
         group=group,
         n=n,
         max_degree=max_degree,
-        passed=first is None,
         first_mismatch=first,
         lhs=tuple(lhs),
         rhs=tuple(rhs),

@@ -341,7 +341,7 @@ def _substitutions(draw):
     return source, mapping
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(_substitutions())
 def test_substitute_matches_per_term_powers(case):
     p, mapping = case

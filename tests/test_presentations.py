@@ -239,8 +239,8 @@ def test_verify_budget_exhaustion_reported_distinctly(monkeypatch):
 
 def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
     # with the basis already cached, the budget runs out in the normal forms;
-    # in its declared order max_flag N=10 divides 231 outliers, the costliest
-    # in 15 steps (odd N divides none, N=8 none in more than 2)
+    # with the variables reversed max_flag N=10 divides 231 outliers, the
+    # costliest in 15 steps (odd N divides none, N=8 none in more than 2)
     monkeypatch.setattr(groebner, "_GB_CACHE", {})
     pres = pr.present_max_flag(10)
     assert pr.verify_presentation(pres, 10).passed
@@ -352,10 +352,11 @@ def _normal_form(pres, m) -> Polynomial:
     return groebner.normal_form(Polynomial.monomial(pres.ring, m), G)
 
 
-def _declared_leads(pres):
-    """The leading monomials of pres's ideal in its declared order, in pres's own variables."""
-    if not pres.reverse_variables:
-        return groebner.groebner_basis(pres.ideal).leading_monomials()
+def _reversed_leads(pres):
+    """The leading monomials of pres's ideal with the variables reversed, in pres's own variables.
+
+    verify_presentation divides in that order.
+    """
     return [lm[::-1] for lm in groebner.groebner_basis(pres.ideal.reversed()).leading_monomials()]
 
 
@@ -373,6 +374,8 @@ def _is_outlier(leads, m) -> bool:
         # the ladder's work: 21124 outliers in the canonical order at N=12
         ("max_flag", dict(N=12), 3516, 23040),
         ("max_flag", dict(N=13), 0, 46080),
+        # standard monomials of the canonical basis, so some are outliers here
+        ("sgr_even", dict(m=3, n=5, parity="even"), 12, 20),
     ],
 )
 def test_verify_divides_only_the_outliers(kind, params, outliers, size, monkeypatch):
@@ -387,14 +390,14 @@ def test_verify_divides_only_the_outliers(kind, params, outliers, size, monkeypa
     pres = pr.build(kind, **params)
     assert pr.verify_presentation(pres, 24).passed
     assert len(pres.declared_basis) == size
-    leads = _declared_leads(pres)
+    leads = _reversed_leads(pres)
     assert sum(_is_outlier(leads, m) for m in pres.declared_basis) == outliers
     assert len(divided) == len(set(divided)) == outliers
 
 
 def _first(pres, outlier: bool) -> int | None:
-    """Index of the first declared monomial that is (or is not) an outlier in the declared order."""
-    leads = _declared_leads(pres)
+    """Index of the first declared monomial that is (or is not) an outlier, variables reversed."""
+    leads = _reversed_leads(pres)
     flags = (_is_outlier(leads, m) for m in pres.declared_basis)
     return next((i for i, flag in enumerate(flags) if flag == outlier), None)
 
@@ -408,15 +411,15 @@ def _monomials(pres):
 
 
 def _outlier_index(basis, pres) -> int:
-    """Index of the first declared-order outlier in basis.
+    """Index of the first outlier in basis, with the variables reversed.
 
-    Where the declared order puts every declared monomial on the staircase
-    (sgr2, odd flags), the last one is swapped for the first outlier that
+    Where that order puts every declared monomial on the staircase (sgr2,
+    odd flags), the last one is swapped for the first outlier that
     is not in the ideal, so the plant is still divided.
     """
     i = _first(pres, outlier=True)
     if i is None:
-        leads = _declared_leads(pres)
+        leads = _reversed_leads(pres)
         i = len(basis) - 1
         basis[i] = next(
             m for m in _monomials(pres) if _is_outlier(leads, m) and _normal_form(pres, m)
@@ -492,6 +495,23 @@ def test_sgr_even_images_literal_in_flag_under_plus_one():
     assert pr.sgr_even_holds_in_flag(2, 3, "even", epsilon=1)
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("sgr2", dict(n=2, parity="odd")),
+        ("sgr2_relative", dict(n=2, parity="even")),
+        ("partial_flag", dict(m=2, n=3, parity="even")),
+        ("partial_flag_alt", dict(m=2, n=3, parity="odd")),
+        ("max_flag", dict(N=6)),
+        ("sgr_even", dict(m=1, n=2, parity="even")),
+        ("bsl", dict(N=5, max_degree=8)),
+    ],
+)
+def test_presentation_hashes_by_descriptor_and_ideal(kind, params):
+    a, b = pr.build(kind, **params), pr.build(kind, **params)
+    assert a == b and hash(a) == hash(b)
+
+
 def test_build_dispatch():
     p = pr.build("sgr2", n=2, parity="odd")
     assert p.generator_texts() == ["e1^4"]
@@ -552,15 +572,16 @@ def test_staircase_verdict_matches_full_echelon(kind, params):
     reference = _reference_independent(list(nfs.values()))
     verdict = groebner.staircase_echelon(G, pres.declared_basis, lambda m: nfs[m].terms)
     assert (verdict is not None) == reference
-    # the declared order, which verify_presentation runs in, against the
+    # the reversed order, which verify_presentation runs in, against the
     # canonical full-normal-form echelon and Hilbert function
-    ideal, basis = pres.in_declared_order()
-    D = groebner.groebner_basis(ideal)
+    R = groebner.groebner_basis(pres.ideal.reversed())
     verdict = groebner.staircase_echelon(
-        D, basis, lambda m: groebner.normal_form(Polynomial.monomial(D.ring, m), D).terms
+        R,
+        [m[::-1] for m in pres.declared_basis],
+        lambda m: groebner.normal_form(Polynomial.monomial(R.ring, m), R).terms,
     )
     assert (verdict is not None) == reference
-    assert groebner.quotient_hilbert(D, 24) == groebner.quotient_hilbert(G, 24)
+    assert groebner.quotient_hilbert(R, 24) == groebner.quotient_hilbert(G, 24)
 
 
 # verify_presentation's reports over _presentable_matrix at two bounds and
