@@ -585,7 +585,7 @@ def test_staircase_verdict_matches_full_echelon(kind, params):
 
 
 # verify_presentation's reports over _presentable_matrix at two bounds and
-# five larger cases, each from an empty Groebner cache: to_dict(), the
+# four larger cases, each from an empty Groebner cache: to_dict(), the
 # check tuples with their details and budget_exceeded, one JSON line each
 _REPORT_DUMP_LINES = 156
 _REPORT_DUMP_SHA256 = "c0ab744957ba6d6f82571b1a40a110e6a42978db96658e4d1b1d24e132dc07ab"
