@@ -182,8 +182,9 @@ def _witness(args) -> tuple:
     inv = weyl.invariant_generators(args.group, n)
     target = Polynomial.variable(ring, "e1") ** power
     verified = sum((w * s for w, s in zip(wits, inv.gens)), Polynomial.zero(ring)) == target
-    terms = " + ".join(f"({w})*{name}" for w, name in zip(wits, inv.names))
-    lines = [f"{prefix}{i} = {w}" for i, w in enumerate(wits, start=1)]
+    texts = [str(w) for w in wits]
+    terms = " + ".join(f"({w})*{name}" for w, name in zip(texts, inv.names))
+    lines = [f"{prefix}{i} = {w}" for i, w in enumerate(texts, start=1)]
     lines.append(f"e1^{power} = {terms}")
     lines.append(f"expansion check: {'ok' if verified else 'FAILED'}")
     payload = {
@@ -191,8 +192,8 @@ def _witness(args) -> tuple:
         "n": n,
         "target": f"e1^{power}",
         "cofactors": [
-            {"name": f"{prefix}{i}", "value": str(w), "pairs_with": name}
-            for i, (w, name) in enumerate(zip(wits, inv.names), start=1)
+            {"name": f"{prefix}{i}", "value": w, "pairs_with": name}
+            for i, (w, name) in enumerate(zip(texts, inv.names), start=1)
         ],
         "verified": verified,
     }
@@ -552,20 +553,40 @@ _TABLE = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, which adds the command's arguments when it first parses.
+
+    Each add_argument builds a help formatter, which asks for the terminal
+    size, so main sets up only the arguments of the command it runs.
+    """
+
+    def __init__(self, *args, command: str, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        command, self._pending = self._pending, None
+        if command is not None:
+            positional = _COMMANDS[command][0]
+            if positional:
+                self.add_argument(positional, choices=[a for c, a in _TABLE if c == command])
+            for flag, kwargs in _FLAGS[command].items():
+                self.add_argument(f"--{flag}", **{**kwargs, "default": argparse.SUPPRESS})
+            self.add_argument("--format", choices=("text", "json"), default="text")
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The slcc parser; each command's parser adds its arguments only when main
+    parses with it (_CommandParser)."""
     parser = argparse.ArgumentParser(
         prog="slcc",
         description="Exact calculus of special linear characteristic classes.",
     )
     parser.add_argument("--version", action="version", version=f"slcc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (positional, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        if positional:
-            p.add_argument(positional, choices=[a for c, a in _TABLE if c == command])
-        for flag, kwargs in _FLAGS[command].items():
-            p.add_argument(f"--{flag}", **{**kwargs, "default": argparse.SUPPRESS})
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
 
 

@@ -1,15 +1,19 @@
 """Buchberger engine: reduced Groebner bases, normal forms, Hilbert series.
 
 Bases are computed over the rationals (generators are made monic; Fraction
-coefficients appear internally) with the Gebauer-Moller pair criteria and the
-normal selection strategy, then fully inter-reduced, so the reduced basis is
-unique: the one order is grevlex graded by cohomological degree, in the
-order of the ring's variables (the canonical order of the polynomial
-layer).  A caller that wants grevlex with the variables reversed
-(x_n > ... > x_1) moves its ideal into the reversed ring with
-Ideal.reversed and reads the results back with polyring.reverse_terms, as
-spanning and verify_presentation do.  The reversed ideal is an ideal of its
-own, with its own cache entry.
+coefficients appear internally) with the Gebauer-Moller pair criteria
+(Gebauer and Moller, "On an installation of Buchberger's algorithm", JSC
+1988) and the normal selection strategy, then fully inter-reduced, so the
+reduced basis is unique: the one order is grevlex graded by cohomological
+degree, in the order of the ring's variables (the canonical order of the
+polynomial layer).  Each pair's lcm and each element's lead sort key are
+computed once, when made, and the pairs wait in a heap keyed by the lcm's
+sort key and then the indices: the normal strategy's order, ties included.
+A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
+moves its ideal into the reversed ring with Ideal.reversed and reads the
+results back with polyring.reverse_terms, as spanning and
+verify_presentation do.  The reversed ideal is an ideal of its own, with
+its own cache entry.
 
 Every ideal is homogeneous, so the normal strategy meets S-pairs in
 nondecreasing degree, and a run may stop at a degree bound: the truncated
@@ -39,6 +43,10 @@ polynomial is a term dict updated in place, the pending monomials sit in a
 heap under a grevlex key computed once per monomial, and quotients stay
 term dicts unless a caller needs them as polynomials.
 
+Standard monomials, and through them the Hilbert function, come from a
+walk up the staircase of the leading monomials (_standard_exponents), whose
+cost follows the standard monomials rather than the box below the bound.
+
 staircase_echelon, the one exact echelon over Q, decides whether monomials
 are independent modulo an ideal and divides only those in its leading
 ideal, in the order of the basis it is given: verify_presentation and
@@ -55,14 +63,16 @@ a hang.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, lshift, sub
 
 from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec, reverse_terms
 
@@ -253,8 +263,7 @@ class _Engine:
                     rep = [r - q * dr for r, dr in zip(rep, d.rep)]
         return _Tracked(remainder, rep)
 
-    def s_poly(self, f: _Tracked, g: _Tracked) -> _Tracked:
-        lcm = _monomial_lcm(f.lm, g.lm)
+    def s_poly(self, f: _Tracked, g: _Tracked, lcm: Monomial) -> _Tracked:
         uf = Polynomial.monomial(self.ring, _monomial_div(lcm, f.lm), 1)
         ug = Polynomial.monomial(self.ring, _monomial_div(lcm, g.lm), 1)
         self.spend()
@@ -328,76 +337,79 @@ def _buchberger(
             for j in range(ngens)
         ]
 
-    f: list[_Tracked] = []  # all polynomials ever created, indexed
     key = ring.sort_key
+    f: list[_Tracked] = []  # all polynomials ever created, indexed
+    lm_keys: list = []  # lm_keys[i] = sort key of f[i].lm, computed once
+    G: list[int] = []  # the current basis, sorted by lead: the divisor order
+    CP: dict[tuple[int, int], Monomial] = {}  # live pairs and their lcms
+    # every pair ever made, keyed (key(lcm), pair): the normal strategy's
+    # order, ties by indices.  A pair an update drops stays in the heap and
+    # is skipped when popped; indices only grow, so it never comes back.
+    queue: list = []
 
-    def lm_key(i: int):
-        return key(f[i].lm)
-
-    def update(G: set[int], B: set[tuple[int, int]], ih: int):
-        # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).
-        h = f[ih]
-        mh = h.lm
-        C = sorted(G, key=lm_key)
-        D: list[tuple[int, int]] = []
-        rest = list(C)
-        while rest:
-            ig = rest.pop(0)
-            lcm_hg = _monomial_lcm(mh, f[ig].lm)
-
-            def lcm_divides(ip: int) -> bool:
-                return _monomial_divides(_monomial_lcm(mh, f[ip].lm), lcm_hg)
-
-            if _monomial_mul(mh, f[ig].lm) == lcm_hg or (
-                not any(lcm_divides(ip) for ip in rest)
-                and not any(lcm_divides(pr[1]) for pr in D)
-            ):
-                D.append((ih, ig))
-        # drop pairs with coprime leading monomials (Buchberger's 1st criterion)
-        E = {
-            pair
-            for pair in D
-            if _monomial_mul(mh, f[pair[1]].lm) != _monomial_lcm(mh, f[pair[1]].lm)
-        }
-        B_new: set[tuple[int, int]] = set()
-        for ig1, ig2 in B:
-            lcm12 = _monomial_lcm(f[ig1].lm, f[ig2].lm)
+    def update(ih: int) -> None:
+        # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).  Each
+        # lcm(m_h, lm(g)) is computed once.  The chain test compares them
+        # each packed into one integer, with a field of `width` bits per
+        # variable whose top (guard) bit no exponent reaches: a divides b
+        # exactly when b - a borrows into no guard bit.
+        nonlocal G
+        mh = f[ih].lm
+        lcms = [_monomial_lcm(mh, f[ig].lm) for ig in G]
+        width = max(itertools.chain.from_iterable(lcms), default=0).bit_length() + 1
+        shifts = range(0, width * len(mh), width)
+        guard = sum(1 << (shift + width - 1) for shift in shifts)
+        packed = [sum(map(lshift, lcm, shifts)) for lcm in lcms]
+        # an old pair goes when m_h divides its lcm and neither of its
+        # elements has that lcm with h
+        for pair, lcm12 in list(CP.items()):
+            ig1, ig2 = pair
             if (
-                not _monomial_divides(mh, lcm12)
-                or _monomial_lcm(f[ig1].lm, mh) == lcm12
-                or _monomial_lcm(f[ig2].lm, mh) == lcm12
+                _monomial_divides(mh, lcm12)
+                and _monomial_lcm(f[ig1].lm, mh) != lcm12
+                and _monomial_lcm(f[ig2].lm, mh) != lcm12
             ):
-                B_new.add((ig1, ig2))
-        B_new |= E
-        G_new = {ig for ig in G if not _monomial_divides(mh, f[ig].lm)}
-        G_new.add(ih)
-        return G_new, B_new
+                del CP[pair]
+        kept: list[int] = []  # the packed lcms of the new pairs the chain test kept
+        for pos, (ig, lcm, p) in enumerate(zip(G, lcms, packed)):
+            coprime = _monomial_mul(mh, f[ig].lm) == lcm
+            if coprime or all((p - q) & guard for q in itertools.chain(packed[pos + 1 :], kept)):
+                kept.append(p)
+                # a pair with coprime leading monomials is dropped (Buchberger's 1st criterion)
+                if not coprime:
+                    CP[ih, ig] = lcm
+                    heapq.heappush(queue, (key(lcm), (ih, ig)))
+        G = [ig for ig in G if not _monomial_divides(mh, f[ig].lm)]
+        G.insert(bisect.bisect(G, lm_keys[ih], key=lm_keys.__getitem__), ih)
+
+    def add(t: _Tracked) -> None:
+        t = t.monic()
+        f.append(t)
+        lm_keys.append(key(t.lm))
+        update(len(f) - 1)
 
     # seed with monic nonzero generators
     seeds = [_Tracked(g, unit_rep(i)).monic() for i, g in enumerate(ideal.generators)]
 
-    G: set[int] = set()
-    CP: set[tuple[int, int]] = set()
     for t in sorted(seeds, key=lambda t: key(t.lm)):
-        reduced = engine.reduce_tracked(t, [f[i] for i in sorted(G, key=lm_key)])
+        reduced = engine.reduce_tracked(t, [f[i] for i in G])
         if reduced.poly:
-            f.append(reduced.monic())
-            G, CP = update(G, CP, len(f) - 1)
+            add(reduced)
 
-    while CP:
-        # normal strategy: smallest lcm first, ties by indices for determinism
-        (lcm_degree, _), pair = min((key(_monomial_lcm(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
+    while queue:
+        (lcm_degree, _), pair = queue[0]
+        if pair not in CP:
+            heapq.heappop(queue)
+            continue
         if max_degree is not None and lcm_degree > max_degree:
             break
-        CP.remove(pair)
-        s = engine.s_poly(f[pair[0]], f[pair[1]])
+        heapq.heappop(queue)
+        s = engine.s_poly(f[pair[0]], f[pair[1]], CP.pop(pair))
         if not s.poly:
             continue
-        divisors = [f[i] for i in sorted(G, key=lm_key)]
-        reduced = engine.reduce_tracked(s, divisors)
+        reduced = engine.reduce_tracked(s, [f[i] for i in G])
         if reduced.poly:
-            f.append(reduced.monic())
-            G, CP = update(G, CP, len(f) - 1)
+            add(reduced)
 
     # G is already minimal: update() drops every element whose lead the new
     # lead divides, and each new element is reduced by all of G first.
@@ -407,7 +419,7 @@ def _buchberger(
     # term in the lead ideal: the unique reduced element.  A second pass
     # would find no quotient and leave the representations as they are.
     # Leads do not move, so the list stays sorted by them.
-    final = [f[i] for i in sorted(G, key=lm_key)]
+    final = [f[i] for i in G]
     if max_degree is None:
         for i in range(len(final)):
             final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
@@ -571,26 +583,44 @@ def staircase_echelon(G: GroebnerBasis, members: Sequence[Monomial], divide, car
 
 
 def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):
-    """Yield exponent tuples of degree <= max_degree outside the lead-term ideal."""
+    """Yield exponent tuples of degree <= max_degree outside the lead-term ideal.
+
+    A walk up the staircase: from 1, each standard monomial m is extended by
+    one variable x_i at or after its last nonzero position, while the degree
+    stays within the bound, so each monomial is reached once, from its
+    quotient by the variable at its last nonzero position.  Divisors of a
+    standard monomial are standard, so the walk misses none; it keeps the
+    results no lead divides.  A lead that divides m * x_i but not the
+    standard m has i-th exponent m_i + 1, so the leads are looked up by
+    (i, exponent).  The cost follows the staircase, not the box below the
+    bound.
+    """
     degrees = ring.degrees
     n = len(degrees)
-    expo = [0] * n
-
-    def rec(i: int, remaining: int, candidates: list[Monomial]):
-        # candidates = leads consistent with positions < i; empty at i == n
-        # means nothing divides, i.e. the monomial is standard
-        if i == n:
-            if not candidates:
-                yield tuple(expo)
-            return
-        max_e = remaining // degrees[i]
-        for e in range(max_e + 1):
-            expo[i] = e
-            still = [lt for lt in candidates if lt[i] <= e]
-            yield from rec(i + 1, remaining - e * degrees[i], still)
-        expo[i] = 0
-
-    yield from rec(0, max_degree, list(leads))
+    one = (0,) * n
+    if max_degree < 0 or one in leads:
+        return
+    by_step: dict[tuple[int, int], list[Monomial]] = {}
+    for lt in leads:
+        for i, e in enumerate(lt):
+            if e:
+                by_step.setdefault((i, e), []).append(lt)
+    yield one
+    layer = [(one, 0, 0)]  # (standard monomial, its degree, its last nonzero position)
+    while layer:
+        grown = []
+        for m, d, last in layer:
+            for i in range(last, n):
+                di = d + degrees[i]
+                if di > max_degree:
+                    continue
+                e = m[i] + 1
+                mi = m[:i] + (e,) + m[i + 1 :]
+                if any(all(map(le, lt, mi)) for lt in by_step.get((i, e), ())):
+                    continue
+                yield mi
+                grown.append((mi, di, i))
+        layer = grown
 
 
 def standard_monomials(

@@ -621,3 +621,177 @@ def test_groebner_matches_sympy(seed):
             verdict = oracle.contains(_sympy_expr(p))
             assert normal_form(p, truncated).is_zero() == verdict
             assert normal_form(p, G).is_zero() == verdict
+
+
+def _standard_exponents_by_recursion(ring, leads, max_degree):
+    """The enumeration standard_monomials used before the staircase walk,
+    kept as an oracle: every exponent vector in the box below the degree
+    bound, tested against the leads at the leaves."""
+    degrees = ring.degrees
+    n = len(degrees)
+    expo = [0] * n
+
+    def rec(i, remaining, candidates):
+        if i == n:
+            if not candidates:
+                yield tuple(expo)
+            return
+        for e in range(remaining // degrees[i] + 1):
+            expo[i] = e
+            still = [lt for lt in candidates if lt[i] <= e]
+            yield from rec(i + 1, remaining - e * degrees[i], still)
+        expo[i] = 0
+
+    yield from rec(0, max_degree, list(leads))
+
+
+def _assert_walk_matches_recursion(ring, leads, max_degree):
+    walk = list(groebner._standard_exponents(ring, leads, max_degree))
+    assert len(walk) == len(set(walk))
+    assert sorted(walk) == sorted(_standard_exponents_by_recursion(ring, leads, max_degree))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """Leads of a monomial ideal in a weighted ring, not always minimal, and
+    now and then the unit ideal (a lead with every exponent 0), with a bound
+    from -1 up."""
+    ring = draw(st.sampled_from(_WEIGHTED_RINGS))
+    n = len(ring.vars)
+    expo = st.tuples(*[st.integers(0, 4)] * n)
+    leads = draw(st.lists(expo, max_size=5))
+    return ring, tuple(leads), draw(st.integers(-1, 14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_ideals())
+def test_staircase_walk_matches_recursion(case):
+    ring, leads, max_degree = case
+    _assert_walk_matches_recursion(ring, leads, max_degree)
+
+
+def test_empty_staircases():
+    # a negative bound, and the unit ideal, whose lead 1 divides everything
+    G = groebner_basis(ideal2())
+    assert quotient_hilbert(G, -1) == []
+    assert standard_monomials(G, -1) == []
+    assert standard_monomials(groebner_basis(Ideal.make(R2, [])), -1) == []
+    unit = groebner_basis(Ideal.make(R2, [Polynomial.one(R2)]))
+    assert quotient_hilbert(unit, 4) == [0] * 5
+    assert standard_monomials(unit, 4) == []
+
+
+_ABCD = RingSpec.make([("a", 1), ("b", 1), ("c", 1), ("d", 1)])
+
+
+def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
+    """Buchberger's loop before the pair heap, kept as an oracle: the normal
+    strategy as a min() over the pair set, with every lcm and sort key
+    recomputed at each pop and each update, and G re-sorted at each S-pair."""
+    engine = engine or groebner._Engine(ideal.ring)
+    ring = ideal.ring
+    ngens = len(ideal.generators)
+    lcm_of, mul = groebner._monomial_lcm, groebner._monomial_mul
+    divides = groebner._monomial_divides
+
+    def unit_rep(i):
+        if not track:
+            return []
+        return [Polynomial.one(ring) if j == i else Polynomial.zero(ring) for j in range(ngens)]
+
+    f = []
+    key = ring.sort_key
+
+    def lm_key(i):
+        return key(f[i].lm)
+
+    def update(G, B, ih):
+        mh = f[ih].lm
+        D = []
+        rest = sorted(G, key=lm_key)
+        while rest:
+            ig = rest.pop(0)
+            lcm_hg = lcm_of(mh, f[ig].lm)
+
+            def lcm_divides(ip):
+                return divides(lcm_of(mh, f[ip].lm), lcm_hg)
+
+            if mul(mh, f[ig].lm) == lcm_hg or (
+                not any(lcm_divides(ip) for ip in rest) and not any(lcm_divides(p[1]) for p in D)
+            ):
+                D.append((ih, ig))
+        E = {p for p in D if mul(mh, f[p[1]].lm) != lcm_of(mh, f[p[1]].lm)}
+        B_new = set()
+        for ig1, ig2 in B:
+            lcm12 = lcm_of(f[ig1].lm, f[ig2].lm)
+            if (
+                not divides(mh, lcm12)
+                or lcm_of(f[ig1].lm, mh) == lcm12
+                or lcm_of(f[ig2].lm, mh) == lcm12
+            ):
+                B_new.add((ig1, ig2))
+        G_new = {ig for ig in G if not divides(mh, f[ig].lm)}
+        G_new.add(ih)
+        return G_new, B_new | E
+
+    seeds = [groebner._Tracked(g, unit_rep(i)).monic() for i, g in enumerate(ideal.generators)]
+    G, CP = set(), set()
+    for t in sorted(seeds, key=lambda t: key(t.lm)):
+        reduced = engine.reduce_tracked(t, [f[i] for i in sorted(G, key=lm_key)])
+        if reduced.poly:
+            f.append(reduced.monic())
+            G, CP = update(G, CP, len(f) - 1)
+    while CP:
+        (lcm_degree, _), pair = min((key(lcm_of(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
+        if max_degree is not None and lcm_degree > max_degree:
+            break
+        CP.remove(pair)
+        s = engine.s_poly(f[pair[0]], f[pair[1]], lcm_of(f[pair[0]].lm, f[pair[1]].lm))
+        if not s.poly:
+            continue
+        reduced = engine.reduce_tracked(s, [f[i] for i in sorted(G, key=lm_key)])
+        if reduced.poly:
+            f.append(reduced.monic())
+            G, CP = update(G, CP, len(f) - 1)
+    final = [f[i] for i in sorted(G, key=lm_key)]
+    if max_degree is None:
+        for i in range(len(final)):
+            final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
+    return [t.poly for t in final], [t.rep for t in final] if track else None
+
+
+@st.composite
+def _pair_heap_cases(draw):
+    # up to six generators: with fewer, the Gebauer-Moller criteria and ties
+    # between pairs of one lcm degree rarely arise
+    ring = draw(st.sampled_from([*_WEIGHTED_RINGS, _ABCD]))
+    gens = [
+        draw(_homogeneous(ring, draw(st.integers(1, 5)))) for _ in range(draw(st.integers(1, 6)))
+    ]
+    max_degree = draw(st.one_of(st.none(), st.integers(0, 10)))
+    return Ideal.make(ring, gens), draw(st.booleans()), max_degree, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_heap_cases())
+def test_pair_heap_matches_min_over_pairs(case):
+    I, track, max_degree, budget_draw = case
+    engine, reference = groebner._Engine(I.ring), groebner._Engine(I.ring)
+    G = groebner._buchberger(I, track, max_degree, engine)
+    basis, reps = _buchberger_by_min(I, track, max_degree, reference)
+    assert list(G.basis) == basis
+    assert engine.steps == reference.steps
+    if track:
+        assert [list(r) for r in G.representations] == reps
+    else:
+        assert G.representations is None
+    if not engine.steps:
+        return
+    # a budget short of the run's steps runs out at the same step in both
+    short = budget_draw % engine.steps
+    for run in (groebner._buchberger, _buchberger_by_min):
+        meter = groebner._Engine(I.ring)
+        meter.budget = short
+        with pytest.raises(BudgetExceededError):
+            run(I, track, max_degree, meter)
+        assert meter.steps == short + 1

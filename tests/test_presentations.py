@@ -14,6 +14,7 @@ from slcc import presentations as pr
 from slcc import groebner, spanning
 from slcc.groebner import Ideal, ideal_equal
 from slcc.polyring import Polynomial, RingSpec
+from test_groebner import _assert_walk_matches_recursion
 
 
 def test_sgr2_odd_example():
@@ -582,6 +583,18 @@ def test_staircase_verdict_matches_full_echelon(kind, params):
     )
     assert (verdict is not None) == reference
     assert groebner.quotient_hilbert(R, 24) == groebner.quotient_hilbert(G, 24)
+
+
+@pytest.mark.parametrize("kind,params", _presentable_matrix())
+def test_staircase_walk_matches_recursion_on_presentations(kind, params):
+    # in both orders, at the sum of the generators' degrees: the bound
+    # sgr_even's builder enumerates at, past which a complete intersection's
+    # quotient vanishes
+    pres = pr.build(kind, **params)
+    bound = sum(g.homogeneous_degree() for g in pres.ideal.generators)
+    for ideal in (pres.ideal, pres.ideal.reversed()):
+        G = groebner.groebner_basis(ideal)
+        _assert_walk_matches_recursion(G.ring, G.leading_monomials(), bound)
 
 
 # verify_presentation's reports over _presentable_matrix at two bounds and
