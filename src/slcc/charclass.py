@@ -35,7 +35,6 @@ __all__ = [
     "SplitBundle",
     "bundle_ring",
     "complement_borel",
-    "direct_sum",
     "euler",
     "pontryagin_series",
     "total_borel",
@@ -174,23 +173,6 @@ def pontryagin_series(b: SplitBundle, order: int, ring: RingSpec | None = None) 
     for j in range(order + 1):
         out.append(borel[j // 2] if j % 2 == 0 else Polynomial.zero(ring))
     return out
-
-
-def direct_sum(b1: SplitBundle, b2: SplitBundle) -> SplitBundle:
-    """Concatenate summands; orientations multiply.  Symbols must not clash."""
-    if b1.odd_part and b2.odd_part:
-        raise ValueError(
-            "sum of two odd parts leaves splitting normal form; "
-            "model the trivial rank-2 piece as a symbol instead"
-        )
-    overlap = set(b1.euler_symbols) & set(b2.euler_symbols)
-    if overlap:
-        raise ValueError(f"euler symbols {sorted(overlap)} appear in both summands")
-    return SplitBundle(
-        b1.euler_symbols + b2.euler_symbols,
-        b1.odd_part or b2.odd_part,
-        b1.orientation * b2.orientation,
-    )
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,14 @@ representations field is None.  Each ideal has one cache entry;
 tracked_division replaces an untracked entry with a tracked one.
 
 Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
-all run through one division routine, _Engine.divide.  It is a heap
-division after Monagan and Pearce ("Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007): the working
-polynomial is a term dict updated in place, the pending monomials sit in a
-heap under a grevlex key computed once per monomial, and quotients stay
-term dicts unless a caller needs them as polynomials.
+all run through one division routine, _Engine.divide_packed.  It is a
+heap division after Monagan and Pearce ("Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007) on packed exponents
+(polyring.Packing): the working polynomial is a term dict updated in
+place, the pending monomials sit in a heap under a grevlex key computed
+once per monomial, and quotients stay packed term dicts unless a caller
+needs them as polynomials.  tracked_division accumulates its cofactors on
+packed exponents too.
 
 Standard monomials, and through them the Hilbert function, come from a
 walk up the staircase of the leading monomials (_standard_exponents), whose
@@ -72,9 +74,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
 from math import gcd
-from operator import add, le, lshift, sub
+from operator import add, le, sub
 
-from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec, reverse_terms
+from .polyring import (
+    EXPONENT_LIMIT,
+    Coefficient,
+    ExponentOverflowError,
+    Monomial,
+    Packing,
+    Polynomial,
+    RingMismatchError,
+    RingSpec,
+    multiply_packed,
+    packing,
+    reverse_terms,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -169,14 +183,16 @@ class _Tracked:
         self._reducer = None
 
     def reducer(self):
-        """(lm, deg(lm), tail terms with their degrees), built on first use.
+        """(lm, deg(lm), tail terms with their degrees), packed, built on first use.
 
-        A divisor serves many divisions, so its tail is split off once.
+        A divisor serves many divisions, so its lead and tail are packed
+        and split off once.
         """
         if self._reducer is None:
-            degree = self.poly.ring.monomial_degree
-            tail = [(m, c, degree(m)) for m, c in self.poly.terms.items() if m != self.lm]
-            self._reducer = (self.lm, degree(self.lm), tail)
+            ring = self.poly.ring
+            degree, pack = ring.monomial_degree, packing(len(ring)).pack
+            tail = [(pack(m), c, degree(m)) for m, c in self.poly.terms.items() if m != self.lm]
+            self._reducer = (pack(self.lm), degree(self.lm), tail)
         return self._reducer
 
     def monic(self) -> _Tracked:
@@ -187,9 +203,18 @@ class _Tracked:
         return _Tracked(self.poly * inv, [r * inv for r in self.rep])
 
 
+def _overflow(layout: Packing, packed: int) -> ExponentOverflowError:
+    """The error for a packed monomial with an exponent at or above 2^63."""
+    top = max(layout.struct.unpack(packed.to_bytes(layout.struct.size, "little")))
+    return ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
+
+
 class _Engine:
     def __init__(self, ring: RingSpec):
         self.ring = ring
+        self.packing = packing(len(ring))
+        self._divisors: list[_Tracked] | None = None
+        self._reducers: list = []
         self.budget = _budget_limit()
         self.steps = 0
 
@@ -203,6 +228,16 @@ class _Engine:
     def divide(self, p: Polynomial, divisors: list[_Tracked]):
         """Full multivariate division: p = sum q_i * divisors_i + remainder.
 
+        Returns the quotients as term dicts, one per divisor, and the
+        remainder as a Polynomial; divide_packed does the work.
+        """
+        quotients, remainder = self.divide_packed(p.terms, divisors)
+        unpack_terms = self.packing.unpack_terms
+        return [q and unpack_terms(q) for q in quotients], remainder
+
+    def divide_packed(self, terms: dict[Monomial, Coefficient], divisors: list[_Tracked]):
+        """divide on a term map, with the quotients left packed (polyring.Packing).
+
         Divisors must be monic.  The reducer for each step is the first
         divisor (in list order) whose leading monomial divides the current
         greatest reducible monomial, which makes the result deterministic.
@@ -210,57 +245,82 @@ class _Engine:
         The division runs in place on a term dict, with the pending
         monomials in a heap (Monagan and Pearce, "Polynomial division using
         dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
-        Each monomial gets its ordering key once, when it first enters the
-        working dict; a step pops the greatest live monomial, skips
-        cancelled ones, and subtracts coeff * x^q * tail(d) term by term.
-        A popped monomial never comes back: every term a step adds is
-        smaller than it.  Returns the quotients as term dicts, one per
-        divisor, and the remainder as a Polynomial.
+        Exponents are packed: the terms once on entry, each divisor once
+        for all divisions (_Tracked.reducer), and one engine reuses the
+        reducer list while it is handed the same divisor list.  Each
+        monomial gets its heap key (-degree, packed) once, when it first
+        enters the working dict.  The packed int compares like the reversed
+        tuple, so this key orders monomials exactly as (-degree, reversed
+        tuple) would: the heap pops in grevlex order, greatest first.  A
+        step pops the greatest live monomial, skips cancelled ones, and
+        subtracts coeff * x^q * tail(d) term by term, where x^q * t is
+        q + t packed.  lm divides expo exactly when expo - lm borrows into
+        no guard bit: not (expo - lm) & G for the guard mask G.  That test
+        needs every field below 2^63, so a monomial with an exponent that
+        large raises ExponentOverflowError.  A popped monomial never comes
+        back: every term a step adds is smaller than it.  The remainder's
+        terms are in the order they were popped.
         """
+        layout = self.packing
+        pack, from_bytes, guard = layout.struct.pack, int.from_bytes, layout.guard
         degree = self.ring.monomial_degree
-        work = dict(p.terms)
+        work: dict[int, Coefficient] = {}
         # min-heap on the negated grevlex key: the greatest monomial pops first
-        heap = [(-degree(m), m[::-1], m) for m in work]
+        heap = []
+        high = 0  # the union of the packed monomials' bits
+        for m, c in terms.items():
+            packed = from_bytes(pack(*m), "little")
+            work[packed] = c
+            heap.append((-degree(m), packed))
+            high |= packed
+        if high & guard:
+            raise _overflow(layout, next(m for m in work if m & guard))
         heapq.heapify(heap)
         queued = set(work)
+        if divisors is not self._divisors:  # one reducer list per divisor list
+            self._divisors = divisors
+            self._reducers = [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
         # deg(x^q * t) = deg(q) + deg(t), so no degree is recomputed below
-        reducers = [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
-        quotients: list[dict[Monomial, Coefficient]] = [{} for _ in divisors]
-        remainder: dict[Monomial, Coefficient] = {}
+        reducers = self._reducers
+        quotients: list[dict[int, Coefficient]] = [{} for _ in divisors]
+        remainder: dict[int, Coefficient] = {}
         while heap:
-            neg_degree, _, expo = heapq.heappop(heap)
+            neg_degree, expo = heapq.heappop(heap)
             coeff = work.pop(expo, 0)
             if not coeff:
                 continue
             for j, lm, lm_degree, tail in reducers:
-                if all(map(le, lm, expo)):
+                if not (expo - lm) & guard:
                     self.spend()
-                    q = tuple(map(sub, expo, lm))
+                    q = expo - lm
                     quotients[j][q] = coeff
                     neg_q_degree = neg_degree + lm_degree
                     for m, c, m_degree in tail:
-                        m = tuple(map(add, q, m))
+                        m += q
                         value = work.get(m, 0) - coeff * c
                         if value:
                             work[m] = value
                         else:
                             work.pop(m, None)
                         if m not in queued:
+                            if m & guard:
+                                raise _overflow(layout, m)
                             queued.add(m)
-                            heapq.heappush(heap, (neg_q_degree - m_degree, m[::-1], m))
+                            heapq.heappush(heap, (neg_q_degree - m_degree, m))
                     break
             else:
                 remainder[expo] = coeff
-        return quotients, Polynomial(self.ring, remainder)
+        return quotients, Polynomial(self.ring, remainder and layout.unpack_terms(remainder))
 
     def reduce_tracked(self, t: _Tracked, divisors: list[_Tracked]) -> _Tracked:
-        quotients, remainder = self.divide(t.poly, divisors)
         rep = t.rep
-        if rep:
-            for q, d in zip(quotients, divisors):
-                if q:
-                    q = Polynomial(self.ring, q)
-                    rep = [r - q * dr for r, dr in zip(rep, d.rep)]
+        if not rep:
+            return _Tracked(self.divide_packed(t.poly.terms, divisors)[1], rep)
+        quotients, remainder = self.divide(t.poly, divisors)
+        for q, d in zip(quotients, divisors):
+            if q:
+                q = Polynomial(self.ring, q)
+                rep = [r - q * dr for r, dr in zip(rep, d.rep)]
         return _Tracked(remainder, rep)
 
     def s_poly(self, f: _Tracked, g: _Tracked, lcm: Monomial) -> _Tracked:
@@ -338,6 +398,8 @@ def _buchberger(
         ]
 
     key = ring.sort_key
+    layout = packing(len(ring))
+    pack, guard = layout.pack, layout.guard
     f: list[_Tracked] = []  # all polynomials ever created, indexed
     lm_keys: list = []  # lm_keys[i] = sort key of f[i].lm, computed once
     G: list[int] = []  # the current basis, sorted by lead: the divisor order
@@ -350,16 +412,12 @@ def _buchberger(
     def update(ih: int) -> None:
         # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).  Each
         # lcm(m_h, lm(g)) is computed once.  The chain test compares them
-        # each packed into one integer, with a field of `width` bits per
-        # variable whose top (guard) bit no exponent reaches: a divides b
-        # exactly when b - a borrows into no guard bit.
+        # packed (polyring.Packing): a divides b exactly when b - a borrows
+        # into no guard bit.
         nonlocal G
         mh = f[ih].lm
         lcms = [_monomial_lcm(mh, f[ig].lm) for ig in G]
-        width = max(itertools.chain.from_iterable(lcms), default=0).bit_length() + 1
-        shifts = range(0, width * len(mh), width)
-        guard = sum(1 << (shift + width - 1) for shift in shifts)
-        packed = [sum(map(lshift, lcm, shifts)) for lcm in lcms]
+        packed = list(map(pack, lcms))
         # an old pair goes when m_h divides its lcm and neither of its
         # elements has that lcm with h
         for pair, lcm12 in list(CP.items()):
@@ -435,7 +493,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo G; zero iff p lies in the ideal."""
     if not p.ring.compatible_with(G.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
-    _, remainder = _Engine(G.ring).divide(p, G._divisors)
+    _, remainder = _Engine(G.ring).divide_packed(p.terms, G._divisors)
     return remainder
 
 
@@ -455,22 +513,21 @@ def tracked_division(ideal: Ideal):
         # the one tracked Buchberger run; it reproduces an untracked entry's basis
         G = _GB_CACHE[cache_key] = _buchberger(ideal, track=True)
     engine = _Engine(ideal.ring)
-    reps = [[r.terms.items() for r in rep] for rep in G.representations]
+    pack, unpack_terms = engine.packing.pack, engine.packing.unpack_terms
+    # each basis element's nonzero representation entries, (i, packed terms)
+    reps = [
+        [(i, {pack(m): c for m, c in r.terms.items()}) for i, r in enumerate(rep) if r]
+        for rep in G.representations
+    ]
 
     def divide(terms: dict[Monomial, Coefficient]):
-        quotients, remainder = engine.divide(Polynomial._trusted(ideal.ring, terms), G._divisors)
-        cofactors: list[dict[Monomial, Coefficient]] = [{} for _ in ideal.generators]
+        quotients, remainder = engine.divide_packed(terms, G._divisors)
+        cofactors: list[dict] = [{} for _ in ideal.generators]
         for q, rep in zip(quotients, reps):
-            for mq, cq in q.items():
-                for acc, r in zip(cofactors, rep):
-                    for mr, cr in r:
-                        m = tuple(map(add, mq, mr))
-                        v = acc.get(m, 0) + cq * cr
-                        if v:
-                            acc[m] = v
-                        else:
-                            del acc[m]
-        return cofactors, remainder.terms
+            if q:
+                for i, r in rep:
+                    multiply_packed(q, r, cofactors[i])
+        return [c and unpack_terms(c) for c in cofactors], remainder.terms
 
     return divide
 
@@ -517,7 +574,7 @@ def _contains(ideal: Ideal, polys: tuple[Polynomial, ...]) -> bool:
     if G is None:
         top = max(p.homogeneous_degree() for p in polys)
         G = _buchberger(ideal, track=False, max_degree=top, engine=engine)
-    return all(not engine.divide(p, G._divisors)[1] for p in polys)
+    return all(not engine.divide_packed(p.terms, G._divisors)[1] for p in polys)
 
 
 def echelon_reduce(row: dict, pivots: dict):

@@ -16,13 +16,37 @@ reverse-lex rule on the exponent vector.  Printing emits terms in descending
 canonical order, and :func:`parse_poly` accepts the same grammar the printer
 produces (integer literals, variable names, ``+ - * ^ ( )``, with ``*``
 mandatory between factors).
+
+Products of term maps go through one helper, multiply_terms.  A product of
+at least PACK_CUTOFF term pairs packs each exponent tuple into one int
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007, section 3): a Packing gives each
+variable a 64-bit little-endian field, so x_n holds the most significant
+field and a packed int compares like the reversed tuple.  Adding packed
+ints adds the exponent tuples, as long as no field reaches 2^64; exponents
+stay below EXPONENT_LIMIT = 2^31, so a sum of two never does.  Bit 63 of
+each field is the guard bit, and G the int that sets every guard bit.
+While every field is below 2^63, a divides b exactly when b - a borrows
+into no guard bit, ``not (b - a) & G``: with no a_i above b_i no field
+borrows, and the lowest field where a_i exceeds b_i wraps to 2^64 + b_i -
+a_i, at least 2^63 (Python's ints keep those bits when the difference is
+negative).  The Groebner division and the Buchberger chain test read it.
+
+Smaller products keep the tuple loop, because packing and unpacking cost
+more than the packed arithmetic saves there.  Measured in 4 alternating
+pairs of perfbench runs on a 2-core host, packing every product made the
+spanning workload's wall time 13% slower and the acceptance workload's 7%
+slower than this cutoff of 16 term pairs, which leaves both where the
+tuple loop had them.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, neg
 from typing import Iterable, Iterator, Mapping
 
@@ -30,12 +54,16 @@ __all__ = [
     "Coefficient",
     "ExponentOverflowError",
     "Monomial",
+    "Packing",
     "ParseError",
     "PolyError",
     "Polynomial",
     "RingMismatchError",
     "RingSpec",
     "UnmappedVariableError",
+    "multiply_packed",
+    "multiply_terms",
+    "packing",
     "parse_poly",
     "reverse_terms",
 ]
@@ -47,6 +75,9 @@ EXPONENT_LIMIT = 2**31
 # The parser recurses once per parenthesis level; deeper input is a parse
 # error rather than a Python recursion overflow.
 NESTING_LIMIT = 100
+
+# Products of at least this many term pairs are computed on packed exponents.
+PACK_CUTOFF = 16
 
 VAR_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
 
@@ -157,6 +188,86 @@ class RingSpec:
 def reverse_terms(terms: Mapping[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
     """A term map moved into the reversed ring, or back: each exponent tuple reversed."""
     return {m[::-1]: c for m, c in terms.items()}
+
+
+class Packing:
+    """Exponent tuples of an n-variable ring packed into one int each.
+
+    Field i holds the exponent of x_i in bits 64i to 64i + 63, so the packed
+    ints compare like the reversed tuples.  ``guard`` sets bit 63 of every
+    field.  Every exponent must lie in [0, 2^64); the packed arithmetic is
+    exact while each field of a sum stays below 2^64, and a guard-bit
+    divisibility test needs each field below 2^63.
+    """
+
+    __slots__ = ("struct", "guard")
+
+    def __init__(self, nvars: int):
+        self.struct = struct.Struct(f"<{nvars}Q")
+        self.guard = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * nvars, "little")
+
+    def pack(self, expo: Monomial) -> int:
+        return int.from_bytes(self.struct.pack(*expo), "little")
+
+    def unpack_terms(self, terms: Mapping[int, Coefficient]) -> dict[Monomial, Coefficient]:
+        """A packed term map back on exponent tuples, in its own order."""
+        unpack, size = self.struct.unpack, self.struct.size
+        out = {}
+        for m, c in terms.items():
+            out[unpack(m.to_bytes(size, "little"))] = c
+        return out
+
+
+@lru_cache(maxsize=64)
+def packing(nvars: int) -> Packing:
+    """The Packing of an nvars-variable ring (one per count, at most 64 kept)."""
+    return Packing(nvars)
+
+
+def multiply_terms(
+    a: Mapping[Monomial, Coefficient], b: Mapping[Monomial, Coefficient]
+) -> dict[Monomial, Coefficient]:
+    """The product of two term maps, as a new term map.
+
+    Terms are visited as a's outside b's, and a sum that cancels is popped
+    at once, so the result has the same keys in the same order whichever
+    loop computes it.  Coefficients are not normalized and exponents not
+    checked against EXPONENT_LIMIT: callers do that.  Exponents must be
+    below 2^63.  With at least PACK_CUTOFF term pairs the loop runs on
+    packed exponents (see the module docstring).
+    """
+    if len(a) * len(b) < PACK_CUTOFF:
+        out: dict = {}
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                m = tuple(map(add, ea, eb))
+                s = get(m, 0) + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+        return out
+    layout = packing(len(next(iter(a))))
+    pack, from_bytes = layout.struct.pack, int.from_bytes
+    packed_a = {from_bytes(pack(*m), "little"): c for m, c in a.items()}
+    packed_b = {from_bytes(pack(*m), "little"): c for m, c in b.items()}
+    return layout.unpack_terms(multiply_packed(packed_a, packed_b, {}))
+
+
+def multiply_packed(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient], out: dict) -> dict:
+    """out += a * b on packed term maps (see Packing), in multiply_terms' order; returns out."""
+    get = out.get
+    b = b.items()
+    for ea, ca in a.items():
+        for eb, cb in b:
+            m = ea + eb
+            s = get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
 
 
 def _normalize_coeff(c: Coefficient) -> Coefficient:
@@ -342,15 +453,7 @@ class Polynomial:
             terms = {e: _normalize_coeff(c * other) for e, c in self._terms.items()}
             return Polynomial._trusted(self.ring, terms)
         self._check_ring(other)
-        out: dict[Monomial, Coefficient] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                expo = tuple(map(add, ea, eb))
-                s = out.get(expo, 0) + ca * cb
-                if s == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
+        out = multiply_terms(self._terms, other._terms)
         top = max(map(max, out)) if out and self.ring.vars else 0
         if top >= EXPONENT_LIMIT:
             raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")

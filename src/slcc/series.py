@@ -10,12 +10,10 @@ from __future__ import annotations
 
 __all__ = [
     "free_module_series",
-    "geometric",
     "one",
     "poly_ring_hilbert",
     "series_from_degrees",
     "series_mul",
-    "series_text",
 ]
 
 
@@ -31,16 +29,6 @@ def series_mul(a: list[int], b: list[int], bound: int) -> list[int]:
         for j, cb in enumerate(b[: bound + 1 - i]):
             if cb:
                 out[i + j] += ca * cb
-    return out
-
-
-def geometric(degree: int, bound: int) -> list[int]:
-    """1 / (1 - q^degree) truncated: 1 + q^d + q^2d + ..."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    out = [0] * (bound + 1)
-    for k in range(0, bound + 1, degree):
-        out[k] = 1
     return out
 
 
@@ -76,16 +64,3 @@ def free_module_series(
     rhs = series_mul(poly_ring_hilbert(generator_degrees, bound), module, bound)
     return rhs, next((d for d in range(bound + 1) if lhs[d] != rhs[d]), None)
 
-
-def series_text(s: list[int], var: str = "q") -> str:
-    parts = []
-    for d, c in enumerate(s):
-        if not c:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(var if d == 1 else f"{var}^{d}")
-        else:
-            parts.append(f"{c}*{var}^{d}" if d > 1 else f"{c}*{var}")
-    return " + ".join(parts) if parts else "0"

@@ -45,7 +45,15 @@ from operator import add, le
 
 from . import series, weyl
 from .groebner import Ideal, echelon_reduce, groebner_basis, staircase_echelon, tracked_division
-from .polyring import Coefficient, Monomial, Polynomial, RingMismatchError, RingSpec, reverse_terms
+from .polyring import (
+    Coefficient,
+    Monomial,
+    Polynomial,
+    RingMismatchError,
+    RingSpec,
+    multiply_terms,
+    reverse_terms,
+)
 
 __all__ = [
     "FreenessReport",
@@ -232,15 +240,15 @@ def expand(dec: SpanDecomposition) -> Polynomial:
     image of its exponent prefix times one power.  The alphas are visited in
     lexicographic order, so those sharing a prefix are adjacent and the
     images of the current alpha's prefixes are the whole memo: each distinct
-    prefix costs at most one product.  Every c * image(alpha) * e^b is added
-    into one term dict.
+    prefix costs at most one product.  The terms at each alpha, sum c * e^b,
+    are multiplied by image(alpha) and added into one term dict.
     """
     ring = weyl.e_ring(dec.n)
     gens = weyl.invariant_generators(dec.group, dec.n).gens
-    by_alpha: dict[Monomial, list[tuple[Monomial, Coefficient]]] = {}
+    by_alpha: dict[Monomial, dict[Monomial, Coefficient]] = {}
     for b, coeff in dec.terms.items():
         for alpha, c in coeff.terms.items():
-            by_alpha.setdefault(alpha, []).append((b, c))
+            by_alpha.setdefault(alpha, {})[b] = c
     exponents = [{alpha[i] for alpha in by_alpha} for i in range(len(gens))]
     # alpha[0] never decreases in lexicographic order, so the powers of s_1,
     # whose exponents run highest, are held one at a time; the others' are
@@ -265,10 +273,7 @@ def expand(dec: SpanDecomposition) -> Polynomial:
                 image = power if image is one else image * power
             prefix[i] = image
         previous = alpha
-        for b, c in by_alpha[alpha]:
-            for m, v in image.terms.items():
-                m = tuple(map(add, m, b))
-                out[m] = out.get(m, 0) + c * v
+        _add_scaled(out, multiply_terms(by_alpha[alpha], image.terms), 1)
     return Polynomial(ring, out)
 
 

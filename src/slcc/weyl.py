@@ -99,15 +99,6 @@ class SignedPermutation:
     def identity(n: int, group: str = "B") -> SignedPermutation:
         return SignedPermutation(tuple(range(n)), (1,) * n, group)
 
-    def compose(self, other: SignedPermutation) -> SignedPermutation:
-        """The element acting as self after other: act(compose) == act(self) o act(other)."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.n))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(self.n))
-        group = "D" if self.group == "D" and other.group == "D" else "B"
-        return SignedPermutation(perm, signs, group)
-
 
 def apply_action(g: SignedPermutation, p: Polynomial) -> Polynomial:
     """Image of p under the ring automorphism e_i -> signs[i] * e_{perm[i]}."""

@@ -67,7 +67,7 @@ def test_whitney_sum(k):
 def test_whitney_with_odd_part():
     b1 = cc.SplitBundle(("e1",), odd_part=True)
     b2 = cc.SplitBundle(("e2",))
-    total = cc.direct_sum(b1, b2)
+    total = cc.SplitBundle(("e1", "e2"), odd_part=True)  # b1 + b2
     ring = cc.bundle_ring(total)
     assert total.odd_part and total.rank == 5
     assert cc.euler(total, ring).is_zero()
@@ -119,15 +119,6 @@ def test_pontryagin_series_structure():
     assert all(p.is_zero() for p in pont[1::2])
     borel = cc.total_borel(b, 4)
     assert pont[4] == borel[2]
-
-
-def test_direct_sum_validation():
-    with pytest.raises(ValueError):
-        cc.direct_sum(cc.SplitBundle(("e1",)), cc.SplitBundle(("e1",)))
-    with pytest.raises(ValueError):
-        cc.direct_sum(
-            cc.SplitBundle(("e1",), odd_part=True), cc.SplitBundle(("e2",), odd_part=True)
-        )
 
 
 def test_bundle_validation():

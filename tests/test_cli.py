@@ -256,6 +256,15 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_exponent_overflow_exits_two(capsys):
+    # a 4 x 4 product on packed exponents reaches 2^31: a usage error, not a crash
+    e = "x^1073741824+x^1073741823+x^1073741822+x^1073741821"
+    code, out, err = run(capsys, "poly", "mul", "--ring", "x:2,y:2", "--expr", e, "--other", e)
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent 2147483648 exceeds limit 2147483648\n"
+
+
 def test_class_commands(capsys):
     code, out, _ = run(capsys, "class", "euler", "--symbols", "e1,e2", "--orientation", "-1")
     assert code == 0 and "-e1*e2" in out

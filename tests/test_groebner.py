@@ -351,34 +351,64 @@ _NONZERO_COEFFS = st.one_of(
 ).filter(bool)
 
 
+_ONE_VARIABLE = RingSpec.make([("x", 3)])
+
+
 @st.composite
 def _division_cases(draw):
     """A dividend (possibly zero) and a list of monic divisors whose leading
-    monomials often coincide or divide one another."""
-    ring = draw(st.sampled_from(_WEIGHTED_RINGS))
-    monomials = st.tuples(*[st.integers(0, 3)] * len(ring))
+    monomials often coincide or divide one another.
+
+    In some cases one variable carries an exponent near 2^31 throughout:
+    exactly ``big`` in every divisor term, and ``big`` - 1 to ``big`` + 3 in
+    the dividend, so the division takes as many steps as with small
+    exponents.  Some dividends get planted near misses: a lead with its
+    lowest or highest variable's exponent one short.
+    """
+    ring = draw(st.sampled_from([*_WEIGHTED_RINGS, _ONE_VARIABLE]))
+    n = len(ring)
+    small = st.tuples(*[st.integers(0, 3)] * n)
+    lifted = draw(st.sampled_from([None, *range(n)]))
+    big = draw(st.integers(2**31 - 8, 2**31 - 4))
+
+    def lift(m, shift=0):
+        if lifted is None:
+            return m
+        return m[:lifted] + (big + shift,) + m[lifted + 1 :]
+
     divisors, leads = [], []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["fresh", "same", "multiple", "zero"])) if leads else "fresh"
         if kind == "zero":
             divisors.append(Polynomial.zero(ring))
             continue
-        lead = draw(st.tuples(*[st.integers(0, 2)] * len(ring)))
+        lead = lift(draw(st.tuples(*[st.integers(0, 2)] * n)))
         if kind == "same":
             lead = draw(st.sampled_from(leads))
         elif kind == "multiple":
-            lead = tuple(x + y for x, y in zip(draw(st.sampled_from(leads)), lead))
+            lead = lift(tuple(x + y for x, y in zip(draw(st.sampled_from(leads)), lead)))
         leads.append(lead)
-        tail = draw(st.dictionaries(monomials, _NONZERO_COEFFS, max_size=4))
+        tail = draw(st.dictionaries(small.map(lift), _NONZERO_COEFFS, max_size=4))
         key = ring.sort_key
         terms = {m: c for m, c in tail.items() if key(m) < key(lead)}
         terms[lead] = 1
         divisors.append(Polynomial(ring, terms))
-    p = Polynomial(ring, draw(st.dictionaries(monomials, _NONZERO_COEFFS, max_size=6)))
+    shifted = st.builds(lambda m, e: lift(m, e - 1), small, st.integers(0, 3))
+    p = Polynomial(ring, draw(st.dictionaries(shifted, _NONZERO_COEFFS, max_size=6)))
     if draw(st.booleans()):
         # plus a combination of the divisors, so that most terms reduce
         for d in divisors:
-            p = p + Polynomial.monomial(ring, draw(monomials), draw(_NONZERO_COEFFS)) * d
+            p = p + Polynomial.monomial(ring, draw(small), draw(_NONZERO_COEFFS)) * d
+    for lead in leads:
+        # near misses: x^b with b_i = lead_i - 1 at the lowest or highest
+        # variable i, and any larger exponent elsewhere
+        for i in {0, n - 1}:
+            if lead[i] and draw(st.booleans()):
+                b = [x + y for x, y in zip(lead, draw(small))]
+                if lifted is not None and lifted != i:
+                    b[lifted] = lead[lifted]
+                b[i] = lead[i] - 1
+                p = p + Polynomial.monomial(ring, tuple(b), draw(_NONZERO_COEFFS))
     return ring, p, divisors
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from slcc.polyring import (
     NESTING_LIMIT,
+    PACK_CUTOFF,
     ExponentOverflowError,
     ParseError,
     Polynomial,
@@ -16,6 +17,7 @@ from slcc.polyring import (
     RingSpec,
     UnmappedVariableError,
     _normalize_coeff,
+    multiply_terms,
     parse_poly,
 )
 
@@ -130,6 +132,11 @@ def test_exponent_overflow_detected():
     x = Polynomial.monomial(R2, (2**30, 0))
     with pytest.raises(ExponentOverflowError):
         x * x
+    # the same on packed exponents: 4 x 4 term pairs reach the cutoff
+    e = Polynomial(R2, {(2**30 - k, 0): 1 for k in range(4)})
+    assert len(e.terms) ** 2 >= PACK_CUTOFF
+    with pytest.raises(ExponentOverflowError, match="exponent 2147483648 exceeds limit 2147483648"):
+        e * e
 
 
 def test_ring_validation():
@@ -273,6 +280,68 @@ def test_mul_matches_naive_product(p, q):
         assert {e: type(c) for e, c in result.terms.items()} == {
             e: type(c) for e, c in expected.items()
         }
+
+
+def _tuple_product(a, b):
+    """The tuple loop that multiply_terms replaced, kept as its reference."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            expo = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(expo, 0) + ca * cb
+            if s == 0:
+                out.pop(expo, None)
+            else:
+                out[expo] = s
+    return out
+
+
+@st.composite
+def _term_map_products(draw):
+    """A ring of 0-8 weighted variables and two term maps to multiply.
+
+    Exponents are small, so that products collide, or up to 2^31 - 1.  Half
+    the cases plant a cancellation: a gets x^v and x^(v+d), b gets x^s and
+    x^(s-d) with coefficients that make the two products at x^(v+s) cancel.
+    """
+    n = draw(st.integers(0, 8))
+    ring = RingSpec.make((f"x{i}", draw(st.integers(1, 4))) for i in range(n))
+    exponent = st.integers(0, 2)
+    if draw(st.booleans()):
+        exponent = st.one_of(exponent, st.integers(2**31 - 4, 2**31 - 1))
+    monomial = st.tuples(*[exponent] * n)
+    size = st.integers(0, 8)
+    coeff = mixed_coeffs.filter(bool)
+    a = draw(st.dictionaries(monomial, coeff, max_size=draw(size)))
+    b = draw(st.dictionaries(monomial, coeff, max_size=draw(size)))
+    if draw(st.booleans()):
+        # the key v+s gets c1*c3 and then c2*c4 = -c1*c3
+        v, s, d = draw(monomial), draw(monomial), draw(st.tuples(*[st.integers(0, 2)] * n))
+        s = tuple(x + y for x, y in zip(s, d))
+        c1, c2, c3 = draw(coeff), draw(coeff), draw(coeff)
+        a = {v: c1, tuple(x + y for x, y in zip(v, d)): c2, **a}
+        b = {s: c3, tuple(x - y for x, y in zip(s, d)): Fraction(-c1 * c3) / c2, **b}
+    return ring, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_map_products())
+def test_multiply_terms_matches_tuple_loop(case):
+    # packed or not (the cutoff), the same items in the same order
+    ring, a, b = case
+    for x, y in ((a, b), (b, a)):
+        expected = list(_tuple_product(x, y).items())
+        result = list(multiply_terms(x, y).items())
+        assert result == expected
+        assert [type(c) for _, c in result] == [type(c) for _, c in expected]
+    if all(e < 2**31 for m in itertools.chain(a, b) for e in m):
+        p, q = Polynomial(ring, a), Polynomial(ring, b)
+        expected = [(m, _normalize_coeff(c)) for m, c in _tuple_product(p.terms, q.terms).items()]
+        if any(e >= 2**31 for m, _ in expected for e in m):
+            with pytest.raises(ExponentOverflowError):
+                p * q
+        else:
+            assert list((p * q).terms.items()) == expected
 
 
 def test_mul_cancels_and_stores_int():
