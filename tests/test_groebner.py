@@ -18,7 +18,7 @@ from slcc.groebner import (
     quotient_hilbert,
     standard_monomials,
 )
-from slcc.polyring import Polynomial, RingSpec, parse_poly
+from slcc.polyring import ExponentOverflowError, Polynomial, RingSpec, parse_poly
 from slcc import groebner, weyl
 
 R1 = RingSpec.make([("e1", 2)])
@@ -455,6 +455,23 @@ def test_heap_pops_in_descending_order(case):
     tracked = [groebner._Tracked(d, []) for d in divisors]
     _, remainder = groebner._Engine(ring).divide(p, tracked)
     assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)
+
+
+def test_division_refuses_exponents_at_the_guard_bit():
+    # a packed field holds exponents below 2^63; past that the guard test
+    # can answer wrongly, so the division raises instead
+    ring = RingSpec.make([("x", 1), ("y", 1), ("z", 2**63)])
+    engine = groebner._Engine(ring)
+    divisors = [
+        groebner._Tracked(Polynomial._trusted(ring, terms), [])
+        for terms in ({(0, 0, 1): 1, (2**62 + 2, 1, 0): 1}, {(0, 1, 0): 1}, {(10, 1, 0): 1})
+    ]
+    # y divides x^(2^63+5)*y, but an unguarded test would miss it and
+    # reduce by x^10*y instead; so would it after z + x^(2^62+2)*y turns
+    # x^(2^62+3)*z into x^(2^63+5)*y
+    for dividend in ((2**63 + 5, 1, 0), (2**62 + 3, 0, 1)):
+        with pytest.raises(ExponentOverflowError, match=f"exponent {2**63 + 5} exceeds"):
+            engine.divide_packed({dividend: 1}, divisors)
 
 
 def _mutual_reduction(I, J):
