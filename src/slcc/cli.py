@@ -175,18 +175,19 @@ def _weyl_act(args) -> tuple:
 
 def _witness(args) -> tuple:
     n = args.n
-    ring = weyl.e_ring(n)
-    wits = weyl.witness_B(n) if args.group == "B" else weyl.witness_D(n)
+    try:
+        # the witness is returned only once sum w_i * s_i == e1^power holds exactly
+        wits = weyl.witness_B(n) if args.group == "B" else weyl.witness_D(n)
+    except AssertionError:
+        raise CheckFailed("witness expansion failed") from None
     power = weyl.witness_power(args.group, n)
     prefix = "wit_g" if args.group == "B" else "wit_h"
     inv = weyl.invariant_generators(args.group, n)
-    target = Polynomial.variable(ring, "e1") ** power
-    verified = sum((w * s for w, s in zip(wits, inv.gens)), Polynomial.zero(ring)) == target
     texts = [str(w) for w in wits]
     terms = " + ".join(f"({w})*{name}" for w, name in zip(texts, inv.names))
     lines = [f"{prefix}{i} = {w}" for i, w in enumerate(texts, start=1)]
     lines.append(f"e1^{power} = {terms}")
-    lines.append(f"expansion check: {'ok' if verified else 'FAILED'}")
+    lines.append("expansion check: ok")
     payload = {
         "group": args.group,
         "n": n,
@@ -195,9 +196,9 @@ def _witness(args) -> tuple:
             {"name": f"{prefix}{i}", "value": w, "pairs_with": name}
             for i, (w, name) in enumerate(zip(texts, inv.names), start=1)
         ],
-        "verified": verified,
+        "verified": True,
     }
-    return payload, lines, _failed(verified, "witness expansion failed")
+    return payload, lines, None
 
 
 def _span_basis(args) -> tuple:

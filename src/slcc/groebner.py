@@ -36,14 +36,18 @@ representations field is None.  Each ideal has one cache entry;
 tracked_division replaces an untracked entry with a tracked one.
 
 Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
-all run through one division routine, _Engine.divide_packed.  It is a
-heap division after Monagan and Pearce ("Polynomial division using dynamic
+all run through one division routine, _Engine.divide.  It is a heap
+division after Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007) on packed exponents
 (polyring.Packing): the working polynomial is a term dict updated in
 place, the pending monomials sit in a heap under a grevlex key computed
-once per monomial, and quotients stay packed term dicts unless a caller
-needs them as polynomials.  tracked_division accumulates its cofactors on
-packed exponents too.
+once per monomial, each divisor's lead and tail are packed once (its
+reducer; a GroebnerBasis keeps its list), and the quotients come back as
+packed term dicts, keyed by the divisors used.  The representations are
+packed term dicts as well, from the generators' unit representations to
+tracked_division: an S-polynomial shifts them by its packed cofactor
+monomials, monic scales them, and a reduction subtracts q_j times divisor
+j's, the same product tracked_division sums into the cofactors.
 
 Standard monomials, and through them the Hilbert function, come from a
 walk up the staircase of the leading monomials (_standard_exponents), whose
@@ -85,6 +89,7 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     RingSpec,
+    _normalize_coeff,
     multiply_packed,
     packing,
     reverse_terms,
@@ -171,12 +176,16 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 class _Tracked:
     """A monic working polynomial with its representation over the originals.
 
-    The representation is an empty list when Buchberger runs untracked.
+    The representation holds one packed term map (polyring.Packing) per
+    ideal generator, the cofactors c_j with poly == sum_j c_j * gen_j; the
+    generators themselves start as units, {0: 1}.  It is an empty list when
+    Buchberger runs untracked.  The reducer, the packed form the division
+    reads, is made once per working polynomial.
     """
 
     __slots__ = ("poly", "rep", "lm", "_reducer")
 
-    def __init__(self, poly: Polynomial, rep: list[Polynomial]):
+    def __init__(self, poly: Polynomial, rep: list[dict[int, Coefficient]]):
         self.poly = poly
         self.rep = rep
         self.lm = poly.leading_term()[0] if poly else None
@@ -200,7 +209,13 @@ class _Tracked:
         if lc == 1:
             return self
         inv = Fraction(1, 1) / Fraction(lc)
-        return _Tracked(self.poly * inv, [r * inv for r in self.rep])
+        rep = [{m: _normalize_coeff(c * inv) for m, c in r.items()} for r in self.rep]
+        return _Tracked(self.poly * inv, rep)
+
+
+def _reducers(divisors: Sequence[_Tracked]) -> list:
+    """The divisors' reducers for _Engine.divide, each led by its index in the list."""
+    return [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
 
 
 def _overflow(layout: Packing, packed: int) -> ExponentOverflowError:
@@ -213,8 +228,6 @@ class _Engine:
     def __init__(self, ring: RingSpec):
         self.ring = ring
         self.packing = packing(len(ring))
-        self._divisors: list[_Tracked] | None = None
-        self._reducers: list = []
         self.budget = _budget_limit()
         self.steps = 0
 
@@ -225,41 +238,33 @@ class _Engine:
                 f"Groebner step budget of {self.budget} exceeded (raise SLCC_BUDGET)"
             )
 
-    def divide(self, p: Polynomial, divisors: list[_Tracked]):
-        """Full multivariate division: p = sum q_i * divisors_i + remainder.
+    def divide(self, terms: dict[Monomial, Coefficient], reducers: list):
+        """Full multivariate division: terms = sum q_j * divisor_j + remainder.
 
-        Returns the quotients as term dicts, one per divisor, and the
-        remainder as a Polynomial; divide_packed does the work.
-        """
-        quotients, remainder = self.divide_packed(p.terms, divisors)
-        unpack_terms = self.packing.unpack_terms
-        return [q and unpack_terms(q) for q in quotients], remainder
-
-    def divide_packed(self, terms: dict[Monomial, Coefficient], divisors: list[_Tracked]):
-        """divide on a term map, with the quotients left packed (polyring.Packing).
-
-        Divisors must be monic.  The reducer for each step is the first
-        divisor (in list order) whose leading monomial divides the current
-        greatest reducible monomial, which makes the result deterministic.
+        The reducers are those of monic divisors (_reducers), and the
+        quotients come back as packed term maps (polyring.Packing) keyed by
+        the index j of each divisor used; the remainder is a Polynomial.
+        The reducer for each step is the first divisor (in list order)
+        whose leading monomial divides the current greatest reducible
+        monomial, which makes the result deterministic.
 
         The division runs in place on a term dict, with the pending
         monomials in a heap (Monagan and Pearce, "Polynomial division using
         dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
         Exponents are packed: the terms once on entry, each divisor once
-        for all divisions (_Tracked.reducer), and one engine reuses the
-        reducer list while it is handed the same divisor list.  Each
-        monomial gets its heap key (-degree, packed) once, when it first
-        enters the working dict.  The packed int compares like the reversed
-        tuple, so this key orders monomials exactly as (-degree, reversed
-        tuple) would: the heap pops in grevlex order, greatest first.  A
-        step pops the greatest live monomial, skips cancelled ones, and
-        subtracts coeff * x^q * tail(d) term by term, where x^q * t is
-        q + t packed.  lm divides expo exactly when expo - lm borrows into
-        no guard bit: not (expo - lm) & G for the guard mask G.  That test
-        needs every field below 2^63, so a monomial with an exponent that
-        large raises ExponentOverflowError.  A popped monomial never comes
-        back: every term a step adds is smaller than it.  The remainder's
-        terms are in the order they were popped.
+        for all divisions (_Tracked.reducer).  Each monomial gets its heap
+        key (-degree, packed) once, when it first enters the working dict.
+        The packed int compares like the reversed tuple, so this key orders
+        monomials exactly as (-degree, reversed tuple) would: the heap pops
+        in grevlex order, greatest first.  A step pops the greatest live
+        monomial, skips cancelled ones, and subtracts coeff * x^q * tail(d)
+        term by term, where x^q * t is q + t packed.  lm divides expo
+        exactly when expo - lm borrows into no guard bit: not (expo - lm) & G
+        for the guard mask G.  That test needs every field below 2^63, so a
+        monomial with an exponent that large raises ExponentOverflowError.
+        A popped monomial never comes back: every term a step adds is
+        smaller than it.  The remainder's terms are in the order they were
+        popped.
         """
         layout = self.packing
         pack, from_bytes, guard = layout.struct.pack, int.from_bytes, layout.guard
@@ -277,12 +282,8 @@ class _Engine:
             raise _overflow(layout, next(m for m in work if m & guard))
         heapq.heapify(heap)
         queued = set(work)
-        if divisors is not self._divisors:  # one reducer list per divisor list
-            self._divisors = divisors
-            self._reducers = [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
         # deg(x^q * t) = deg(q) + deg(t), so no degree is recomputed below
-        reducers = self._reducers
-        quotients: list[dict[int, Coefficient]] = [{} for _ in divisors]
+        quotients: dict[int, dict[int, Coefficient]] = {}
         remainder: dict[int, Coefficient] = {}
         while heap:
             neg_degree, expo = heapq.heappop(heap)
@@ -293,7 +294,7 @@ class _Engine:
                 if not (expo - lm) & guard:
                     self.spend()
                     q = expo - lm
-                    quotients[j][q] = coeff
+                    quotients.setdefault(j, {})[q] = coeff
                     neg_q_degree = neg_degree + lm_degree
                     for m, c, m_degree in tail:
                         m += q
@@ -313,22 +314,28 @@ class _Engine:
         return quotients, Polynomial(self.ring, remainder and layout.unpack_terms(remainder))
 
     def reduce_tracked(self, t: _Tracked, divisors: list[_Tracked]) -> _Tracked:
+        """t's remainder by the divisors; its representation loses q_j * divisor j's."""
+        quotients, remainder = self.divide(t.poly.terms, _reducers(divisors))
         rep = t.rep
-        if not rep:
-            return _Tracked(self.divide_packed(t.poly.terms, divisors)[1], rep)
-        quotients, remainder = self.divide(t.poly, divisors)
-        for q, d in zip(quotients, divisors):
-            if q:
-                q = Polynomial(self.ring, q)
-                rep = [r - q * dr for r, dr in zip(rep, d.rep)]
+        if rep and quotients:
+            rep = [dict(r) for r in rep]
+            for j, q in quotients.items():
+                minus_q = {m: -c for m, c in q.items()}
+                for r, dr in zip(rep, divisors[j].rep):
+                    multiply_packed(minus_q, dr, r)
         return _Tracked(remainder, rep)
 
     def s_poly(self, f: _Tracked, g: _Tracked, lcm: Monomial) -> _Tracked:
-        uf = Polynomial.monomial(self.ring, _monomial_div(lcm, f.lm), 1)
-        ug = Polynomial.monomial(self.ring, _monomial_div(lcm, g.lm), 1)
+        uf, ug = _monomial_div(lcm, f.lm), _monomial_div(lcm, g.lm)
         self.spend()
-        poly = uf * f.poly - ug * g.poly
-        rep = [uf * a - ug * b for a, b in zip(f.rep, g.rep)]
+        poly = Polynomial.monomial(self.ring, uf, 1) * f.poly
+        poly -= Polynomial.monomial(self.ring, ug, 1) * g.poly
+        pack = self.packing.pack
+        shift, minus = pack(uf), {pack(ug): -1}
+        rep = [
+            multiply_packed(minus, b, {shift + m: c for m, c in a.items()})
+            for a, b in zip(f.rep, g.rep)
+        ]
         return _Tracked(poly, rep)
 
 
@@ -338,9 +345,10 @@ class GroebnerBasis:
 
     ideal: Ideal
     basis: tuple[Polynomial, ...]
-    # representations[i] are cofactors c_j with basis[i] == sum c_j * gen_j;
-    # None unless Buchberger ran with tracking (for tracked_division)
-    representations: tuple[tuple[Polynomial, ...], ...] | None = field(
+    # representations[i] are packed term maps (polyring.Packing) of the
+    # cofactors c_j with basis[i] == sum c_j * gen_j; None unless Buchberger
+    # ran with tracking (for tracked_division)
+    representations: tuple[tuple[dict[int, Coefficient], ...], ...] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -352,9 +360,9 @@ class GroebnerBasis:
         return tuple(g.leading_term()[0] for g in self.basis)
 
     @cached_property
-    def _divisors(self) -> list[_Tracked]:
-        """The basis as monic divisors, shared by every division against it."""
-        return [_Tracked(g, []) for g in self.basis]
+    def _reducers(self) -> list:
+        """The basis as reducers for _Engine.divide, shared by every division against it."""
+        return _reducers([_Tracked(g, []) for g in self.basis])
 
 
 # one entry per ideal; an entry built with representations serves every caller
@@ -389,13 +397,8 @@ def _buchberger(
     ngens = len(ideal.generators)
     ring = ideal.ring
 
-    def unit_rep(i: int) -> list[Polynomial]:
-        if not track:
-            return []
-        return [
-            Polynomial.one(ring) if j == i else Polynomial.zero(ring)
-            for j in range(ngens)
-        ]
+    def unit_rep(i: int) -> list[dict[int, Coefficient]]:
+        return [{0: 1} if j == i else {} for j in range(ngens)] if track else []
 
     key = ring.sort_key
     layout = packing(len(ring))
@@ -493,8 +496,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo G; zero iff p lies in the ideal."""
     if not p.ring.compatible_with(G.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
-    _, remainder = _Engine(G.ring).divide_packed(p.terms, G._divisors)
-    return remainder
+    return _Engine(G.ring).divide(p.terms, G._reducers)[1]
 
 
 def tracked_division(ideal: Ideal):
@@ -513,20 +515,16 @@ def tracked_division(ideal: Ideal):
         # the one tracked Buchberger run; it reproduces an untracked entry's basis
         G = _GB_CACHE[cache_key] = _buchberger(ideal, track=True)
     engine = _Engine(ideal.ring)
-    pack, unpack_terms = engine.packing.pack, engine.packing.unpack_terms
+    unpack_terms, reducers = engine.packing.unpack_terms, G._reducers
     # each basis element's nonzero representation entries, (i, packed terms)
-    reps = [
-        [(i, {pack(m): c for m, c in r.terms.items()}) for i, r in enumerate(rep) if r]
-        for rep in G.representations
-    ]
+    reps = [[(i, r) for i, r in enumerate(rep) if r] for rep in G.representations]
 
     def divide(terms: dict[Monomial, Coefficient]):
-        quotients, remainder = engine.divide_packed(terms, G._divisors)
+        quotients, remainder = engine.divide(terms, reducers)
         cofactors: list[dict] = [{} for _ in ideal.generators]
-        for q, rep in zip(quotients, reps):
-            if q:
-                for i, r in rep:
-                    multiply_packed(q, r, cofactors[i])
+        for j, q in quotients.items():
+            for i, r in reps[j]:
+                multiply_packed(q, r, cofactors[i])
         return [c and unpack_terms(c) for c in cofactors], remainder.terms
 
     return divide
@@ -574,7 +572,7 @@ def _contains(ideal: Ideal, polys: tuple[Polynomial, ...]) -> bool:
     if G is None:
         top = max(p.homogeneous_degree() for p in polys)
         G = _buchberger(ideal, track=False, max_degree=top, engine=engine)
-    return all(not engine.divide_packed(p.terms, G._divisors)[1] for p in polys)
+    return all(not engine.divide(p.terms, G._reducers)[1] for p in polys)
 
 
 def echelon_reduce(row: dict, pivots: dict):

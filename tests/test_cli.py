@@ -256,6 +256,31 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_failed_witness_identity_exits_one(capsys, monkeypatch):
+    # cofactors that miss the target fail member_with_cofactors' exact
+    # expansion check: a failed check, exit 1, not an internal error
+    exact = groebner.tracked_division
+
+    def skewed(ideal):
+        divide = exact(ideal)
+        one = (0,) * len(ideal.ring)
+
+        def wrong(terms):
+            cofactors, remainder = divide(terms)
+            first = dict(cofactors[0])
+            first[one] = first.get(one, 0) + 1
+            return [first, *cofactors[1:]], remainder
+
+        return wrong
+
+    monkeypatch.setattr(groebner, "tracked_division", skewed)
+    code, out, err = run(capsys, "witness", "--group", "B", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "check failed: witness expansion failed\n"
+    assert "Traceback" not in err
+
+
 def test_exponent_overflow_exits_two(capsys):
     # a 4 x 4 product on packed exponents reaches 2^31: a usage error, not a crash
     e = "x^1073741824+x^1073741823+x^1073741822+x^1073741821"

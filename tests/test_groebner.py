@@ -18,7 +18,7 @@ from slcc.groebner import (
     quotient_hilbert,
     standard_monomials,
 )
-from slcc.polyring import ExponentOverflowError, Polynomial, RingSpec, parse_poly
+from slcc.polyring import ExponentOverflowError, Polynomial, RingSpec, packing, parse_poly
 from slcc import groebner, weyl
 
 R1 = RingSpec.make([("e1", 2)])
@@ -146,16 +146,36 @@ def _assert_reduced(G):
                 assert not any(all(a <= b for a, b in zip(d, m)) for d in leads)
 
 
+def _assert_representations_reconstruct(G):
+    """basis_i == sum_j unpack(rep_ij) * gen_j for every row of a tracked basis."""
+    ring, gens = G.ring, G.ideal.generators
+    unpack_terms = packing(len(ring)).unpack_terms
+    assert len(G.representations) == len(G.basis)
+    for g, rep in zip(G.basis, G.representations):
+        assert len(rep) == len(gens)
+        total = Polynomial.zero(ring)
+        for c, gen in zip(rep, gens):
+            total = total + Polynomial(ring, unpack_terms(c)) * gen
+        assert total == g
+
+
 def test_representations_reconstruct_basis():
     I = ideal2()
     assert groebner_basis(I).representations is None
     G = groebner._buchberger(I, track=True)
     assert G.basis == groebner_basis(I).basis
-    for g, rep in zip(G.basis, G.representations):
-        total = Polynomial.zero(R2)
-        for c, gen in zip(rep, I.generators):
-            total = total + c * gen
-        assert total == g
+    _assert_representations_reconstruct(G)
+
+
+@pytest.mark.parametrize("group", ["B", "D"])
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("reversed_", [False, True])
+def test_representations_reconstruct_coinvariant_bases(group, n, reversed_):
+    I = weyl.coinvariant_ideal(group, n)
+    I = I.reversed() if reversed_ else I
+    G = groebner._buchberger(I, track=True)
+    assert G.basis == groebner_basis(I).basis
+    _assert_representations_reconstruct(G)
 
 
 def test_cofactors_independent_of_cache_order(monkeypatch):
@@ -335,8 +355,11 @@ def _reference_divide(engine, p, divisors):
 
 
 def _heap_divide(engine, p, divisors):
-    quotients, remainder = engine.divide(p, divisors)
-    return [Polynomial(engine.ring, q) for q in quotients], remainder
+    quotients, remainder = engine.divide(p.terms, groebner._reducers(divisors))
+    unpack_terms = engine.packing.unpack_terms
+    return [
+        Polynomial(engine.ring, unpack_terms(quotients.get(j, {}))) for j in range(len(divisors))
+    ], remainder
 
 
 # weighted rings: unequal variable degrees, so degree and exponent order differ
@@ -450,10 +473,10 @@ def test_heap_pops_in_descending_order(case):
     # the remainder dict is filled in pop order, and Polynomial keeps it
     ring, p, divisors = case
     descending = sorted(p.terms, key=ring.sort_key, reverse=True)
-    _, remainder = groebner._Engine(ring).divide(p, [])
+    _, remainder = groebner._Engine(ring).divide(p.terms, [])
     assert remainder == p and list(remainder.terms) == descending
     tracked = [groebner._Tracked(d, []) for d in divisors]
-    _, remainder = groebner._Engine(ring).divide(p, tracked)
+    _, remainder = groebner._Engine(ring).divide(p.terms, groebner._reducers(tracked))
     assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)
 
 
@@ -471,7 +494,7 @@ def test_division_refuses_exponents_at_the_guard_bit():
     # x^(2^62+3)*z into x^(2^63+5)*y
     for dividend in ((2**63 + 5, 1, 0), (2**62 + 3, 0, 1)):
         with pytest.raises(ExponentOverflowError, match=f"exponent {2**63 + 5} exceeds"):
-            engine.divide_packed({dividend: 1}, divisors)
+            engine.divide({dividend: 1}, groebner._reducers(divisors))
 
 
 def _mutual_reduction(I, J):
@@ -744,7 +767,7 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
     def unit_rep(i):
         if not track:
             return []
-        return [Polynomial.one(ring) if j == i else Polynomial.zero(ring) for j in range(ngens)]
+        return [{0: 1} if j == i else {} for j in range(ngens)]
 
     f = []
     key = ring.sort_key
@@ -842,3 +865,13 @@ def test_pair_heap_matches_min_over_pairs(case):
         with pytest.raises(BudgetExceededError):
             run(I, track, max_degree, meter)
         assert meter.steps == short + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_heap_cases(), st.booleans())
+def test_representations_reconstruct_weighted_bases(case, reversed_):
+    # monic scales a representation by a Fraction, here over weighted rings
+    # and generators with non-unit leading coefficients, full and truncated
+    I, _, max_degree, _ = case
+    I = I.reversed() if reversed_ else I
+    _assert_representations_reconstruct(groebner._buchberger(I, True, max_degree))

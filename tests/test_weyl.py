@@ -1,5 +1,6 @@
 """Weyl group actions, invariants, and the degree-lowering witnesses."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -182,6 +183,19 @@ def test_witness_small_values():
     assert [str(w) for w in weyl.witness_B(2)] == ["e1^2", "-1"]
     assert [str(w) for w in weyl.witness_D(1)] == ["1"]
     assert [str(w) for w in weyl.witness_D(2)] == ["e1", "-e2"]
+
+
+def test_witness_cofactors_are_pinned():
+    # every printed cofactor of B and D for n = 1..6, one line each
+    lines = [
+        f"{group} {n} {i} {c}\n"
+        for group, witness in (("B", weyl.witness_B), ("D", weyl.witness_D))
+        for n in range(1, 7)
+        for i, c in enumerate(witness(n), start=1)
+    ]
+    assert len(lines) == 42
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "7432efe98ba86d57fcd7bf837f6779c7ac19aadfc60c58e5fa45ab35414f016c"
 
 
 def _all_elements(group, n):
