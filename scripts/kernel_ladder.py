@@ -1,16 +1,20 @@
 """Time the kernel rungs and the benchmark on two source trees, alternating.
 
-    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_17.json
+    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_19.json
         [--repeats 5] [--pairs 10] [--seconds 10] [--workloads witness,acceptance]
 
 PARENT and CHANGE are checkouts of this repository.  Every run is a fresh
 process with PYTHONPATH at that tree's src, and the two trees alternate;
 the tree that runs first alternates per repetition.
 
-* ladder: each rung runs ``--repeats`` times per tree.  The child times
-  ``slcc.cli.main(argv)`` inside the process (``in_process_s``, imports
-  excluded) and reports its peak RSS and the sha256 of its stdout; the
-  parent times the whole process (``wall_s``).
+* ladder: each rung of RUNGS is an argv tuple, so one argument can hold a
+  whole polynomial: two rungs parse the spanning benchmark's dense input
+  and every monomial of total exponent 14 in e1..e5.  Each rung runs
+  ``--repeats`` times per tree.  The child times ``slcc.cli.main(argv)``
+  inside the process (``in_process_s``, imports excluded) and reports its
+  peak RSS and the sha256 of its stdout; the parent times the whole
+  process (``wall_s``).  The JSON names a rung by its argv, each argument
+  over 40 characters replaced by its length and digest.
 * perfbench: ``--pairs`` alternating pairs of ``perfbench/run.py
   --workload W --seconds S`` per workload, each run in its own tree.  Each
   metric gets its runs, median and quartiles per tree, and the number of
@@ -22,6 +26,8 @@ The JSON goes to ``--out``; progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import platform
@@ -30,11 +36,23 @@ import subprocess
 import sys
 import time
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import DEFAULT_SEED, dense_terms, poly_text  # noqa: E402
+
+RING_E5 = ",".join(f"e{i}:2" for i in range(1, 6))
+# every exponent vector of total exponent 14 in e1..e5: C(18, 4) = 3060 terms
+EVERY_E5_14 = poly_text(
+    {tuple(map(c.count, range(5))): 1 for c in itertools.combinations_with_replacement(range(5), 14)}
+)
 RUNGS = (
-    "witness --group B --n 7",
-    "witness --group D --n 7",
-    "witness --group B --n 8",
-    "span reduce --group B --n 2 --poly e1^2000",
+    ("witness", "--group", "B", "--n", "7"),
+    ("witness", "--group", "D", "--n", "7"),
+    ("witness", "--group", "B", "--n", "8"),
+    ("span", "reduce", "--group", "B", "--n", "2", "--poly", "e1^2000"),
+    # the spanning workload's dense input: 964 terms, 13.5k tokens to parse
+    ("span", "reduce", "--group", "D", "--n", "5", "--poly", poly_text(dense_terms(DEFAULT_SEED))),
+    ("poly", "parse", "--ring", RING_E5, "--expr", EVERY_E5_14),
 )
 WORKLOADS = ("witness", "verify", "spanning", "acceptance")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")
@@ -56,7 +74,7 @@ print(json.dumps({
 """
 
 
-def _run_rung(tree: str, argv: list[str]) -> dict:
+def _run_rung(tree: str, argv: tuple[str, ...]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -64,7 +82,7 @@ def _run_rung(tree: str, argv: list[str]) -> dict:
     )
     wall = time.perf_counter() - start
     if proc.returncode:
-        raise SystemExit(f"{tree}: {' '.join(argv)} failed:\n{proc.stderr}")
+        raise SystemExit(f"{tree}: {_label(argv)} failed:\n{proc.stderr}")
     record = json.loads(proc.stdout.splitlines()[-1])
     record["wall_s"] = wall
     return record
@@ -76,10 +94,18 @@ def _summary(values: list[float]) -> dict:
     return {"median": round(median, 4), "quartiles": [round(q1, 4), round(q3, 4)]}
 
 
+def _label(argv: tuple[str, ...]) -> str:
+    """The argv as one line, each argument over 40 characters shown by its size and digest."""
+    return " ".join(
+        a if len(a) <= 40 else f"<{len(a)} chars, sha256 {hashlib.sha256(a.encode()).hexdigest()[:12]}>"
+        for a in argv
+    )
+
+
 def ladder(trees: dict[str, str], repeats: int) -> dict:
     rungs = []
-    for argv_text in RUNGS:
-        argv = argv_text.split()
+    for argv in RUNGS:
+        argv_text = _label(argv)
         runs: dict[str, list[dict]] = {side: [] for side in trees}
         for rep in range(repeats):
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]

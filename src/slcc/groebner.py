@@ -346,8 +346,8 @@ class GroebnerBasis:
     ideal: Ideal
     basis: tuple[Polynomial, ...]
     # representations[i] are packed term maps (polyring.Packing) of the
-    # cofactors c_j with basis[i] == sum c_j * gen_j; None unless Buchberger
-    # ran with tracking (for tracked_division)
+    # cofactors c_j with basis[i] == sum c_j * gen_j, integral coefficients
+    # as ints; None unless Buchberger ran with tracking (for tracked_division)
     representations: tuple[tuple[dict[int, Coefficient], ...], ...] | None = field(
         default=None, repr=False, compare=False
     )
@@ -485,10 +485,14 @@ def _buchberger(
         for i in range(len(final)):
             final[i] = engine.reduce_tracked(final[i], final[:i] + final[i + 1 :])
 
+    representations = None
+    if track:
+        # multiply_packed does not normalize: a reduction can leave Fraction(n, 1)
+        representations = tuple(
+            tuple({m: _normalize_coeff(c) for m, c in r.items()} for r in t.rep) for t in final
+        )
     return GroebnerBasis(
-        ideal=ideal,
-        basis=tuple(t.poly for t in final),
-        representations=tuple(tuple(t.rep) for t in final) if track else None,
+        ideal=ideal, basis=tuple(t.poly for t in final), representations=representations
     )
 
 

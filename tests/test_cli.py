@@ -290,6 +290,22 @@ def test_exponent_overflow_exits_two(capsys):
     assert err == "error: exponent 2147483648 exceeds limit 2147483648\n"
 
 
+def test_parsed_monomial_outcomes(capsys):
+    # the parser's monomial path raises what a product of factors would, in its order
+    ring = ("--ring", "e1:2,e2:2")
+    code, out, err = run(capsys, "poly", "parse", *ring, "--expr", "e1^2147483647*e1")
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 2147483648 exceeds limit 2147483648\n"
+    # a zero coefficient makes the product zero before any exponent is checked
+    code, out, err = run(capsys, "poly", "parse", *ring, "--expr", "0*e1^2147483647*e1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "0"
+    code, out, err = run(capsys, "poly", "parse", *ring, "--expr", "3*e1*e9")
+    assert (code, out) == (2, "")
+    assert err == "parse error: unknown variable 'e9' (at offset 5)\n"
+    assert "Traceback" not in err
+
+
 def test_class_commands(capsys):
     code, out, _ = run(capsys, "class", "euler", "--symbols", "e1,e2", "--orientation", "-1")
     assert code == 0 and "-e1*e2" in out

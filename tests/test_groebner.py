@@ -5,7 +5,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slcc.groebner import (
     BudgetExceededError,
@@ -147,12 +147,16 @@ def _assert_reduced(G):
 
 
 def _assert_representations_reconstruct(G):
-    """basis_i == sum_j unpack(rep_ij) * gen_j for every row of a tracked basis."""
+    """basis_i == sum_j unpack(rep_ij) * gen_j for every row of a tracked basis.
+
+    Every integral coefficient of a representation is an int, as in a Polynomial.
+    """
     ring, gens = G.ring, G.ideal.generators
     unpack_terms = packing(len(ring)).unpack_terms
     assert len(G.representations) == len(G.basis)
     for g, rep in zip(G.basis, G.representations):
         assert len(rep) == len(gens)
+        assert all(type(c) is int or c.denominator != 1 for r in rep for c in r.values())
         total = Polynomial.zero(ring)
         for c, gen in zip(rep, gens):
             total = total + Polynomial(ring, unpack_terms(c)) * gen
@@ -867,8 +871,21 @@ def test_pair_heap_matches_min_over_pairs(case):
         assert meter.steps == short + 1
 
 
+_R_XYZ = _WEIGHTED_RINGS[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_pair_heap_cases(), st.booleans())
+# a reduction of this ideal makes the representation coefficient Fraction(-1, 1)
+@example(
+    (
+        Ideal.make(_R_XYZ, [parse_poly(g, _R_XYZ) for g in ("-2*x + 3*y^2", "-x", "x*y^2 - 3*y^4", "-3*x^2")]),
+        True,
+        None,
+        0,
+    ),
+    False,
+)
 def test_representations_reconstruct_weighted_bases(case, reversed_):
     # monic scales a representation by a Fraction, here over weighted rings
     # and generators with non-unit leading coefficients, full and truncated

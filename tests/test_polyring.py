@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slcc.polyring import (
+    EXPONENT_LIMIT,
     NESTING_LIMIT,
     PACK_CUTOFF,
     ExponentOverflowError,
@@ -420,3 +422,236 @@ def test_substitute_matches_per_term_powers(case):
     assert {e: type(c) for e, c in got.terms.items()} == {
         e: type(c) for e, c in expected.terms.items()
     }
+
+
+# -- the parser against the recursive-descent reference ---------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[a-zA-Z][a-zA-Z0-9_']*)|(?P<op>[-+*^()])"
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser as it was before the monomial path: a Polynomial per factor."""
+
+    def __init__(self, text, ring):
+        self.tokens = _reference_tokenize(text)
+        self.ring = ring
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        poly = self.expr()
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {value!r}", offset)
+        return poly
+
+    def expr(self):
+        out = {}
+        sign = 1
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            self.advance()
+            sign = -1 if value == "-" else 1
+        while True:
+            for expo, coeff in self.term().terms.items():
+                s = out.get(expo, 0) + sign * coeff
+                if s:
+                    out[expo] = s
+                else:
+                    del out[expo]
+            kind, value, _ = self.peek()
+            if not (kind == "op" and value in "+-"):
+                return Polynomial._trusted(self.ring, out)
+            self.advance()
+            sign = -1 if value == "-" else 1
+
+    def term(self):
+        poly = self.factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                poly = poly * self.factor()
+            else:
+                return poly
+
+    def factor(self):
+        base = self.base()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            kind, value, offset = self.advance()
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal", offset)
+            exponent = int(value)
+            if exponent < 1:
+                raise ParseError("exponent must be a positive integer", offset)
+            if exponent >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent {exponent} exceeds limit {EXPONENT_LIMIT}", offset)
+            return base**exponent
+        return base
+
+    def base(self):
+        kind, value, offset = self.advance()
+        if kind == "int":
+            return Polynomial.constant(self.ring, int(value))
+        if kind == "name":
+            try:
+                return Polynomial.variable(self.ring, value)
+            except KeyError:
+                raise ParseError(f"unknown variable {value!r}", offset) from None
+        if kind == "op" and value == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", offset)
+            self.depth += 1
+            poly = self.expr()
+            self.depth -= 1
+            kind, value, offset = self.advance()
+            if not (kind == "op" and value == ")"):
+                raise ParseError("expected ')'", offset)
+            return poly
+        raise ParseError(f"expected integer, variable or '(', got {value!r}", offset)
+
+
+R_PRIMED = RingSpec.make([("x", 1), ("y'", 2), ("e1", 2), ("e2", 4)])
+
+
+def _parse_outcome(parse, text):
+    """The term items with their coefficient types, or the error's type, message and offset."""
+    try:
+        p = parse(text, R_PRIMED)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offset", None)
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+def _assert_parsers_agree(text):
+    expected = _parse_outcome(lambda t, r: _ReferenceParser(t, r).parse(), text)
+    assert _parse_outcome(parse_poly, text) == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("0*e1^2147483647*e1", []),
+        ("e1^2147483647*e1*zz", (ExponentOverflowError, "exponent 2147483648 exceeds limit 2147483648", None)),
+        ("e1^2147483647*zz", (ParseError, "unknown variable 'zz' (at offset 14)", 14)),
+        ("e1^2147483647*e1^2147483648", (ParseError, "exponent 2147483648 exceeds limit 2147483648 (at offset 17)", 17)),
+        ("e1^2147483647*0*e1", []),
+        ("2^3*e1", [((0, 0, 1, 0), 8, int)]),
+        ("e1^0", (ParseError, "exponent must be a positive integer (at offset 3)", 3)),
+        ("zz^0", (ParseError, "unknown variable 'zz' (at offset 0)", 0)),
+        ("e1 e2", (ParseError, "unexpected trailing input 'e2' (at offset 3)", 3)),
+        ("e1 x", (ParseError, "unexpected trailing input 'x' (at offset 3)", 3)),
+        ("e1)", (ParseError, "unexpected trailing input ')' (at offset 2)", 2)),
+        ("(x + y')\n*\te1 -\r\n3 ", [((1, 0, 1, 0), 1, int), ((0, 1, 1, 0), 1, int), ((0, 0, 0, 0), -3, int)]),
+        ("(e1+e2)*e1^2*3", [((0, 0, 3, 0), 3, int), ((0, 0, 2, 1), 3, int)]),
+        ("2*x*(x+y')^2*y'^2*0", []),
+        ("x^2147483647*(x)", (ExponentOverflowError, "exponent 2147483648 exceeds limit 2147483648", None)),
+        ("0*x^2147483647*x*(x)", []),
+        ("-x*y' + y'*x", []),
+        ("x*+y'", (ParseError, "expected integer, variable or '(', got '+' (at offset 2)", 2)),
+        ("x^", (ParseError, "exponent must be an integer literal (at offset 2)", 2)),
+        ("x @ y'", (ParseError, "unexpected character '@' (at offset 2)", 2)),
+        ("x\u00a0*\u00a0\u0663", [((1, 0, 0, 0), 3, int)]),
+        ("", (ParseError, "expected integer, variable or '(', got '' (at offset 0)", 0)),
+        ("  ", (ParseError, "expected integer, variable or '(', got '' (at offset 2)", 2)),
+    ],
+)
+def test_parser_planted_cases(text, outcome):
+    assert _assert_parsers_agree(text) == outcome
+
+
+_PARSE_NAMES = ("x", "y'", "e1", "e2")
+_WORD = re.compile(r"[\w']")
+
+
+@st.composite
+def _grammar_tokens(draw, near_limit, depth=0):
+    """Tokens of a sum of products of integers, names and parenthesised sums.
+
+    With near_limit, two names take exponents near EXPONENT_LIMIT, so
+    products overflow, and half the integers are 0; otherwise all four
+    names take small exponents.
+    """
+    ints, names, exponent = [0, 1, 2, 3, 7, 12], _PARSE_NAMES, st.integers(1, 4)
+    if near_limit:  # zero coefficients decide whether an overflow is raised
+        ints, names, exponent = [0, 2], _PARSE_NAMES[:2], st.sampled_from([1, 2**30, 2**31 - 1])
+    tokens = []
+    if draw(st.booleans()):
+        tokens.append(draw(st.sampled_from("+-")))
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            tokens.append(draw(st.sampled_from("+-")))
+        for f in range(draw(st.integers(1, 4))):
+            if f:
+                tokens.append("*")
+            kind = draw(st.sampled_from(("int", "name", "paren")[: 3 if depth < 2 else 2]))
+            if kind == "int":
+                tokens.append(str(draw(st.sampled_from(ints))))
+            elif kind == "name":
+                tokens.append(draw(st.sampled_from(names)))
+            else:
+                tokens += ["(", *draw(_grammar_tokens(near_limit, depth + 1)), ")"]
+            if draw(st.booleans()):
+                tokens += ["^", str(draw(exponent) if kind == "name" else draw(st.integers(1, 3)))]
+    return tokens
+
+
+@st.composite
+def _parser_inputs(draw):
+    """Grammar strings, half of them edited (mostly into invalid ones), with random whitespace."""
+    tokens = draw(_grammar_tokens(draw(st.booleans())))
+    pool = st.sampled_from(["^", "*", "+", "(", ")", "0", "x", "zz", "@", "\u0663", str(2**40)])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"])) if i < len(tokens) else "insert"
+        if edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i : i + (edit == "replace")] = [draw(pool)]
+    # integer and parenthesised bases get small exponents only: a large one
+    # hangs both parsers (the power is computed, not bounded)
+    for i in range(1, len(tokens) - 1):
+        base, exponent = tokens[i - 1], tokens[i + 1]
+        if tokens[i] == "^" and (base == ")" or base.isdigit()) and exponent.isdigit():
+            tokens[i + 1] = str(int(exponent) % 4)
+    space = st.sampled_from(["", " ", "  ", "\n", "\t", "\u00a0"])
+    text = ""
+    for token in tokens:
+        gap = draw(space)
+        if not gap and text and _WORD.match(text[-1]) and _WORD.match(token[0]):
+            gap = " "  # keep the tokens apart: "2" "3" must not read as 23
+        text += gap + token
+    return text + draw(space)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parser_inputs())
+def test_parser_matches_reference(text):
+    _assert_parsers_agree(text)
