@@ -611,6 +611,10 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    # coefficients are exact: read and print integers of any length, not
+    # only of up to the 4300 digits Python converts by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -6,9 +6,10 @@ coefficients appear internally) with the Gebauer-Moller pair criteria
 1988) and the normal selection strategy, then fully inter-reduced, so the
 reduced basis is unique: the one order is grevlex graded by cohomological
 degree, in the order of the ring's variables (the canonical order of the
-polynomial layer).  Each pair's lcm and each element's lead sort key are
-computed once, when made, and the pairs wait in a heap keyed by the lcm's
-sort key and then the indices: the normal strategy's order, ties included.
+polynomial layer).  Each pair's lcm and each element's lead are packed
+once, when made (polyring.Packing, whose ints order like grevlex), and the
+pairs wait in a heap keyed by the negated packed lcm and then the indices:
+the normal strategy's order, ties included.
 A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
 moves its ideal into the reversed ring with Ideal.reversed and reads the
 results back with polyring.reverse_terms, as spanning and
@@ -40,14 +41,14 @@ all run through one division routine, _Engine.divide.  It is a heap
 division after Monagan and Pearce ("Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007) on packed exponents
 (polyring.Packing): the working polynomial is a term dict updated in
-place, the pending monomials sit in a heap under a grevlex key computed
-once per monomial, each divisor's lead and tail are packed once (its
-reducer; a GroebnerBasis keeps its list), and the quotients come back as
-packed term dicts, keyed by the divisors used.  The representations are
-packed term dicts as well, from the generators' unit representations to
-tracked_division: an S-polynomial shifts them by its packed cofactor
-monomials, monic scales them, and a reduction subtracts q_j times divisor
-j's, the same product tracked_division sums into the cofactors.
+place, the pending packed monomials sit in a heap of bare ints, each
+divisor's lead and tail are packed once (its reducer; a GroebnerBasis
+keeps its list), and the quotients come back as packed term dicts, keyed
+by the divisors used.  The representations are packed term dicts as
+well, from the generators' unit representations to tracked_division: an
+S-polynomial shifts them by its packed cofactor monomials, monic scales
+them, and a reduction subtracts q_j times divisor j's, the same product
+tracked_division sums into the cofactors.
 
 Standard monomials, and through them the Hilbert function, come from a
 walk up the staircase of the leading monomials (_standard_exponents), whose
@@ -78,7 +79,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
 from math import gcd
-from operator import add, le, sub
+from operator import le, or_
 
 from .polyring import (
     EXPONENT_LIMIT,
@@ -161,16 +162,8 @@ def _monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def _monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
 def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
-
-
-def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 class _Tracked:
@@ -192,16 +185,15 @@ class _Tracked:
         self._reducer = None
 
     def reducer(self):
-        """(lm, deg(lm), tail terms with their degrees), packed, built on first use.
+        """(lm, tail terms), packed, built on first use.
 
         A divisor serves many divisions, so its lead and tail are packed
         and split off once.
         """
         if self._reducer is None:
-            ring = self.poly.ring
-            degree, pack = ring.monomial_degree, packing(len(ring)).pack
-            tail = [(pack(m), c, degree(m)) for m, c in self.poly.terms.items() if m != self.lm]
-            self._reducer = (pack(self.lm), degree(self.lm), tail)
+            pack = packing(self.poly.ring.degrees).pack
+            tail = [(pack(m), c) for m, c in self.poly.terms.items() if m != self.lm]
+            self._reducer = (pack(self.lm), tail)
         return self._reducer
 
     def monic(self) -> _Tracked:
@@ -220,19 +212,19 @@ def _reducers(divisors: Sequence[_Tracked]) -> list:
 
 def _overflow(layout: Packing, packed: int) -> ExponentOverflowError:
     """The error for a packed monomial with an exponent at or above 2^63."""
-    top = max(layout.struct.unpack(packed.to_bytes(layout.struct.size, "little")))
+    top = max(layout.unpack(packed))
     return ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
 
 
 class _Engine:
     def __init__(self, ring: RingSpec):
         self.ring = ring
-        self.packing = packing(len(ring))
+        self.packing = packing(ring.degrees)
         self.budget = _budget_limit()
         self.steps = 0
 
-    def spend(self, n: int = 1) -> None:
-        self.steps += n
+    def spend(self) -> None:
+        self.steps += 1
         if self.steps > self.budget:
             raise BudgetExceededError(
                 f"Groebner step budget of {self.budget} exceeded (raise SLCC_BUDGET)"
@@ -251,52 +243,39 @@ class _Engine:
         The division runs in place on a term dict, with the pending
         monomials in a heap (Monagan and Pearce, "Polynomial division using
         dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
-        Exponents are packed: the terms once on entry, each divisor once
-        for all divisions (_Tracked.reducer).  Each monomial gets its heap
-        key (-degree, packed) once, when it first enters the working dict.
-        The packed int compares like the reversed tuple, so this key orders
-        monomials exactly as (-degree, reversed tuple) would: the heap pops
-        in grevlex order, greatest first.  A step pops the greatest live
-        monomial, skips cancelled ones, and subtracts coeff * x^q * tail(d)
-        term by term, where x^q * t is q + t packed.  lm divides expo
-        exactly when expo - lm borrows into no guard bit: not (expo - lm) & G
-        for the guard mask G.  That test needs every field below 2^63, so a
-        monomial with an exponent that large raises ExponentOverflowError.
-        A popped monomial never comes back: every term a step adds is
-        smaller than it.  The remainder's terms are in the order they were
-        popped.
+        Exponents are packed (polyring.Packing): the terms once on entry,
+        each divisor once for all divisions (_Tracked.reducer).  The heap
+        holds the packed ints themselves, the least of which is the
+        greatest monomial.  A step pops the greatest live monomial, skips
+        cancelled ones, and subtracts coeff * x^q * tail(d) term by term,
+        where x^q * t is q + t packed.  lm divides expo exactly when
+        q = expo - lm sets no guard bit, which needs every field below
+        2^63, so a monomial with an exponent that large raises
+        ExponentOverflowError.  A popped monomial never comes back: every
+        term a step adds is smaller than it.  The remainder's terms are in
+        the order they were popped.
         """
         layout = self.packing
-        pack, from_bytes, guard = layout.struct.pack, int.from_bytes, layout.guard
-        degree = self.ring.monomial_degree
-        work: dict[int, Coefficient] = {}
-        # min-heap on the negated grevlex key: the greatest monomial pops first
-        heap = []
-        high = 0  # the union of the packed monomials' bits
-        for m, c in terms.items():
-            packed = from_bytes(pack(*m), "little")
-            work[packed] = c
-            heap.append((-degree(m), packed))
-            high |= packed
-        if high & guard:
+        pack, guard = layout.pack, layout.guard
+        work = {pack(m): c for m, c in terms.items()}
+        if _reduce(or_, work, 0) & guard:
             raise _overflow(layout, next(m for m in work if m & guard))
+        heap = list(work)
         heapq.heapify(heap)
         queued = set(work)
-        # deg(x^q * t) = deg(q) + deg(t), so no degree is recomputed below
         quotients: dict[int, dict[int, Coefficient]] = {}
         remainder: dict[int, Coefficient] = {}
         while heap:
-            neg_degree, expo = heapq.heappop(heap)
+            expo = heapq.heappop(heap)
             coeff = work.pop(expo, 0)
             if not coeff:
                 continue
-            for j, lm, lm_degree, tail in reducers:
-                if not (expo - lm) & guard:
+            for j, lm, tail in reducers:
+                q = expo - lm
+                if not q & guard:
                     self.spend()
-                    q = expo - lm
                     quotients.setdefault(j, {})[q] = coeff
-                    neg_q_degree = neg_degree + lm_degree
-                    for m, c, m_degree in tail:
+                    for m, c in tail:
                         m += q
                         value = work.get(m, 0) - coeff * c
                         if value:
@@ -307,7 +286,7 @@ class _Engine:
                             if m & guard:
                                 raise _overflow(layout, m)
                             queued.add(m)
-                            heapq.heappush(heap, (neg_q_degree - m_degree, m))
+                            heapq.heappush(heap, m)
                     break
             else:
                 remainder[expo] = coeff
@@ -325,15 +304,17 @@ class _Engine:
                     multiply_packed(minus_q, dr, r)
         return _Tracked(remainder, rep)
 
-    def s_poly(self, f: _Tracked, g: _Tracked, lcm: Monomial) -> _Tracked:
-        uf, ug = _monomial_div(lcm, f.lm), _monomial_div(lcm, g.lm)
+    def s_poly(self, f: _Tracked, g: _Tracked, lcm: int) -> _Tracked:
+        """The S-polynomial of monic f and g for their packed lcm."""
+        uf, ug = lcm - f.reducer()[0], lcm - g.reducer()[0]
         self.spend()
-        poly = Polynomial.monomial(self.ring, uf, 1) * f.poly
-        poly -= Polynomial.monomial(self.ring, ug, 1) * g.poly
-        pack = self.packing.pack
-        shift, minus = pack(uf), {pack(ug): -1}
+        # Polynomial products, which refuse exponents at EXPONENT_LIMIT
+        unpack = self.packing.unpack
+        poly = Polynomial.monomial(self.ring, unpack(uf), 1) * f.poly
+        poly -= Polynomial.monomial(self.ring, unpack(ug), 1) * g.poly
+        minus = {ug: -1}
         rep = [
-            multiply_packed(minus, b, {shift + m: c for m, c in a.items()})
+            multiply_packed(minus, b, {uf + m: c for m, c in a.items()})
             for a, b in zip(f.rep, g.rep)
         ]
         return _Tracked(poly, rep)
@@ -400,25 +381,27 @@ def _buchberger(
     def unit_rep(i: int) -> list[dict[int, Coefficient]]:
         return [{0: 1} if j == i else {} for j in range(ngens)] if track else []
 
-    key = ring.sort_key
-    layout = packing(len(ring))
+    layout = packing(ring.degrees)
     pack, guard = layout.pack, layout.guard
     f: list[_Tracked] = []  # all polynomials ever created, indexed
-    lm_keys: list = []  # lm_keys[i] = sort key of f[i].lm, computed once
-    G: list[int] = []  # the current basis, sorted by lead: the divisor order
+
+    def lead(i: int) -> int:
+        return f[i].reducer()[0]  # packed: the smaller, the greater the monomial
+
+    G: list[int] = []  # the current basis, by ascending lead: the divisor order
     CP: dict[tuple[int, int], Monomial] = {}  # live pairs and their lcms
-    # every pair ever made, keyed (key(lcm), pair): the normal strategy's
+    # every pair ever made, keyed (-packed lcm, pair): the normal strategy's
     # order, ties by indices.  A pair an update drops stays in the heap and
     # is skipped when popped; indices only grow, so it never comes back.
     queue: list = []
 
     def update(ih: int) -> None:
         # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).  Each
-        # lcm(m_h, lm(g)) is computed once.  The chain test compares them
-        # packed (polyring.Packing): a divides b exactly when b - a borrows
-        # into no guard bit.
+        # lcm(m_h, lm(g)) is computed once.  The coprimality and chain tests
+        # read them packed: a * b is a + b, and a divides b exactly when b - a
+        # sets no guard bit.
         nonlocal G
-        mh = f[ih].lm
+        mh, ph = f[ih].lm, lead(ih)
         lcms = [_monomial_lcm(mh, f[ig].lm) for ig in G]
         packed = list(map(pack, lcms))
         # an old pair goes when m_h divides its lcm and neither of its
@@ -433,39 +416,38 @@ def _buchberger(
                 del CP[pair]
         kept: list[int] = []  # the packed lcms of the new pairs the chain test kept
         for pos, (ig, lcm, p) in enumerate(zip(G, lcms, packed)):
-            coprime = _monomial_mul(mh, f[ig].lm) == lcm
+            coprime = ph + lead(ig) == p
             if coprime or all((p - q) & guard for q in itertools.chain(packed[pos + 1 :], kept)):
                 kept.append(p)
                 # a pair with coprime leading monomials is dropped (Buchberger's 1st criterion)
                 if not coprime:
                     CP[ih, ig] = lcm
-                    heapq.heappush(queue, (key(lcm), (ih, ig)))
+                    heapq.heappush(queue, (-p, (ih, ig)))
         G = [ig for ig in G if not _monomial_divides(mh, f[ig].lm)]
-        G.insert(bisect.bisect(G, lm_keys[ih], key=lm_keys.__getitem__), ih)
+        G.insert(bisect.bisect(G, -ph, key=lambda i: -lead(i)), ih)
 
     def add(t: _Tracked) -> None:
-        t = t.monic()
-        f.append(t)
-        lm_keys.append(key(t.lm))
+        f.append(t.monic())
         update(len(f) - 1)
 
     # seed with monic nonzero generators
     seeds = [_Tracked(g, unit_rep(i)).monic() for i, g in enumerate(ideal.generators)]
 
-    for t in sorted(seeds, key=lambda t: key(t.lm)):
+    for t in sorted(seeds, key=lambda t: ring.sort_key(t.lm)):
         reduced = engine.reduce_tracked(t, [f[i] for i in G])
         if reduced.poly:
             add(reduced)
 
     while queue:
-        (lcm_degree, _), pair = queue[0]
+        neg_lcm, pair = queue[0]
         if pair not in CP:
             heapq.heappop(queue)
             continue
-        if max_degree is not None and lcm_degree > max_degree:
+        if max_degree is not None and ring.monomial_degree(CP[pair]) > max_degree:
             break
         heapq.heappop(queue)
-        s = engine.s_poly(f[pair[0]], f[pair[1]], CP.pop(pair))
+        del CP[pair]
+        s = engine.s_poly(f[pair[0]], f[pair[1]], -neg_lcm)
         if not s.poly:
             continue
         reduced = engine.reduce_tracked(s, [f[i] for i in G])

@@ -17,27 +17,21 @@ canonical order, and :func:`parse_poly` accepts the same grammar the printer
 produces (integer literals, variable names, ``+ - * ^ ( )``, with ``*``
 mandatory between factors).
 
-Products of term maps go through one helper, multiply_terms.  A product of
-at least PACK_CUTOFF term pairs packs each exponent tuple into one int
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007, section 3): a Packing gives each
-variable a 64-bit little-endian field, so x_n holds the most significant
-field and a packed int compares like the reversed tuple.  Adding packed
-ints adds the exponent tuples, as long as no field reaches 2^64; exponents
-stay below EXPONENT_LIMIT = 2^31, so a sum of two never does.  Bit 63 of
-each field is the guard bit, and G the int that sets every guard bit.
-While every field is below 2^63, a divides b exactly when b - a borrows
-into no guard bit, ``not (b - a) & G``: with no a_i above b_i no field
-borrows, and the lowest field where a_i exceeds b_i wraps to 2^64 + b_i -
-a_i, at least 2^63 (Python's ints keep those bits when the difference is
-negative).  The Groebner division and the Buchberger chain test read it.
+A Packing turns an exponent tuple into one int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007, section 3) that multiplies monomials by addition,
+tests divisibility by its guard bits and compares in grevlex; its
+docstring states and proves all three.  The sort key, the Groebner
+division's heap and Buchberger's pair queue all read it.
 
-Smaller products keep the tuple loop, because packing and unpacking cost
-more than the packed arithmetic saves there.  Measured in 4 alternating
-pairs of perfbench runs on a 2-core host, packing every product made the
-spanning workload's wall time 13% slower and the acceptance workload's 7%
-slower than this cutoff of 16 term pairs, which leaves both where the
-tuple loop had them.
+Products of term maps go through one helper, multiply_terms.  A product of
+at least PACK_CUTOFF term pairs runs on packed exponents; smaller products
+keep the tuple loop, because packing and unpacking cost more than the
+packed arithmetic saves there.  Measured in 4 alternating pairs of
+perfbench runs on a 2-core host, packing every product made the spanning
+workload's wall time 13% slower and the acceptance workload's 7% slower
+than this cutoff of 16 term pairs, which leaves both where the tuple loop
+had them.
 
 The parser reads text into term maps with no kernel arithmetic for plain
 monomials: one regex scan makes the tokens, and a term of integer and
@@ -53,7 +47,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -139,6 +133,7 @@ class RingSpec:
                 raise ValueError(f"degree of {name} must be a positive integer, got {degree}")
         object.__setattr__(self, "_index", {name: i for i, (name, _) in enumerate(self.vars)})
         object.__setattr__(self, "_degrees", tuple(d for _, d in self.vars))
+        object.__setattr__(self, "_pack", packing(self._degrees).pack)
 
     @staticmethod
     def make(vars: Iterable[tuple[str, int]]) -> RingSpec:
@@ -177,9 +172,9 @@ class RingSpec:
     def monomial_degree(self, expo: Monomial) -> int:
         return sum(map(mul, expo, self._degrees))  # type: ignore[attr-defined]
 
-    def sort_key(self, expo: Monomial):
-        """Ascending grevlex key: larger key = larger monomial."""
-        return (self.monomial_degree(expo), tuple(map(neg, reversed(expo))))
+    def sort_key(self, expo: Monomial) -> int:
+        """Ascending grevlex key: larger key = larger monomial (see Packing)."""
+        return -self._pack(expo)  # type: ignore[attr-defined]
 
     def monomial_text(self, expo: Monomial) -> str:
         factors = []
@@ -197,37 +192,69 @@ def reverse_terms(terms: Mapping[Monomial, Coefficient]) -> dict[Monomial, Coeff
 
 
 class Packing:
-    """Exponent tuples of an n-variable ring packed into one int each.
+    """Exponent tuples packed into one int each, whose order is grevlex.
 
-    Field i holds the exponent of x_i in bits 64i to 64i + 63, so the packed
-    ints compare like the reversed tuples.  ``guard`` sets bit 63 of every
-    field.  Every exponent must lie in [0, 2^64); the packed arithmetic is
-    exact while each field of a sum stays below 2^64, and a guard-bit
-    divisibility test needs each field below 2^63.
+    For an n-variable ring whose variables have the degrees (weights) w,
+
+        pack(m) = F(m) - (deg(m) << 64n),  F(m) = sum_i m_i << 64i,
+        deg(m) = sum_i w_i m_i,
+
+    so field i, bits 64i to 64i + 63, holds the exponent of x_i, and the
+    negated degree sits above the fields.  pack is linear: pack(m) is
+    sum_i m_i * pack(x_i), which is how it is computed.  Every exponent
+    must lie in [0, 2^64).  ``guard`` (G below) sets bit 63 of every field.
+
+    - Product: pack is linear, so pack(a) + pack(b) == pack(a * b); the
+      fields give the exponents back while each stays below 2^64, as it
+      does for a sum of two exponents below EXPONENT_LIMIT = 2^31.
+    - Divisibility: while every field is below 2^63, a divides b exactly
+      when ``not (pack(b) - pack(a)) & G``.  The degree term is a multiple
+      of 2^64n and leaves the bits below 64n alone, so those bits of the
+      difference are F(b) - F(a) mod 2^64n (Python's ints keep them when
+      the difference is negative).  With no a_i above b_i no field
+      borrows; otherwise the lowest field where a_i exceeds b_i wraps to
+      2^64 + b_i - a_i, at least 2^63.
+    - Order: pack(a) < pack(b) exactly when a > b in grevlex.  As
+      0 <= F(m) < 2^64n, pack(m) >> 64n == -deg(m), so a greater degree
+      makes a smaller int.  At equal degree the ints differ as the F do,
+      and F compares like the reversed tuples (x_n holds the most
+      significant field): the smaller is the one with the smaller exponent
+      at the last variable where the two differ, which grevlex makes the
+      greater monomial.
+
+    So -pack(m) is the ascending sort key (RingSpec.sort_key), a min-heap of
+    packed ints pops the greatest monomial first, and F(m), the bits below
+    64n, gives the exponents back.  With every weight 0, pack(m) is F(m).
     """
 
-    __slots__ = ("struct", "guard")
+    __slots__ = ("struct", "guard", "fields", "variables")
 
-    def __init__(self, nvars: int):
-        self.struct = struct.Struct(f"<{nvars}Q")
-        self.guard = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * nvars, "little")
+    def __init__(self, weights: tuple[int, ...]):
+        n = len(weights)
+        self.struct = struct.Struct(f"<{n}Q")
+        self.guard = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+        self.fields = (1 << 64 * n) - 1
+        self.variables = tuple((1 << 64 * i) - (w << 64 * n) for i, w in enumerate(weights))
 
     def pack(self, expo: Monomial) -> int:
-        return int.from_bytes(self.struct.pack(*expo), "little")
+        return sum(map(mul, expo, self.variables))
+
+    def unpack(self, packed: int) -> Monomial:
+        return self.struct.unpack((packed & self.fields).to_bytes(self.struct.size, "little"))
 
     def unpack_terms(self, terms: Mapping[int, Coefficient]) -> dict[Monomial, Coefficient]:
         """A packed term map back on exponent tuples, in its own order."""
-        unpack, size = self.struct.unpack, self.struct.size
+        unpack, size, fields = self.struct.unpack, self.struct.size, self.fields
         out = {}
         for m, c in terms.items():
-            out[unpack(m.to_bytes(size, "little"))] = c
+            out[unpack((m & fields).to_bytes(size, "little"))] = c
         return out
 
 
 @lru_cache(maxsize=64)
-def packing(nvars: int) -> Packing:
-    """The Packing of an nvars-variable ring (one per count, at most 64 kept)."""
-    return Packing(nvars)
+def packing(weights: tuple[int, ...]) -> Packing:
+    """The Packing for variables of these degrees (one per tuple, at most 64 kept)."""
+    return Packing(weights)
 
 
 def multiply_terms(
@@ -240,7 +267,8 @@ def multiply_terms(
     loop computes it.  Coefficients are not normalized and exponents not
     checked against EXPONENT_LIMIT: callers do that.  Exponents must be
     below 2^63.  With at least PACK_CUTOFF term pairs the loop runs on
-    packed exponents (see the module docstring).
+    packed exponents; a product only adds them, so it packs with every
+    weight 0 (see Packing).
     """
     if len(a) * len(b) < PACK_CUTOFF:
         out: dict = {}
@@ -254,7 +282,7 @@ def multiply_terms(
                 else:
                     out.pop(m, None)
         return out
-    layout = packing(len(next(iter(a))))
+    layout = packing((0,) * len(next(iter(a))))
     pack, from_bytes = layout.struct.pack, int.from_bytes
     packed_a = {from_bytes(pack(*m), "little"): c for m, c in a.items()}
     packed_b = {from_bytes(pack(*m), "little"): c for m, c in b.items()}
@@ -366,15 +394,16 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Coefficient]]:
-        key = self.ring.sort_key
-        return sorted(self._terms.items(), key=lambda item: key(item[0]), reverse=reverse)
+    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
+        """The terms in descending grevlex order, as printed: ascending packed ints."""
+        pack = self.ring._pack  # type: ignore[attr-defined]
+        return sorted(self._terms.items(), key=lambda item: pack(item[0]))
 
     def leading_term(self) -> tuple[Monomial, Coefficient]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        key = self.ring.sort_key
-        expo = max(self._terms, key=key)
+        # the least packed int is the greatest monomial (see Packing)
+        expo = min(self._terms, key=self.ring._pack)  # type: ignore[attr-defined]
         return expo, self._terms[expo]
 
     def degree(self) -> int | None:

@@ -306,6 +306,28 @@ def test_parsed_monomial_outcomes(capsys):
     assert "Traceback" not in err
 
 
+def test_coefficients_past_4300_digits(capsys):
+    # Python refuses to convert ints of more than 4300 digits by default;
+    # main lifts that limit, so start each run from the default
+    restore = sys.get_int_max_str_digits()
+    try:
+        for fmt in ("text", "json"):
+            sys.set_int_max_str_digits(4300)
+            code, out, err = run(
+                capsys, "poly", "parse", "--ring", "e1:2", "--expr", "9^9999", "--format", fmt
+            )
+            assert (code, err) == (0, "")
+            shown = json.loads(out)["canonical"] if fmt == "json" else out.splitlines()[0]
+            assert shown == str(9**9999) and len(shown) == 9542
+        literal = "7" * 5000
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "poly", "parse", "--ring", "e1:2", "--expr", f"{literal}*e1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"{literal}*e1"
+    finally:
+        sys.set_int_max_str_digits(restore)
+
+
 def test_class_commands(capsys):
     code, out, _ = run(capsys, "class", "euler", "--symbols", "e1,e2", "--orientation", "-1")
     assert code == 0 and "-e1*e2" in out

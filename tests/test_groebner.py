@@ -1,7 +1,11 @@
 """Groebner engine: reduced bases, normal forms, membership, Hilbert data."""
 
+import hashlib
 import itertools
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -152,7 +156,7 @@ def _assert_representations_reconstruct(G):
     Every integral coefficient of a representation is an int, as in a Polynomial.
     """
     ring, gens = G.ring, G.ideal.generators
-    unpack_terms = packing(len(ring)).unpack_terms
+    unpack_terms = packing(ring.degrees).unpack_terms
     assert len(G.representations) == len(G.basis)
     for g, rep in zip(G.basis, G.representations):
         assert len(rep) == len(gens)
@@ -765,8 +769,11 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
     engine = engine or groebner._Engine(ideal.ring)
     ring = ideal.ring
     ngens = len(ideal.generators)
-    lcm_of, mul = groebner._monomial_lcm, groebner._monomial_mul
-    divides = groebner._monomial_divides
+    lcm_of, divides = groebner._monomial_lcm, groebner._monomial_divides
+    pack = packing(ring.degrees).pack
+
+    def mul(a, b):
+        return tuple(x + y for x, y in zip(a, b))
 
     def unit_rep(i):
         if not track:
@@ -816,11 +823,12 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
             f.append(reduced.monic())
             G, CP = update(G, CP, len(f) - 1)
     while CP:
-        (lcm_degree, _), pair = min((key(lcm_of(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
-        if max_degree is not None and lcm_degree > max_degree:
+        _, pair = min((key(lcm_of(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
+        lcm = lcm_of(f[pair[0]].lm, f[pair[1]].lm)
+        if max_degree is not None and ring.monomial_degree(lcm) > max_degree:
             break
         CP.remove(pair)
-        s = engine.s_poly(f[pair[0]], f[pair[1]], lcm_of(f[pair[0]].lm, f[pair[1]].lm))
+        s = engine.s_poly(f[pair[0]], f[pair[1]], pack(lcm))
         if not s.poly:
             continue
         reduced = engine.reduce_tracked(s, [f[i] for i in sorted(G, key=lm_key)])
@@ -892,3 +900,18 @@ def test_representations_reconstruct_weighted_bases(case, reversed_):
     I, _, max_degree, _ = case
     I = I.reversed() if reversed_ else I
     _assert_representations_reconstruct(groebner._buchberger(I, True, max_degree))
+
+
+_ENGINE_DUMP_SHA256 = "ef09e2fa89410d3b814050512bf796e5670668a3293f6e7fa7cee5b0fd10b070"
+
+
+def test_engine_dump_is_pinned(capsys, monkeypatch):
+    # scripts/dump_groebner.py over its 474 fixed records, in process: bases,
+    # representations, coefficient types, step counts, quotients, witnesses
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dump_groebner.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 474
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENGINE_DUMP_SHA256
+    assert err == f"474 records, sha256 {_ENGINE_DUMP_SHA256}\n"

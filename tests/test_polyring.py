@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slcc.polyring import (
     EXPONENT_LIMIT,
@@ -20,6 +20,7 @@ from slcc.polyring import (
     UnmappedVariableError,
     _normalize_coeff,
     multiply_terms,
+    packing,
     parse_poly,
 )
 
@@ -282,6 +283,49 @@ def test_mul_matches_naive_product(p, q):
         assert {e: type(c) for e, c in result.terms.items()} == {
             e: type(c) for e, c in expected.items()
         }
+
+
+def _tuple_sort_key(ring, expo):
+    """The grevlex key RingSpec.sort_key built before packing, kept as its reference."""
+    return (ring.monomial_degree(expo), tuple(-e for e in reversed(expo)))
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """A ring of 0-6 weighted variables, now and then one of degree 2^63,
+    and two of its monomials.
+
+    Exponents are small, so that degrees tie, or up to 2^31 - 1.  Half the
+    cases make b a multiple of a, so that the guard test often answers yes.
+    """
+    n = draw(st.integers(0, 6))
+    weights = [draw(st.integers(1, 4)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        weights[draw(st.integers(0, n - 1))] = 2**63
+    ring = RingSpec.make((f"x{i}", w) for i, w in enumerate(weights))
+    exponent = st.one_of(st.integers(0, 3), st.integers(2**31 - 4, 2**31 - 1))
+    a, b = draw(st.tuples(*[exponent] * n)), draw(st.tuples(*[exponent] * n))
+    if draw(st.booleans()):
+        b = tuple(x + y for x, y in zip(a, draw(st.tuples(*[st.integers(0, 2)] * n))))
+    return ring, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_monomial_pairs())
+@example((RingSpec.make([]), (), ()))
+@example((RingSpec.make([("x", 1), ("z", 2**63)]), (2**31 - 1, 1), (2**31 - 1, 0)))
+def test_packed_monomial_is_the_grevlex_key(case):
+    ring, a, b = case
+    layout = packing(ring.degrees)
+    pa, pb = layout.pack(a), layout.pack(b)
+    key, ref = ring.sort_key, _tuple_sort_key
+    assert (key(a) < key(b), key(a) == key(b)) == (ref(ring, a) < ref(ring, b), a == b)
+    assert key(a) == -pa
+    assert pa + pb == layout.pack(tuple(x + y for x, y in zip(a, b)))
+    assert layout.unpack(pa) == a
+    assert list(layout.unpack_terms({pa: 2, pb: 3}).items()) == list({a: 2, b: 3}.items())
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (not (pb - pa) & layout.guard) == divides
 
 
 def _tuple_product(a, b):
