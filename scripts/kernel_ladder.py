@@ -1,6 +1,6 @@
 """Time the kernel rungs and the benchmark on two source trees, alternating.
 
-    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_19.json
+    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_21.json
         [--repeats 5] [--pairs 10] [--seconds 10] [--workloads witness,acceptance]
 
 PARENT and CHANGE are checkouts of this repository.  Every run is a fresh
@@ -53,6 +53,9 @@ RUNGS = (
     # the spanning workload's dense input: 964 terms, 13.5k tokens to parse
     ("span", "reduce", "--group", "D", "--n", "5", "--poly", poly_text(dense_terms(DEFAULT_SEED))),
     ("poly", "parse", "--ring", RING_E5, "--expr", EVERY_E5_14),
+    # 645120 monomials built, rendered and printed
+    ("span", "basis", "--group", "B", "--n", "7"),
+    ("acceptance",),
 )
 WORKLOADS = ("witness", "verify", "spanning", "acceptance")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")

@@ -202,9 +202,9 @@ def _witness(args) -> tuple:
 
 
 def _span_basis(args) -> tuple:
-    b = spanning.basis(args.group, args.n)
-    payload = {"group": args.group, "n": args.n, "size": len(b), "monomials": b.texts()}
-    return payload, [f"size {len(b)}"] + b.texts(), None
+    texts = spanning.basis(args.group, args.n).texts()
+    payload = {"group": args.group, "n": args.n, "size": len(texts), "monomials": texts}
+    return payload, [f"size {len(texts)}"] + texts, None
 
 
 def _span_reduce(args) -> tuple:
@@ -327,8 +327,8 @@ def _build_presentation(args) -> presentations.Presentation:
         raise UsageError(str(exc)) from None
 
 
-def _report_lines(report: presentations.PresentationReport) -> list[str]:
-    d = report.to_dict()
+def _report_lines(d: dict) -> list[str]:
+    """The text form of a PresentationReport.to_dict()."""
     lines = [f"descriptor: {json.dumps(d['descriptor'])}"]
     lines.append("ring: " + ", ".join(f"{name}:{deg}" for name, deg in d["ring"]))
     lines.append("generators:")
@@ -346,7 +346,8 @@ def _present(args) -> tuple:
     outcome = _failed(report.passed, "presentation checks failed")
     if report.budget_exceeded:
         outcome = BudgetExceededError("presentation verification ran out of budget")
-    return report.to_dict(), _report_lines(report), outcome
+    payload = report.to_dict()
+    return payload, _report_lines(payload), outcome
 
 
 def _present_rank(args) -> tuple:
@@ -362,7 +363,7 @@ def _present_rank(args) -> tuple:
 
 def _verify_spanning(args) -> tuple:
     rep = spanning.verify_free(args.group, args.n, args.max_degree)
-    size_ok = len(spanning.basis(args.group, args.n)) == weyl.group_order(args.group, args.n)
+    size_ok = rep.size == weyl.group_order(args.group, args.n)
     payload = {"group": args.group, "n": args.n, "max_degree": args.max_degree}
     payload.update(hilbert_pass=rep.passed, cardinality_pass=size_ok)
     lines = [

@@ -51,7 +51,9 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     RingSpec,
+    _normalize_coeff,
     multiply_terms,
+    packing,
     reverse_terms,
 )
 
@@ -86,20 +88,22 @@ def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomi
 
     u_i is x_i^m with 0 <= m <= bounds[i-1] or, when ``tail`` is set, the
     product of every later variable of the ring.  Deduplicated, in ascending
-    canonical order.
+    canonical order.  The products are built as packed ints (polyring.Packing
+    is linear, so a product is a sum), whose descending order is the
+    ascending canonical one, and unpacked once.
     """
-    n = len(ring)
-    choices = []
+    layout = packing(ring.degrees)
+    xs = layout.variables
+    products = {0}
     for i, bound in enumerate(bounds):
-        opts = [(0,) * i + (m,) + (0,) * (n - i - 1) for m in range(bound + 1)]
+        choices = [m * xs[i] for m in range(bound + 1)]
         if tail:
-            opts.append((0,) * (i + 1) + (1,) * (n - i - 1))
-        choices.append(opts)
-    monos = {tuple(map(sum, zip((0,) * n, *combo))) for combo in itertools.product(*choices)}
-    return tuple(sorted(monos, key=ring.sort_key))
+            choices.append(sum(xs[i + 1 :]))
+        products = {p + u for p in products for u in choices}
+    return tuple(map(layout.unpack, sorted(products, reverse=True)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _bounds(group: str, n: int) -> tuple[int, ...]:
     """The exponent bounds: e_i stays below the witness exponent of rank n+1-i.
 
@@ -159,7 +163,9 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
     reversed coinvariant ideal.  The basis monomials of that degree are the
     members of a staircase echelon whose rows carry their part on the
     members; reducing m by its pivots leaves x, and ``divide`` yields the
-    cofactors of m - x, which lies in the ideal.
+    cofactors of m - x, which lies in the ideal.  Their coefficients come
+    out of the echelon as Fractions; each integral one becomes an int here,
+    once, so the sums that read the table do not redo Fraction arithmetic.
     """
     members = []
     for combo in itertools.combinations_with_replacement(range(n), k):
@@ -174,14 +180,25 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
     for lead in pivots:
         row = {lead: 1}
         echelon_reduce(row, pivots)
-        x = {b: c for (_, b), c in row.items()}
+        x = {b: _normalize_coeff(c) for (_, b), c in row.items()}
         diff = {lead[1]: 1}
         _add_scaled(diff, x, -1)
         cofactors, remainder = divide(diff)
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
+        cofactors = [{m: _normalize_coeff(c) for m, c in e.items()} for e in cofactors]
         out[lead[1][::-1]] = (reverse_terms(x), cofactors)
     return out
+
+
+@lru_cache(maxsize=32)
+def _reversed_coinvariant_ideal(group: str, n: int) -> Ideal:
+    """The coinvariant ideal in the reversed ring, the ideal reduce() divides by.
+
+    Built once per (group, n) of the last 32 used: a new Ideal would be
+    validated again and its generators hashed again for the Groebner cache.
+    """
+    return weyl.coinvariant_ideal(group, n).reversed()
 
 
 def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
@@ -195,7 +212,7 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     if not p.ring.compatible_with(ring):
         raise RingMismatchError(f"polynomial must live in Z[e_1..e_{n}] with degree-2 variables")
     cring = weyl.invariant_ring(group, n)
-    ideal = weyl.coinvariant_ideal(group, n).reversed()
+    ideal = _reversed_coinvariant_ideal(group, n)
     divide = tracked_division(ideal)
     units = [tuple(int(i == j) for j in range(len(cring))) for i in range(len(cring))]
     beta = (0,) * len(cring)
@@ -285,6 +302,7 @@ class FreenessReport:
     first_mismatch: int | None
     lhs: tuple[int, ...]  # Hilbert series of Z[e_1..e_n]
     rhs: tuple[int, ...]  # Hilbert series of invariants times basis degrees
+    size: int  # the number of basis monomials
 
     @property
     def passed(self) -> bool:
@@ -295,7 +313,8 @@ def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
     """Check Hilb(Z[e]) == Hilb(invariants) * (sum_b q^deg b) up to max_degree."""
     lhs = series.poly_ring_hilbert([2] * n, max_degree)
     ring = weyl.e_ring(n)
-    basis_degrees = [ring.monomial_degree(m) for m in basis(group, n).monomials]
+    monomials = basis(group, n).monomials
+    basis_degrees = [ring.monomial_degree(m) for m in monomials]
     inv_degrees = weyl.invariant_ring(group, n).degrees
     rhs, first = series.free_module_series(lhs, inv_degrees, basis_degrees, max_degree)
     return FreenessReport(
@@ -305,4 +324,5 @@ def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
         first_mismatch=first,
         lhs=tuple(lhs),
         rhs=tuple(rhs),
+        size=len(monomials),
     )

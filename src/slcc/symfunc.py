@@ -85,7 +85,7 @@ def in_squares(p: Polynomial) -> Polynomial:
     return Polynomial(p.ring, {tuple(2 * e for e in expo): c for expo, c in p.terms.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def g_ring(m: int) -> RingSpec:
     """Ring Z[sigma_1..sigma_m] with weight(sigma_j) = j."""
     if m < 1:
@@ -93,20 +93,24 @@ def g_ring(m: int) -> RingSpec:
     return RingSpec.make((f"sigma{j}", j) for j in range(1, m + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def g_poly(i: int, m: int) -> Polynomial:
-    """h_i as a polynomial in sigma_1..sigma_m (weighted-homogeneous of weight i)."""
+    """h_i as a polynomial in sigma_1..sigma_m (weighted-homogeneous of weight i).
+
+    h_0..h_i are built bottom-up in one loop, each from the m before it.
+    """
     if i < 0:
         raise ValueError("i must be non-negative")
     ring = g_ring(m)
-    if i == 0:
-        return Polynomial.one(ring)
-    acc = Polynomial.zero(ring)
-    for j in range(1, min(i, m) + 1):
-        sigma_j = Polynomial.variable(ring, f"sigma{j}")
-        term = sigma_j * g_poly(i - j, m)
-        acc = acc + (term if j % 2 == 1 else -term)
-    return acc
+    sigmas = [Polynomial.variable(ring, f"sigma{j}") for j in range(1, min(i, m) + 1)]
+    h = [Polynomial.one(ring)]
+    for k in range(1, i + 1):
+        acc = Polynomial.zero(ring)
+        for j in range(1, min(k, m) + 1):
+            term = sigmas[j - 1] * h[k - j]
+            acc = acc + (term if j % 2 == 1 else -term)
+        h.append(acc)
+    return h[i]
 
 
 def x_ring(n: int) -> RingSpec:

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def e_ring(n: int) -> RingSpec:
     """Z[e_1..e_n] with cohomological degree 2 on every generator."""
     if n < 0:
@@ -139,7 +139,7 @@ def group_generators(group: str, n: int) -> list[SignedPermutation]:
     return gens
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def invariant_ring(group: str, rank: int) -> RingSpec:
     """The abstract invariant ring: Z[s_1..s_r] (B) or Z[s_1..s_{r-1}, t] (D).
 
@@ -173,8 +173,13 @@ class InvariantGenerators:
         return self.ring.degrees
 
 
+@lru_cache(maxsize=32)
 def invariant_generators(group: str, n: int) -> InvariantGenerators:
-    """s_1..s_n for B; s_1..s_{n-1}, t for D (t alone when n = 1)."""
+    """s_1..s_n for B; s_1..s_{n-1}, t for D (t alone when n = 1).
+
+    Built once per (group, n) of the last 32 used; every caller gets the
+    same immutable generators.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     cring = invariant_ring(group, n)  # checks the group
@@ -196,8 +201,12 @@ def is_invariant(p: Polynomial, group: str, n: int | None = None) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)
 def coinvariant_ideal(group: str, n: int) -> Ideal:
-    """Ideal generated by the positive-degree invariant generators."""
+    """Ideal generated by the positive-degree invariant generators.
+
+    Built once per (group, n) of the last 32 used, like invariant_generators.
+    """
     inv = invariant_generators(group, n)
     return Ideal(e_ring(n), inv.gens)
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from slcc import acceptance
+from slcc import acceptance, weyl
 
 
 @pytest.mark.parametrize("name", acceptance.all_names())
@@ -30,3 +30,19 @@ def test_cli_acceptance_byte_identical_across_processes():
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout
+
+
+def test_run_all_twice_in_one_process_leaves_the_weyl_caches_intact():
+    settings = [(group, n) for group in "BD" for n in range(1, 6)]
+    first = acceptance.run_all()
+    second = acceptance.run_all()
+    assert first == second
+    assert all(r.passed for r in first)
+    for group, n in settings:
+        cached = weyl.invariant_generators(group, n)
+        assert weyl.invariant_generators(group, n) is cached
+        fresh = weyl.invariant_generators.__wrapped__(group, n)
+        # a caller that wrote into a cached term map would show here
+        assert [str(g) for g in cached.gens] == [str(g) for g in fresh.gens]
+        assert [g.terms for g in cached.gens] == [g.terms for g in fresh.gens]
+        assert weyl.coinvariant_ideal(group, n).generators == cached.gens

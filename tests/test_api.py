@@ -22,3 +22,14 @@ def test_exports_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_cache_is_bounded(name):
+    module = importlib.import_module(name)
+    caches = {
+        attr: fn.cache_parameters()["maxsize"]
+        for attr, fn in vars(module).items()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == name
+    }
+    assert {attr: size for attr, size in caches.items() if size is None} == {}

@@ -450,6 +450,12 @@ def test_symfunc_subcommands(capsys):
     assert code == 0
 
 
+def test_symfunc_gpoly_of_high_degree(capsys):
+    # h_i is built bottom-up: no recursion depth grows with i
+    code, out, err = run(capsys, "symfunc", "gpoly", "--i", "1200", "--m", "1")
+    assert (code, out.strip(), err) == (0, "sigma1^1200", "")
+
+
 def test_ideal_hilbert_and_standard(capsys):
     code, out, _ = run(
         capsys,

@@ -1,6 +1,7 @@
 """Spanning sets and the constructive rewriting over the invariant rings."""
 
 import hashlib
+import itertools
 import random
 import runpy
 import sys
@@ -29,7 +30,39 @@ def test_basis_examples():
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("group", ["B", "D"])
 def test_basis_cardinality_is_weyl_order(group, n):
-    assert len(basis(group, n)) == weyl.group_order(group, n)
+    assert len(basis(group, n)) == verify_free(group, n, 40).size == weyl.group_order(group, n)
+
+
+def _power_or_tail_reference(ring, bounds, tail):
+    """power_or_tail on exponent tuples: every product of the choices, sorted by sort_key."""
+    n = len(ring)
+    choices = []
+    for i, bound in enumerate(bounds):
+        opts = [(0,) * i + (m,) + (0,) * (n - i - 1) for m in range(bound + 1)]
+        if tail:
+            opts.append((0,) * (i + 1) + (1,) * (n - i - 1))
+        choices.append(opts)
+    monos = {tuple(map(sum, zip((0,) * n, *combo))) for combo in itertools.product(*choices)}
+    return tuple(sorted(monos, key=ring.sort_key))
+
+
+@st.composite
+def _power_or_tail_inputs(draw):
+    weights = draw(st.lists(st.integers(1, 4), max_size=6))
+    ring = RingSpec.make((f"x{i}", w) for i, w in enumerate(weights, start=1))
+    bounds = draw(st.lists(st.integers(0, 4), max_size=len(weights)))
+    return ring, bounds, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_power_or_tail_inputs())
+def test_power_or_tail_matches_reference(case):
+    ring, bounds, tail = case
+    got = spanning.power_or_tail(ring, bounds, tail)
+    assert got == _power_or_tail_reference(ring, bounds, tail)
+    assert type(got) is tuple
+    assert all(type(m) is tuple and len(m) == len(ring) for m in got)
+    assert all(type(e) is int for m in got for e in m)
 
 
 def test_reduce_examples_rank_two():
