@@ -113,16 +113,16 @@ def records():
                 e1 = (1,) + (0,) * (n - 1) if order == "declared" else (0,) * (n - 1) + (1,)
                 for k in range(1, 4 * n + 1, 3):
                     engine = groebner._Engine(I.ring)
+                    unpack_terms = engine.packing.unpack_terms
                     quotients, remainder = engine.divide(
-                        {tuple(k * e for e in e1): 1}, G._reducers
+                        {engine.packing.pack(tuple(k * e for e in e1)): 1}, G._reducers
                     )
                     shown = " / ".join(
-                        f"{j}:{terms_text(engine.packing.unpack_terms(q))}"
-                        for j, q in quotients.items()
+                        f"{j}:{terms_text(unpack_terms(q))}" for j, q in quotients.items()
                     )
                     yield (
                         f"{label} divide e1^{k} steps={engine.steps} | {shown} | "
-                        f"{terms_text(remainder.terms)}"
+                        f"{terms_text(unpack_terms(remainder))}"
                     )
                 standard = groebner.standard_monomials(G, 3 * n)
                 yield f"{label} standard {' '.join(map(str, standard))}"

@@ -1,6 +1,6 @@
 """Time the kernel rungs and the benchmark on two source trees, alternating.
 
-    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_21.json
+    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_22.json
         [--repeats 5] [--pairs 10] [--seconds 10] [--workloads witness,acceptance]
 
 PARENT and CHANGE are checkouts of this repository.  Every run is a fresh
@@ -56,6 +56,9 @@ RUNGS = (
     # 645120 monomials built, rendered and printed
     ("span", "basis", "--group", "B", "--n", "7"),
     ("acceptance",),
+    # presentations: declared monomials, their normal forms and the remainders read back
+    ("verify", "presentation", "--kind", "max-flag", "--N", "13", "--max-degree", "80"),
+    ("present", "sgr-even", "--m", "5", "--n", "10", "--parity", "even"),
 )
 WORKLOADS = ("witness", "verify", "spanning", "acceptance")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")

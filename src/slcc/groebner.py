@@ -11,10 +11,10 @@ once, when made (polyring.Packing, whose ints order like grevlex), and the
 pairs wait in a heap keyed by the negated packed lcm and then the indices:
 the normal strategy's order, ties included.
 A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
-moves its ideal into the reversed ring with Ideal.reversed and reads the
-results back with polyring.reverse_terms, as spanning and
-verify_presentation do.  The reversed ideal is an ideal of its own, with
-its own cache entry.
+moves its ideal into the reversed ring with Ideal.reversed, as spanning and
+verify_presentation do; polyring.reverse_terms moves a packed term map
+between the two rings, one repack per term.  The reversed ideal is an ideal
+of its own, with its own cache entry.
 
 Every ideal is homogeneous, so the normal strategy meets S-pairs in
 nondecreasing degree, and a run may stop at a degree bound: the truncated
@@ -39,12 +39,12 @@ tracked_division replaces an untracked entry with a tracked one.
 Normal forms, S-pair reduction, inter-reduction and the cofactor witnesses
 all run through one division routine, _Engine.divide.  It is a heap
 division after Monagan and Pearce ("Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007) on packed exponents
-(polyring.Packing): the working polynomial is a term dict updated in
-place, the pending packed monomials sit in a heap of bare ints, each
-divisor's lead and tail are packed once (its reducer; a GroebnerBasis
-keeps its list), and the quotients come back as packed term dicts, keyed
-by the divisors used.  The representations are packed term dicts as
+arrays, heaps, and packed exponent vectors", CASC 2007) on the packed term
+maps that polynomials store (polyring.Packing): the working polynomial is
+a term dict updated in place, the pending packed monomials sit in a heap of
+bare ints, each divisor's lead and tail are split once (its reducer; a
+GroebnerBasis keeps its list), and the quotients and the remainder come
+back as packed term dicts, the quotients keyed by the divisors used.  The representations are packed term dicts as
 well, from the generators' unit representations to tracked_division: an
 S-polynomial shifts them by its packed cofactor monomials, monic scales
 them, and a reduction subtracts q_j times divisor j's, the same product
@@ -92,7 +92,6 @@ from .polyring import (
     RingSpec,
     _normalize_coeff,
     multiply_packed,
-    packing,
     reverse_terms,
 )
 
@@ -153,9 +152,8 @@ class Ideal:
     def reversed(self) -> Ideal:
         """The ideal moved into ring.reversed(), whose grevlex reverses the variables."""
         ring = self.ring.reversed()
-        return Ideal(
-            ring, tuple(Polynomial._trusted(ring, reverse_terms(g.terms)) for g in self.generators)
-        )
+        gens = (reverse_terms(self.ring, g._terms) for g in self.generators)
+        return Ideal(ring, tuple(Polynomial._trusted(ring, terms) for terms in gens))
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -187,13 +185,13 @@ class _Tracked:
     def reducer(self):
         """(lm, tail terms), packed, built on first use.
 
-        A divisor serves many divisions, so its lead and tail are packed
-        and split off once.
+        A divisor serves many divisions, so its lead and tail are split off
+        once.
         """
         if self._reducer is None:
-            pack = packing(self.poly.ring.degrees).pack
-            tail = [(pack(m), c) for m, c in self.poly.terms.items() if m != self.lm]
-            self._reducer = (pack(self.lm), tail)
+            terms = self.poly._terms
+            lead = min(terms)  # the greatest monomial (polyring.Packing)
+            self._reducer = (lead, [(m, c) for m, c in terms.items() if m != lead])
         return self._reducer
 
     def monic(self) -> _Tracked:
@@ -219,7 +217,7 @@ def _overflow(layout: Packing, packed: int) -> ExponentOverflowError:
 class _Engine:
     def __init__(self, ring: RingSpec):
         self.ring = ring
-        self.packing = packing(ring.degrees)
+        self.packing = ring.packing
         self.budget = _budget_limit()
         self.steps = 0
 
@@ -230,12 +228,13 @@ class _Engine:
                 f"Groebner step budget of {self.budget} exceeded (raise SLCC_BUDGET)"
             )
 
-    def divide(self, terms: dict[Monomial, Coefficient], reducers: list):
+    def divide(self, terms: dict[int, Coefficient], reducers: list):
         """Full multivariate division: terms = sum q_j * divisor_j + remainder.
 
-        The reducers are those of monic divisors (_reducers), and the
-        quotients come back as packed term maps (polyring.Packing) keyed by
-        the index j of each divisor used; the remainder is a Polynomial.
+        The terms are a packed term map (polyring.Packing), the reducers
+        those of monic divisors (_reducers).  The quotients come back as
+        packed term maps keyed by the index j of each divisor used, and the
+        remainder as a packed term map with normalized coefficients.
         The reducer for each step is the first divisor (in list order)
         whose leading monomial divides the current greatest reducible
         monomial, which makes the result deterministic.
@@ -243,21 +242,21 @@ class _Engine:
         The division runs in place on a term dict, with the pending
         monomials in a heap (Monagan and Pearce, "Polynomial division using
         dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
-        Exponents are packed (polyring.Packing): the terms once on entry,
-        each divisor once for all divisions (_Tracked.reducer).  The heap
-        holds the packed ints themselves, the least of which is the
-        greatest monomial.  A step pops the greatest live monomial, skips
+        Each divisor's lead and tail are split once for all divisions
+        (_Tracked.reducer).  The heap holds the packed ints themselves, the
+        least of which is the greatest monomial.  A step pops the greatest live monomial, skips
         cancelled ones, and subtracts coeff * x^q * tail(d) term by term,
         where x^q * t is q + t packed.  lm divides expo exactly when
         q = expo - lm sets no guard bit, which needs every field below
         2^63, so a monomial with an exponent that large raises
-        ExponentOverflowError.  A popped monomial never comes back: every
-        term a step adds is smaller than it.  The remainder's terms are in
-        the order they were popped.
+        ExponentOverflowError, as does a remainder with an exponent at
+        EXPONENT_LIMIT.  A popped monomial never comes back: every term a
+        step adds is smaller than it.  The remainder's terms are in the
+        order they were popped.
         """
         layout = self.packing
-        pack, guard = layout.pack, layout.guard
-        work = {pack(m): c for m, c in terms.items()}
+        guard = layout.guard
+        work = dict(terms)
         if _reduce(or_, work, 0) & guard:
             raise _overflow(layout, next(m for m in work if m & guard))
         heap = list(work)
@@ -289,12 +288,13 @@ class _Engine:
                             heapq.heappush(heap, m)
                     break
             else:
-                remainder[expo] = coeff
-        return quotients, Polynomial(self.ring, remainder and layout.unpack_terms(remainder))
+                remainder[expo] = _normalize_coeff(coeff)
+        layout.check_limit(remainder)
+        return quotients, remainder
 
     def reduce_tracked(self, t: _Tracked, divisors: list[_Tracked]) -> _Tracked:
         """t's remainder by the divisors; its representation loses q_j * divisor j's."""
-        quotients, remainder = self.divide(t.poly.terms, _reducers(divisors))
+        quotients, remainder = self.divide(t.poly._terms, _reducers(divisors))
         rep = t.rep
         if rep and quotients:
             rep = [dict(r) for r in rep]
@@ -302,16 +302,15 @@ class _Engine:
                 minus_q = {m: -c for m, c in q.items()}
                 for r, dr in zip(rep, divisors[j].rep):
                     multiply_packed(minus_q, dr, r)
-        return _Tracked(remainder, rep)
+        return _Tracked(Polynomial._trusted(self.ring, remainder), rep)
 
     def s_poly(self, f: _Tracked, g: _Tracked, lcm: int) -> _Tracked:
         """The S-polynomial of monic f and g for their packed lcm."""
         uf, ug = lcm - f.reducer()[0], lcm - g.reducer()[0]
         self.spend()
         # Polynomial products, which refuse exponents at EXPONENT_LIMIT
-        unpack = self.packing.unpack
-        poly = Polynomial.monomial(self.ring, unpack(uf), 1) * f.poly
-        poly -= Polynomial.monomial(self.ring, unpack(ug), 1) * g.poly
+        monomial = Polynomial._trusted
+        poly = monomial(self.ring, {uf: 1}) * f.poly - monomial(self.ring, {ug: 1}) * g.poly
         minus = {ug: -1}
         rep = [
             multiply_packed(minus, b, {uf + m: c for m, c in a.items()})
@@ -346,12 +345,22 @@ class GroebnerBasis:
         return _reducers([_Tracked(g, []) for g in self.basis])
 
 
-# one entry per ideal; an entry built with representations serves every caller
+# one entry per ideal; an entry built with representations serves every caller.
+# Past _GB_CACHE_SIZE entries the oldest-inserted one goes (_cache_store).
 _GB_CACHE: dict[tuple, GroebnerBasis] = {}
+_GB_CACHE_SIZE = 128
 
 
 def _cache_key(ideal: Ideal) -> tuple:
     return (ideal.ring.vars, ideal.generators)
+
+
+def _cache_store(key: tuple, G: GroebnerBasis) -> GroebnerBasis:
+    """Put G in _GB_CACHE under key (replacing an entry keeps its place); returns G."""
+    _GB_CACHE[key] = G
+    if len(_GB_CACHE) > _GB_CACHE_SIZE:
+        del _GB_CACHE[next(iter(_GB_CACHE))]
+    return G
 
 
 def groebner_basis(ideal: Ideal) -> GroebnerBasis:
@@ -359,7 +368,7 @@ def groebner_basis(ideal: Ideal) -> GroebnerBasis:
     cache_key = _cache_key(ideal)
     cached = _GB_CACHE.get(cache_key)
     if cached is None:
-        cached = _GB_CACHE[cache_key] = _buchberger(ideal, track=False)
+        cached = _cache_store(cache_key, _buchberger(ideal, track=False))
     return cached
 
 
@@ -381,7 +390,7 @@ def _buchberger(
     def unit_rep(i: int) -> list[dict[int, Coefficient]]:
         return [{0: 1} if j == i else {} for j in range(ngens)] if track else []
 
-    layout = packing(ring.degrees)
+    layout = ring.packing
     pack, guard = layout.pack, layout.guard
     f: list[_Tracked] = []  # all polynomials ever created, indexed
 
@@ -482,15 +491,16 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo G; zero iff p lies in the ideal."""
     if not p.ring.compatible_with(G.ring):
         raise RingMismatchError("polynomial and basis live in different rings")
-    return _Engine(G.ring).divide(p.terms, G._reducers)[1]
+    return Polynomial._trusted(G.ring, _Engine(G.ring).divide(p._terms, G._reducers)[1])
 
 
 def tracked_division(ideal: Ideal):
-    """Division by the ideal's tracked basis, as a function of term dicts.
+    """Division by the ideal's tracked basis, as a function of packed term dicts.
 
-    The function maps the terms of p to (cofactors, remainder), term dicts
-    with p == sum cofactors[i] * gen_i + remainder, where the remainder is
-    the normal form of p.  Each quotient q_j by basis element j contributes
+    The function maps the packed terms of p to (cofactors, remainder),
+    packed term dicts with p == sum cofactors[i] * gen_i + remainder, where
+    the remainder is the normal form of p; the cofactors' coefficients are
+    not normalized.  Each quotient q_j by basis element j contributes
     q_j * representations[j] to the cofactors.  The tracked basis is built
     once per ideal; all divisions made through one returned function spend
     one step budget.
@@ -499,19 +509,18 @@ def tracked_division(ideal: Ideal):
     G = _GB_CACHE.get(cache_key)
     if G is None or G.representations is None:
         # the one tracked Buchberger run; it reproduces an untracked entry's basis
-        G = _GB_CACHE[cache_key] = _buchberger(ideal, track=True)
-    engine = _Engine(ideal.ring)
-    unpack_terms, reducers = engine.packing.unpack_terms, G._reducers
+        G = _cache_store(cache_key, _buchberger(ideal, track=True))
+    engine, reducers = _Engine(ideal.ring), G._reducers
     # each basis element's nonzero representation entries, (i, packed terms)
     reps = [[(i, r) for i, r in enumerate(rep) if r] for rep in G.representations]
 
-    def divide(terms: dict[Monomial, Coefficient]):
+    def divide(terms: dict[int, Coefficient]):
         quotients, remainder = engine.divide(terms, reducers)
         cofactors: list[dict] = [{} for _ in ideal.generators]
         for j, q in quotients.items():
             for i, r in reps[j]:
                 multiply_packed(q, r, cofactors[i])
-        return [c and unpack_terms(c) for c in cofactors], remainder.terms
+        return cofactors, remainder
 
     return divide
 
@@ -521,10 +530,10 @@ def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | Non
 
     The expansion identity is re-verified exactly before returning.
     """
-    cofactors, remainder = tracked_division(ideal)(p.terms)
+    cofactors, remainder = tracked_division(ideal)(p._terms)
     if remainder:
         return None
-    cofactors = [Polynomial(ideal.ring, c) for c in cofactors]
+    cofactors = [Polynomial._normalized(ideal.ring, c) for c in cofactors]
     check = Polynomial.zero(ideal.ring)
     for c, g in zip(cofactors, ideal.generators):
         check = check + c * g
@@ -558,7 +567,7 @@ def _contains(ideal: Ideal, polys: tuple[Polynomial, ...]) -> bool:
     if G is None:
         top = max(p.homogeneous_degree() for p in polys)
         G = _buchberger(ideal, track=False, max_degree=top, engine=engine)
-    return all(not engine.divide(p.terms, G._reducers)[1] for p in polys)
+    return all(not engine.divide(p._terms, G._reducers)[1] for p in polys)
 
 
 def echelon_reduce(row: dict, pivots: dict):
@@ -690,10 +699,10 @@ def primitive_integer(p: Polynomial) -> Polynomial:
     """Rescale a rational polynomial to a primitive integer one (positive lead)."""
     if p.is_zero():
         return p
-    denoms = [c.denominator if isinstance(c, Fraction) else 1 for c in p.terms.values()]
+    denoms = [c.denominator if isinstance(c, Fraction) else 1 for c in p._terms.values()]
     lcm = _reduce(lambda a, b: a * b // gcd(a, b), denoms, 1)
     scaled = p * lcm
-    numerators = [abs(int(c)) for c in scaled.terms.values()]
+    numerators = [abs(int(c)) for c in scaled._terms.values()]
     g = _reduce(gcd, numerators)
     if g > 1:
         scaled = scaled.map_coefficients(lambda c: int(c) // g)

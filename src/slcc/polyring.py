@@ -1,10 +1,16 @@
 """Sparse exact multivariate polynomials with cohomological grading.
 
 A polynomial lives in an ambient graded ring described by a :class:`RingSpec`
-(an ordered list of variable names with positive integer degrees) and is
-stored as a dict mapping exponent tuples to nonzero exact coefficients::
+(an ordered list of variable names with positive integer degrees).  It is
+stored as a dict mapping packed monomials, one int each in the ring's
+Packing, to nonzero exact coefficients::
 
-    e1^2 + 2*e1*e2  in  Z[e1, e2]   ->   {(2, 0): 1, (1, 1): 2}
+    e1^2 + 2*e1*e2  in  Z[e1, e2]   ->   {pack((2, 0)): 1, pack((1, 1)): 2}
+
+Exponent tuples appear only where they are read: the validating
+constructor ``Polynomial(ring, {tuple: c})``, the read-only ``terms`` view
+(unpacked on each call), ``leading_term``, ``sorted_terms`` and the
+printer, which unpacks each monomial once to render it.
 
 Coefficients are Python ints by default; ``fractions.Fraction`` values are
 accepted wherever a field is needed (the Groebner engine) and are normalized
@@ -21,20 +27,12 @@ A Packing turns an exponent tuple into one int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007, section 3) that multiplies monomials by addition,
 tests divisibility by its guard bits and compares in grevlex; its
-docstring states and proves all three.  The sort key, the Groebner
-division's heap and Buchberger's pair queue all read it.
+docstring states and proves all three.  The term maps, the sort key, the
+Groebner division's heap and Buchberger's pair queue all read it, and
+every product of term maps is one loop, multiply_packed.
 
-Products of term maps go through one helper, multiply_terms.  A product of
-at least PACK_CUTOFF term pairs runs on packed exponents; smaller products
-keep the tuple loop, because packing and unpacking cost more than the
-packed arithmetic saves there.  Measured in 4 alternating pairs of
-perfbench runs on a 2-core host, packing every product made the spanning
-workload's wall time 13% slower and the acceptance workload's 7% slower
-than this cutoff of 16 term pairs, which leaves both where the tuple loop
-had them.
-
-The parser reads text into term maps with no kernel arithmetic for plain
-monomials: one regex scan makes the tokens, and a term of integer and
+The parser reads text into packed term maps with no kernel arithmetic for
+plain monomials: one regex scan makes the tokens, and a term of integer and
 variable factors keeps a running coefficient and exponent list (see
 _Parser for why its errors come in the order a product of factors would
 raise them).  Only a parenthesised factor goes through Polynomial products.
@@ -46,9 +44,10 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, mul
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, lru_cache, reduce
+from itertools import islice
+from operator import mul, or_
+from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "Coefficient",
@@ -62,7 +61,6 @@ __all__ = [
     "RingSpec",
     "UnmappedVariableError",
     "multiply_packed",
-    "multiply_terms",
     "packing",
     "parse_poly",
     "reverse_terms",
@@ -76,8 +74,8 @@ EXPONENT_LIMIT = 2**31
 # error rather than a Python recursion overflow.
 NESTING_LIMIT = 100
 
-# Products of at least this many term pairs are computed on packed exponents.
-PACK_CUTOFF = 16
+# Exponents below this render from RingSpec's table of factor strings.
+TABLE_EXPONENTS = 64
 
 VAR_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
 
@@ -133,7 +131,7 @@ class RingSpec:
                 raise ValueError(f"degree of {name} must be a positive integer, got {degree}")
         object.__setattr__(self, "_index", {name: i for i, (name, _) in enumerate(self.vars)})
         object.__setattr__(self, "_degrees", tuple(d for _, d in self.vars))
-        object.__setattr__(self, "_pack", packing(self._degrees).pack)
+        object.__setattr__(self, "_packing", packing(self._degrees))
 
     @staticmethod
     def make(vars: Iterable[tuple[str, int]]) -> RingSpec:
@@ -146,6 +144,11 @@ class RingSpec:
     @property
     def degrees(self) -> tuple[int, ...]:
         return self._degrees  # type: ignore[attr-defined]
+
+    @property
+    def packing(self) -> Packing:
+        """The Packing whose ints key this ring's term maps."""
+        return self._packing  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.vars)
@@ -174,21 +177,30 @@ class RingSpec:
 
     def sort_key(self, expo: Monomial) -> int:
         """Ascending grevlex key: larger key = larger monomial (see Packing)."""
-        return -self._pack(expo)  # type: ignore[attr-defined]
+        return -self.packing.pack(expo)
+
+    @cached_property
+    def _factor_texts(self) -> tuple[tuple[str, ...], ...]:
+        """Per variable, the factor text of each exponent below TABLE_EXPONENTS."""
+        return tuple(
+            ("", name, *(f"{name}^{e}" for e in range(2, TABLE_EXPONENTS))) for name, _ in self.vars
+        )
 
     def monomial_text(self, expo: Monomial) -> str:
-        factors = []
-        for (name, _), e in zip(self.vars, expo):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        factors = [
+            texts[e] if e < TABLE_EXPONENTS else f"{texts[1]}^{e}"
+            for texts, e in zip(self._factor_texts, expo)
+            if e
+        ]
         return "*".join(factors) if factors else "1"
 
 
-def reverse_terms(terms: Mapping[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
-    """A term map moved into the reversed ring, or back: each exponent tuple reversed."""
-    return {m[::-1]: c for m, c in terms.items()}
+def reverse_terms(ring: RingSpec, terms: Mapping[int, Coefficient]) -> dict[int, Coefficient]:
+    """A packed term map of ``ring`` moved into ring.reversed(), or back: one repack per term."""
+    unpack = ring.packing.unpack
+    # the reversed ring's variables, listed in this ring's order
+    variables = packing(ring.degrees[::-1]).variables[::-1]
+    return {sum(map(mul, unpack(m), variables)): c for m, c in terms.items()}
 
 
 class Packing:
@@ -223,18 +235,23 @@ class Packing:
       greater monomial.
 
     So -pack(m) is the ascending sort key (RingSpec.sort_key), a min-heap of
-    packed ints pops the greatest monomial first, and F(m), the bits below
-    64n, gives the exponents back.  With every weight 0, pack(m) is F(m).
+    packed ints pops the greatest monomial first, F(m), the bits below
+    64n, gives the exponents back, and the bits below 64n of an OR of
+    packed ints are the OR of their F, which ``limit`` (bits 31 to 63 of
+    every field) tests against EXPONENT_LIMIT.  With every weight 0,
+    pack(m) is F(m).
     """
 
-    __slots__ = ("struct", "guard", "fields", "variables")
+    __slots__ = ("struct", "guard", "limit", "fields", "shift", "variables")
 
     def __init__(self, weights: tuple[int, ...]):
         n = len(weights)
         self.struct = struct.Struct(f"<{n}Q")
         self.guard = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
-        self.fields = (1 << 64 * n) - 1
-        self.variables = tuple((1 << 64 * i) - (w << 64 * n) for i, w in enumerate(weights))
+        self.shift = 64 * n
+        self.fields = (1 << self.shift) - 1
+        self.limit = self.fields - sum((EXPONENT_LIMIT - 1) << 64 * i for i in range(n))
+        self.variables = tuple((1 << 64 * i) - (w << self.shift) for i, w in enumerate(weights))
 
     def pack(self, expo: Monomial) -> int:
         return sum(map(mul, expo, self.variables))
@@ -242,13 +259,28 @@ class Packing:
     def unpack(self, packed: int) -> Monomial:
         return self.struct.unpack((packed & self.fields).to_bytes(self.struct.size, "little"))
 
+    def unpack_all(self, packed: Iterable[int]) -> list[Monomial]:
+        """The exponent tuples of packed monomials, in order.
+
+        The fields of up to 4096 monomials are joined into one buffer and
+        unpacked in one pass, so the buffers stay small.
+        """
+        size, fields, out, packed = self.struct.size, self.fields, [], iter(packed)
+        if not size:  # struct cannot iterate a zero-size layout
+            return [() for _ in packed]
+        while block := [(m & fields).to_bytes(size, "little") for m in islice(packed, 4096)]:
+            out += self.struct.iter_unpack(b"".join(block))
+        return out
+
     def unpack_terms(self, terms: Mapping[int, Coefficient]) -> dict[Monomial, Coefficient]:
         """A packed term map back on exponent tuples, in its own order."""
-        unpack, size, fields = self.struct.unpack, self.struct.size, self.fields
-        out = {}
-        for m, c in terms.items():
-            out[unpack((m & fields).to_bytes(size, "little"))] = c
-        return out
+        return dict(zip(self.unpack_all(terms), terms.values()))
+
+    def check_limit(self, packed: Collection[int]) -> None:
+        """Raise ExponentOverflowError when an exponent reaches EXPONENT_LIMIT."""
+        if reduce(or_, packed, 0) & self.limit:
+            top = max(map(max, self.unpack_all(packed)))
+            raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
 
 
 @lru_cache(maxsize=64)
@@ -257,40 +289,13 @@ def packing(weights: tuple[int, ...]) -> Packing:
     return Packing(weights)
 
 
-def multiply_terms(
-    a: Mapping[Monomial, Coefficient], b: Mapping[Monomial, Coefficient]
-) -> dict[Monomial, Coefficient]:
-    """The product of two term maps, as a new term map.
+def multiply_packed(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient], out: dict) -> dict:
+    """out += a * b on packed term maps (see Packing); returns out.
 
     Terms are visited as a's outside b's, and a sum that cancels is popped
-    at once, so the result has the same keys in the same order whichever
-    loop computes it.  Coefficients are not normalized and exponents not
-    checked against EXPONENT_LIMIT: callers do that.  Exponents must be
-    below 2^63.  With at least PACK_CUTOFF term pairs the loop runs on
-    packed exponents; a product only adds them, so it packs with every
-    weight 0 (see Packing).
+    at once.  Coefficients are not normalized and exponents not checked
+    against EXPONENT_LIMIT: callers do that.
     """
-    if len(a) * len(b) < PACK_CUTOFF:
-        out: dict = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                m = tuple(map(add, ea, eb))
-                s = get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return out
-    layout = packing((0,) * len(next(iter(a))))
-    pack, from_bytes = layout.struct.pack, int.from_bytes
-    packed_a = {from_bytes(pack(*m), "little"): c for m, c in a.items()}
-    packed_b = {from_bytes(pack(*m), "little"): c for m, c in b.items()}
-    return layout.unpack_terms(multiply_packed(packed_a, packed_b, {}))
-
-
-def multiply_packed(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient], out: dict) -> dict:
-    """out += a * b on packed term maps (see Packing), in multiply_terms' order; returns out."""
     get = out.get
     b = b.items()
     for ea, ca in a.items():
@@ -319,8 +324,9 @@ def _normalize_coeff(c: Coefficient) -> Coefficient:
 class Polynomial:
     """Immutable sparse polynomial over a :class:`RingSpec`.
 
-    Terms are a map from exponent tuple to nonzero coefficient; the canonical
-    (printing) order is descending grevlex.  All arithmetic is exact and pure.
+    Terms are a map from packed monomial (the ring's Packing) to nonzero
+    coefficient; the canonical (printing) order is descending grevlex,
+    ascending packed ints.  All arithmetic is exact and pure.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -328,7 +334,8 @@ class Polynomial:
     def __init__(self, ring: RingSpec, terms: Mapping[Monomial, Coefficient] | None = None):
         self.ring = ring
         nvars = len(ring)
-        clean: dict[Monomial, Coefficient] = {}
+        pack = ring.packing.pack
+        clean: dict[int, Coefficient] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
@@ -341,31 +348,37 @@ class Polynomial:
                         raise ExponentOverflowError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
                 coeff = _normalize_coeff(coeff)
                 if coeff != 0:
-                    clean[expo] = clean.get(expo, 0) + coeff
-                    if clean[expo] == 0:
-                        del clean[expo]
+                    m = pack(expo)
+                    clean[m] = clean.get(m, 0) + coeff
+                    if clean[m] == 0:
+                        del clean[m]
         self._terms = clean
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, ring: RingSpec, terms: dict[Monomial, Coefficient]) -> Polynomial:
-        """Wrap terms the caller already normalized, skipping __init__'s checks."""
+    def _trusted(cls, ring: RingSpec, terms: dict[int, Coefficient]) -> Polynomial:
+        """Wrap a packed term map the caller already normalized, skipping __init__'s checks."""
         result = cls.__new__(cls)
         result.ring = ring
         result._terms = terms
         result._hash = None
         return result
 
+    @classmethod
+    def _normalized(cls, ring: RingSpec, terms: Mapping[int, Coefficient]) -> Polynomial:
+        """Wrap a packed term map after normalizing its coefficients and dropping zeros."""
+        return cls._trusted(ring, {m: n for m, c in terms.items() if (n := _normalize_coeff(c))})
+
     @staticmethod
     def zero(ring: RingSpec) -> Polynomial:
-        return Polynomial(ring)
+        return Polynomial._trusted(ring, {})
 
     @staticmethod
     def constant(ring: RingSpec, value: Coefficient) -> Polynomial:
         value = _normalize_coeff(value)
-        return Polynomial._trusted(ring, {(0,) * len(ring): value} if value else {})
+        return Polynomial._trusted(ring, {0: value} if value else {})
 
     @staticmethod
     def one(ring: RingSpec) -> Polynomial:
@@ -373,9 +386,7 @@ class Polynomial:
 
     @staticmethod
     def variable(ring: RingSpec, name: str) -> Polynomial:
-        expo = [0] * len(ring)
-        expo[ring.index(name)] = 1
-        return Polynomial._trusted(ring, {tuple(expo): 1})
+        return Polynomial._trusted(ring, {ring.packing.variables[ring.index(name)]: 1})
 
     @staticmethod
     def monomial(ring: RingSpec, expo: Monomial, coeff: Coefficient = 1) -> Polynomial:
@@ -385,8 +396,8 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, Coefficient]:
-        """The term map.  Treat as read-only."""
-        return self._terms
+        """The term map on exponent tuples, unpacked on each call: a copy to read."""
+        return self.ring.packing.unpack_terms(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -396,26 +407,25 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         """The terms in descending grevlex order, as printed: ascending packed ints."""
-        pack = self.ring._pack  # type: ignore[attr-defined]
-        return sorted(self._terms.items(), key=lambda item: pack(item[0]))
+        items = sorted(self._terms.items())
+        return list(zip(self.ring.packing.unpack_all([m for m, _ in items]), [c for _, c in items]))
 
     def leading_term(self) -> tuple[Monomial, Coefficient]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         # the least packed int is the greatest monomial (see Packing)
-        expo = min(self._terms, key=self.ring._pack)  # type: ignore[attr-defined]
-        return expo, self._terms[expo]
+        lead = min(self._terms)
+        return self.ring.packing.unpack(lead), self._terms[lead]
 
     def degree(self) -> int | None:
         """Maximal cohomological degree of a term, or None for zero."""
         if not self._terms:
             return None
-        return max(self.ring.monomial_degree(e) for e in self._terms)
+        return -(min(self._terms) >> self.ring.packing.shift)
 
     def is_homogeneous(self) -> bool:
         """Whether all terms share one cohomological degree (zero counts)."""
-        degs = {self.ring.monomial_degree(e) for e in self._terms}
-        return len(degs) <= 1
+        return not self._terms or self.homogeneous_degree() is not None
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of a nonzero homogeneous polynomial, else None.
@@ -423,22 +433,19 @@ class Polynomial:
         The zero polynomial is homogeneous of every degree; it also returns
         None here, so callers wanting the three-way answer check is_zero().
         """
-        degs = {self.ring.monomial_degree(e) for e in self._terms}
+        shift = self.ring.packing.shift
+        degs = {m >> shift for m in self._terms}
         if len(degs) == 1:
-            return next(iter(degs))
+            return -next(iter(degs))
         return None
 
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) for c in self._terms.values())
 
     def variables_present(self) -> set[str]:
-        names = self.ring.names
-        present: set[str] = set()
-        for expo in self._terms:
-            for i, e in enumerate(expo):
-                if e:
-                    present.add(names[i])
-        return present
+        # each field of the OR of the packed terms is the OR of that variable's exponents
+        present = self.ring.packing.unpack(reduce(or_, self._terms, 0))
+        return {name for name, e in zip(self.ring.names, present) if e}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -488,11 +495,12 @@ class Polynomial:
             terms = {e: _normalize_coeff(c * other) for e, c in self._terms.items()}
             return Polynomial._trusted(self.ring, terms)
         self._check_ring(other)
-        out = multiply_terms(self._terms, other._terms)
-        top = max(map(max, out)) if out and self.ring.vars else 0
-        if top >= EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
-        return Polynomial._trusted(self.ring, {e: _normalize_coeff(c) for e, c in out.items()})
+        out = multiply_packed(self._terms, other._terms, {})
+        self.ring.packing.check_limit(out)
+        for e, c in out.items():
+            if type(c) is not int:
+                out[e] = _normalize_coeff(c)
+        return Polynomial._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -525,7 +533,7 @@ class Polynomial:
             done = e
 
     def map_coefficients(self, fn) -> Polynomial:
-        return Polynomial(self.ring, {e: fn(c) for e, c in self._terms.items()})
+        return Polynomial._normalized(self.ring, {e: fn(c) for e, c in self._terms.items()})
 
     # -- substitution ------------------------------------------------------
 
@@ -568,17 +576,18 @@ class Polynomial:
                     raise UnmappedVariableError(f"variable {name!r} present but not mapped")
                 images[idx] = Polynomial.variable(target, name)
 
-        powers = {i: dict(image.powers(e[i] for e in self._terms)) for i, image in images.items()}
-        one = {(0,) * len(target): 1}
-        out: dict[Monomial, Coefficient] = {}
-        for expo, coeff in self._terms.items():
+        expos = self.ring.packing.unpack_all(self._terms)
+        powers = {i: dict(image.powers(e[i] for e in expos)) for i, image in images.items()}
+        one = {0: 1}
+        out: dict[int, Coefficient] = {}
+        for expo, coeff in zip(expos, self._terms.values()):
             term = None
             for i, e in enumerate(expo):
                 if e:
                     term = powers[i][e] if term is None else term * powers[i][e]
             for m, c in (one if term is None else term._terms).items():
                 out[m] = out.get(m, 0) + coeff * c
-        return Polynomial._trusted(target, {m: _normalize_coeff(c) for m, c in out.items() if c})
+        return Polynomial._normalized(target, out)
 
     def rename_into(self, ring: RingSpec, renaming: Mapping[str, str] | None = None) -> Polynomial:
         """Move the polynomial into ``ring`` by renaming variables.
@@ -589,7 +598,7 @@ class Polynomial:
         renaming = dict(renaming or {})
         out: dict[Monomial, Coefficient] = {}
         old_degs = self.ring.degrees
-        for expo, coeff in self._terms.items():
+        for expo, coeff in self.terms.items():
             new_expo = [0] * len(ring)
             for i, e in enumerate(expo):
                 if not e:
@@ -715,8 +724,8 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        # every term is added into one dict; coefficients are integer literals
-        out: dict[Monomial, Coefficient] = {}
+        # every term is added into one packed dict; coefficients are integer literals
+        out: dict[int, Coefficient] = {}
         sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
@@ -735,8 +744,9 @@ class _Parser:
             self.advance()
             sign = -1 if value == "-" else 1
 
-    def term(self) -> dict[Monomial, Coefficient]:
+    def term(self) -> dict[int, Coefficient]:
         tokens, index = self.tokens, self.ring._index  # type: ignore[attr-defined]
+        pack = self.ring.packing.pack
         start, coeff, expo = self.pos, 1, [0] * len(self.ring)
         while True:
             kind, value, offset = tokens[self.pos]
@@ -756,13 +766,13 @@ class _Parser:
                 break
             kind, value, _ = tokens[self.pos]
             if kind != "op" or value != "*":
-                return {tuple(expo): coeff} if coeff else {}
+                return {pack(expo): coeff} if coeff else {}
             self.pos += 1
         # a parenthesised factor (or a syntax error): Polynomial products from here
         prefix = self.pos > start
         poly = self.factor()
         if prefix:
-            poly = Polynomial._trusted(self.ring, {tuple(expo): coeff} if coeff else {}) * poly
+            poly = Polynomial._trusted(self.ring, {pack(expo): coeff} if coeff else {}) * poly
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":

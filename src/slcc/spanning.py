@@ -52,8 +52,7 @@ from .polyring import (
     RingMismatchError,
     RingSpec,
     _normalize_coeff,
-    multiply_terms,
-    packing,
+    multiply_packed,
     reverse_terms,
 )
 
@@ -90,9 +89,9 @@ def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomi
     product of every later variable of the ring.  Deduplicated, in ascending
     canonical order.  The products are built as packed ints (polyring.Packing
     is linear, so a product is a sum), whose descending order is the
-    ascending canonical one, and unpacked once.
+    ascending canonical one, and unpacked together in one pass.
     """
-    layout = packing(ring.degrees)
+    layout = ring.packing
     xs = layout.variables
     products = {0}
     for i, bound in enumerate(bounds):
@@ -100,7 +99,7 @@ def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomi
         if tail:
             choices.append(sum(xs[i + 1 :]))
         products = {p + u for p in products for u in choices}
-    return tuple(map(layout.unpack, sorted(products, reverse=True)))
+    return tuple(layout.unpack_all(sorted(products, reverse=True)))
 
 
 @lru_cache(maxsize=32)
@@ -159,21 +158,25 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
     """Each standard monomial m of exponent sum k outside the basis, as (x, c).
 
     m == sum_b x[b] * e^b + sum_i c[i] * g_i, with x over the basis monomials
-    of that degree and c reversed term dicts over the generators g_i of the
-    reversed coinvariant ideal.  The basis monomials of that degree are the
-    members of a staircase echelon whose rows carry their part on the
-    members; reducing m by its pivots leaves x, and ``divide`` yields the
-    cofactors of m - x, which lies in the ideal.  Their coefficients come
-    out of the echelon as Fractions; each integral one becomes an int here,
-    once, so the sums that read the table do not redo Fraction arithmetic.
+    of that degree and c packed term dicts of the reversed ring over the
+    generators g_i of the reversed coinvariant ideal.  The basis monomials
+    of that degree are the members of a staircase echelon whose rows carry
+    their part on the members; reducing m by its pivots leaves x, and
+    ``divide`` yields the cofactors of m - x, which lies in the ideal.
+    Their coefficients come out of the echelon as Fractions; each integral
+    one becomes an int here, once, so the sums that read the table do not
+    redo Fraction arithmetic.
     """
     members = []
     for combo in itertools.combinations_with_replacement(range(n), k):
         b = tuple(map(combo.count, range(n)))
         if _in_basis(group, n, b):
             members.append(b[::-1])
+    layout = ideal.ring.packing
     G = groebner_basis(ideal)
-    pivots = staircase_echelon(G, members, lambda m: divide({m: 1})[1], carry=True)
+    pivots = staircase_echelon(
+        G, members, lambda m: layout.unpack_terms(divide({layout.pack(m): 1})[1]), carry=True
+    )
     # the basis is free, so the members are independent and every standard
     # monomial of degree k outside the basis leads a pivot row
     out = {}
@@ -181,13 +184,13 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
         row = {lead: 1}
         echelon_reduce(row, pivots)
         x = {b: _normalize_coeff(c) for (_, b), c in row.items()}
-        diff = {lead[1]: 1}
-        _add_scaled(diff, x, -1)
+        diff = {layout.pack(lead[1]): 1}
+        _add_scaled(diff, {layout.pack(b): c for b, c in x.items()}, -1)
         cofactors, remainder = divide(diff)
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
         cofactors = [{m: _normalize_coeff(c) for m, c in e.items()} for e in cofactors]
-        out[lead[1][::-1]] = (reverse_terms(x), cofactors)
+        out[lead[1][::-1]] = ({b[::-1]: c for b, c in x.items()}, cofactors)
     return out
 
 
@@ -214,9 +217,11 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     cring = weyl.invariant_ring(group, n)
     ideal = _reversed_coinvariant_ideal(group, n)
     divide = tracked_division(ideal)
+    unpack = ideal.ring.packing.unpack
     units = [tuple(int(i == j) for j in range(len(cring))) for i in range(len(cring))]
     beta = (0,) * len(cring)
-    waiting = {beta: reverse_terms(p.terms)}  # s-exponent -> reversed terms still to divide
+    # s-exponent -> packed terms of the reversed ring still to divide
+    waiting = {beta: reverse_terms(ring, p._terms)}
     heap = [(0, beta)]  # (degree of s^beta, beta)
     coords: dict[Monomial, dict[Monomial, Coefficient]] = {}
     changes: dict[int, dict] = {}  # exponent sum -> _change_of_basis
@@ -224,7 +229,7 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
         degree, beta = heapq.heappop(heap)
         cofactors, remainder = divide(waiting.pop(beta))
         for m, c in remainder.items():
-            m = m[::-1]
+            m = unpack(m)[::-1]
             if _in_basis(group, n, m):
                 x = {m: 1}
             else:
@@ -258,14 +263,14 @@ def expand(dec: SpanDecomposition) -> Polynomial:
     lexicographic order, so those sharing a prefix are adjacent and the
     images of the current alpha's prefixes are the whole memo: each distinct
     prefix costs at most one product.  The terms at each alpha, sum c * e^b,
-    are multiplied by image(alpha) and added into one term dict.
+    are multiplied by image(alpha) into one packed term dict.
     """
     ring = weyl.e_ring(dec.n)
     gens = weyl.invariant_generators(dec.group, dec.n).gens
-    by_alpha: dict[Monomial, dict[Monomial, Coefficient]] = {}
+    by_alpha: dict[Monomial, dict[int, Coefficient]] = {}
     for b, coeff in dec.terms.items():
         for alpha, c in coeff.terms.items():
-            by_alpha.setdefault(alpha, {})[b] = c
+            by_alpha.setdefault(alpha, {})[ring.packing.pack(b)] = c
     exponents = [{alpha[i] for alpha in by_alpha} for i in range(len(gens))]
     # alpha[0] never decreases in lexicographic order, so the powers of s_1,
     # whose exponents run highest, are held one at a time; the others' are
@@ -275,7 +280,7 @@ def expand(dec: SpanDecomposition) -> Polynomial:
     one = Polynomial.one(ring)
     prefix = [one] * len(gens)  # prefix[k]: the image of alpha[:k + 1]
     previous = None
-    out: dict[Monomial, Coefficient] = {}
+    out: dict[int, Coefficient] = {}
     for alpha in sorted(by_alpha):
         k = 0  # the first position where alpha leaves the previous alpha's prefixes
         if previous is not None:
@@ -290,8 +295,8 @@ def expand(dec: SpanDecomposition) -> Polynomial:
                 image = power if image is one else image * power
             prefix[i] = image
         previous = alpha
-        _add_scaled(out, multiply_terms(by_alpha[alpha], image.terms), 1)
-    return Polynomial(ring, out)
+        multiply_packed(by_alpha[alpha], image._terms, out)
+    return Polynomial._normalized(ring, out)
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,9 @@ def elementary(i: int, ring: RingSpec, names=None) -> Polynomial:
     idxs = _resolve(ring, names)
     if i > len(idxs):
         return Polynomial.zero(ring)
-    n = len(ring)
-    terms = {}
-    for combo in itertools.combinations(idxs, i):
-        expo = [0] * n
-        for j in combo:
-            expo[j] = 1
-        terms[tuple(expo)] = 1
-    return Polynomial(ring, terms)
+    xs = ring.packing.variables
+    terms = {sum(map(xs.__getitem__, combo)): 1 for combo in itertools.combinations(idxs, i)}
+    return Polynomial._trusted(ring, terms)
 
 
 def complete(i: int, ring: RingSpec, names=None) -> Polynomial:
@@ -66,23 +61,23 @@ def complete(i: int, ring: RingSpec, names=None) -> Polynomial:
     if i < 0:
         raise ValueError("index must be non-negative")
     idxs = _resolve(ring, names)
-    n = len(ring)
     if i == 0:
         return Polynomial.one(ring)
     if not idxs:
         return Polynomial.zero(ring)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(idxs, i):
-        expo = [0] * n
-        for j in combo:
-            expo[j] += 1
-        terms[tuple(expo)] = 1
-    return Polynomial(ring, terms)
+    xs = ring.packing.variables
+    combos = itertools.combinations_with_replacement(idxs, i)
+    return Polynomial._trusted(ring, {sum(map(xs.__getitem__, combo)): 1 for combo in combos})
 
 
 def in_squares(p: Polynomial) -> Polynomial:
-    """p(x_1^2, ..., x_n^2): the same terms with every exponent doubled."""
-    return Polynomial(p.ring, {tuple(2 * e for e in expo): c for expo, c in p.terms.items()})
+    """p(x_1^2, ..., x_n^2): the same terms with every exponent doubled.
+
+    pack is linear (polyring.Packing), so doubling a monomial doubles its int.
+    """
+    terms = {2 * m: c for m, c in p._terms.items()}
+    p.ring.packing.check_limit(terms)
+    return Polynomial._trusted(p.ring, terms)
 
 
 @lru_cache(maxsize=32)

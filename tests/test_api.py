@@ -33,3 +33,6 @@ def test_every_module_cache_is_bounded(name):
         if hasattr(fn, "cache_parameters") and fn.__module__ == name
     }
     assert {attr: size for attr, size in caches.items() if size is None} == {}
+    # a module-level dict cache states its bound next to it, as <name>_SIZE
+    dict_caches = [a for a, v in vars(module).items() if a.endswith("_CACHE") and isinstance(v, dict)]
+    assert [a for a in dict_caches if not isinstance(getattr(module, a + "_SIZE", None), int)] == []

@@ -263,7 +263,7 @@ def test_failed_witness_identity_exits_one(capsys, monkeypatch):
 
     def skewed(ideal):
         divide = exact(ideal)
-        one = (0,) * len(ideal.ring)
+        one = 0  # the constant monomial, packed
 
         def wrong(terms):
             cofactors, remainder = divide(terms)

@@ -363,11 +363,11 @@ def _reference_divide(engine, p, divisors):
 
 
 def _heap_divide(engine, p, divisors):
-    quotients, remainder = engine.divide(p.terms, groebner._reducers(divisors))
+    quotients, remainder = engine.divide(p._terms, groebner._reducers(divisors))
     unpack_terms = engine.packing.unpack_terms
     return [
         Polynomial(engine.ring, unpack_terms(quotients.get(j, {}))) for j in range(len(divisors))
-    ], remainder
+    ], Polynomial._trusted(engine.ring, remainder)
 
 
 # weighted rings: unequal variable degrees, so degree and exponent order differ
@@ -481,10 +481,12 @@ def test_heap_pops_in_descending_order(case):
     # the remainder dict is filled in pop order, and Polynomial keeps it
     ring, p, divisors = case
     descending = sorted(p.terms, key=ring.sort_key, reverse=True)
-    _, remainder = groebner._Engine(ring).divide(p.terms, [])
+    _, terms = groebner._Engine(ring).divide(p._terms, [])
+    remainder = Polynomial._trusted(ring, terms)
     assert remainder == p and list(remainder.terms) == descending
     tracked = [groebner._Tracked(d, []) for d in divisors]
-    _, remainder = groebner._Engine(ring).divide(p.terms, groebner._reducers(tracked))
+    _, terms = groebner._Engine(ring).divide(p._terms, groebner._reducers(tracked))
+    remainder = Polynomial._trusted(ring, terms)
     assert list(remainder.terms) == sorted(remainder.terms, key=ring.sort_key, reverse=True)
 
 
@@ -493,8 +495,9 @@ def test_division_refuses_exponents_at_the_guard_bit():
     # can answer wrongly, so the division raises instead
     ring = RingSpec.make([("x", 1), ("y", 1), ("z", 2**63)])
     engine = groebner._Engine(ring)
+    pack = ring.packing.pack
     divisors = [
-        groebner._Tracked(Polynomial._trusted(ring, terms), [])
+        groebner._Tracked(Polynomial._trusted(ring, {pack(m): c for m, c in terms.items()}), [])
         for terms in ({(0, 0, 1): 1, (2**62 + 2, 1, 0): 1}, {(0, 1, 0): 1}, {(10, 1, 0): 1})
     ]
     # y divides x^(2^63+5)*y, but an unguarded test would miss it and
@@ -502,7 +505,7 @@ def test_division_refuses_exponents_at_the_guard_bit():
     # x^(2^62+3)*z into x^(2^63+5)*y
     for dividend in ((2**63 + 5, 1, 0), (2**62 + 3, 0, 1)):
         with pytest.raises(ExponentOverflowError, match=f"exponent {2**63 + 5} exceeds"):
-            engine.divide({dividend: 1}, groebner._reducers(divisors))
+            engine.divide({pack(dividend): 1}, groebner._reducers(divisors))
 
 
 def _mutual_reduction(I, J):
@@ -643,6 +646,32 @@ def test_ideal_equal_caches_no_truncated_basis(monkeypatch):
     assert groebner_basis(J).basis == full.basis == buchberger(J, track=False).basis
     assert runs == [(J, None)]
     _assert_reduced(groebner_basis(J))
+
+
+def test_groebner_cache_evicts_the_oldest_entry(monkeypatch):
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    ring = RingSpec.make([("x", 1), ("y", 1)])
+    x, y = Polynomial.variable(ring, "x"), Polynomial.variable(ring, "y")
+    tracked = Ideal.make(ring, [x * x - y * y, x * y])
+    target = x**3 * y + x * y**3
+    cofactors = [str(c) for c in member_with_cofactors(target, tracked)]
+    key = groebner._cache_key(tracked)
+    first = groebner._GB_CACHE[key]
+    assert first.representations is not None
+    # the tracked ideal is the oldest entry: the 128 ideals after it evict it
+    others = [Ideal.make(ring, [x**k]) for k in range(1, groebner._GB_CACHE_SIZE + 1)]
+    for i, ideal in enumerate(others):
+        groebner_basis(ideal)
+        assert len(groebner._GB_CACHE) == min(i + 2, groebner._GB_CACHE_SIZE)
+    assert key not in groebner._GB_CACHE
+    assert list(groebner._GB_CACHE) == [groebner._cache_key(I) for I in others]
+    # an evicted tracked entry is rebuilt with the same basis and representations
+    assert [str(c) for c in member_with_cofactors(target, tracked)] == cofactors
+    rebuilt = groebner._GB_CACHE[key]
+    assert rebuilt is not first
+    assert rebuilt.basis == first.basis
+    assert rebuilt.representations == first.representations
+    assert groebner._cache_key(others[0]) not in groebner._GB_CACHE
 
 
 _X, _Y, _Z = sympy.symbols("x y z")

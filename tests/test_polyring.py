@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from slcc.polyring import (
     EXPONENT_LIMIT,
     NESTING_LIMIT,
-    PACK_CUTOFF,
     ExponentOverflowError,
     ParseError,
     Polynomial,
@@ -19,7 +18,7 @@ from slcc.polyring import (
     RingSpec,
     UnmappedVariableError,
     _normalize_coeff,
-    multiply_terms,
+    multiply_packed,
     packing,
     parse_poly,
 )
@@ -135,9 +134,8 @@ def test_exponent_overflow_detected():
     x = Polynomial.monomial(R2, (2**30, 0))
     with pytest.raises(ExponentOverflowError):
         x * x
-    # the same on packed exponents: 4 x 4 term pairs reach the cutoff
+    # the same for a 4 x 4 product
     e = Polynomial(R2, {(2**30 - k, 0): 1 for k in range(4)})
-    assert len(e.terms) ** 2 >= PACK_CUTOFF
     with pytest.raises(ExponentOverflowError, match="exponent 2147483648 exceeds limit 2147483648"):
         e * e
 
@@ -329,7 +327,7 @@ def test_packed_monomial_is_the_grevlex_key(case):
 
 
 def _tuple_product(a, b):
-    """The tuple loop that multiply_terms replaced, kept as its reference."""
+    """The tuple loop that multiply_packed replaced, kept as its reference."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -372,12 +370,14 @@ def _term_map_products(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_term_map_products())
-def test_multiply_terms_matches_tuple_loop(case):
-    # packed or not (the cutoff), the same items in the same order
+def test_multiply_packed_matches_tuple_loop(case):
+    # on packed monomials, the same items in the same order
     ring, a, b = case
+    layout = ring.packing
     for x, y in ((a, b), (b, a)):
         expected = list(_tuple_product(x, y).items())
-        result = list(multiply_terms(x, y).items())
+        packed_x, packed_y = ({layout.pack(m): c for m, c in t.items()} for t in (x, y))
+        result = list(layout.unpack_terms(multiply_packed(packed_x, packed_y, {})).items())
         assert result == expected
         assert [type(c) for _, c in result] == [type(c) for _, c in expected]
     if all(e < 2**31 for m in itertools.chain(a, b) for e in m):
@@ -468,6 +468,143 @@ def test_substitute_matches_per_term_powers(case):
     }
 
 
+# -- the packed kernel against the tuple kernel it replaced -----------------
+#
+# Term maps on exponent tuples, with the arithmetic, order and printing of
+# the kernel that stored them: the reference for the packed Polynomial.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = _normalize_coeff(s)
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _ref_mul(ring, a, b):
+    out = _tuple_product(a, b)
+    top = max(map(max, out)) if out and ring.vars else 0
+    if top >= EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
+    return {m: _normalize_coeff(c) for m, c in out.items()}
+
+
+def _ref_pow(ring, a, n):
+    out = {(0,) * len(ring): 1}
+    for _ in range(n):
+        out = _ref_mul(ring, out, a)
+    return out
+
+
+def _ref_substitute(ring, a, images):
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * len(ring): c}
+        for image, e in zip(images, m):
+            term = _ref_mul(ring, term, _ref_pow(ring, image, e))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_sorted(ring, a):
+    return sorted(a.items(), key=lambda item: _tuple_sort_key(ring, item[0]), reverse=True)
+
+
+def _ref_monomial_text(ring, expo):
+    """RingSpec.monomial_text before its table of factor strings."""
+    factors = []
+    for (name, _), e in zip(ring.vars, expo):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors) if factors else "1"
+
+
+def _ref_str(ring, a):
+    parts = []
+    for expo, coeff in _ref_sorted(ring, a):
+        mono, mag = _ref_monomial_text(ring, expo), abs(coeff)
+        body = str(mag) if mono == "1" else mono if mag == 1 else f"{mag}*{mono}"
+        sign = "-" if coeff < 0 else "+"
+        parts.append(f"-{body}" if not parts and coeff < 0 else body if not parts else f"{sign} {body}")
+    return " ".join(parts) or "0"
+
+
+def _assert_matches_reference(ring, poly, ref):
+    assert list(poly.terms.items()) == list(ref.items())
+    assert [type(c) for c in poly.terms.values()] == [type(c) for c in ref.values()]
+    assert poly.sorted_terms() == _ref_sorted(ring, ref)
+    assert str(poly) == _ref_str(ring, ref)
+    assert poly.degree() == max(map(ring.monomial_degree, ref), default=None)
+    if ref:
+        lead = max(ref, key=lambda m: _tuple_sort_key(ring, m))
+        assert poly.leading_term() == (lead, ref[lead])
+    same = Polynomial(ring, ref)
+    assert poly == same and hash(poly) == hash(same)
+    assert (poly == same + 1) is False
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A ring of 0-6 weighted variables and two term maps on it.
+
+    Exponents are small, so that products collide, or next to EXPONENT_LIMIT;
+    coefficients are ints or Fractions, some of which multiply to ints.
+    """
+    n = draw(st.integers(0, 6))
+    ring = RingSpec.make((f"x{i}", draw(st.integers(1, 4))) for i in range(n))
+    exponent = st.integers(0, 3)
+    if draw(st.booleans()):
+        exponent = st.one_of(exponent, st.integers(EXPONENT_LIMIT - 4, EXPONENT_LIMIT - 1))
+    monomial = st.tuples(*[exponent] * n)
+    coeff = st.one_of(st.integers(-4, 4), st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]))
+    a = draw(st.dictionaries(monomial, coeff, max_size=6))
+    b = draw(st.dictionaries(monomial, coeff, max_size=6))
+    return ring, a, b
+
+
+_X1 = RingSpec.make([("x1", 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+@example((RingSpec.make([]), {(): Fraction(1, 2)}, {(): 2}))
+@example((_X1, {(2**30,): 1}, {(2**30,): Fraction(1, 2)}))  # the product reaches exactly 2^31
+@example((_X1, {(2**31 - 1,): Fraction(2, 3), (1,): 3}, {(0,): Fraction(3, 2), (1,): -1}))
+def test_packed_kernel_matches_tuple_kernel(case):
+    ring, a, b = case
+    p, q = Polynomial(ring, a), Polynomial(ring, b)
+    a, b = p.terms, q.terms  # normalized, merged, zeros dropped: the reference's inputs
+    _assert_matches_reference(ring, p, a)
+    _assert_matches_reference(ring, p + q, _ref_add(a, b))
+    _assert_matches_reference(ring, p - q, _ref_add(a, {m: -c for m, c in b.items()}))
+    _assert_matches_reference(ring, -p, {m: -c for m, c in a.items()})
+    try:
+        expected = _ref_mul(ring, a, b)
+    except ExponentOverflowError as exc:
+        with pytest.raises(ExponentOverflowError, match=f"^{exc}$"):
+            p * q
+    else:
+        _assert_matches_reference(ring, p * q, expected)
+    if a and all(e < 4 for m in a for e in m):
+        for n in range(4):
+            power, expected = p**n, _ref_pow(ring, a, n)
+            assert power.terms == expected
+            _assert_matches_reference(ring, power, dict(power.terms))
+        # x_i -> b for even i while b is small, else the constant i + 2
+        small = len(b) <= 3 and all(e < 4 for m in b for e in m)
+        images = [b if small and i % 2 == 0 else {(0,) * len(ring): i + 2} for i in range(len(ring))]
+        mapping = {name: Polynomial(ring, image) for name, image in zip(ring.names, images)}
+        got, expected = p.substitute(mapping, ring=ring), _ref_substitute(ring, a, images)
+        assert got.terms == expected
+        _assert_matches_reference(ring, got, dict(got.terms))
+
+
 # -- the parser against the recursive-descent reference ---------------------
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -529,7 +666,7 @@ class _ReferenceParser:
                     del out[expo]
             kind, value, _ = self.peek()
             if not (kind == "op" and value in "+-"):
-                return Polynomial._trusted(self.ring, out)
+                return Polynomial(self.ring, out)
             self.advance()
             sign = -1 if value == "-" else 1
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slcc import spanning, weyl
 from slcc.polyring import Polynomial, RingSpec, parse_poly
@@ -56,6 +56,8 @@ def _power_or_tail_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_power_or_tail_inputs())
+@example((RingSpec.make([]), [], False))  # no variables: the batch unpack's own case
+@example((RingSpec.make([]), [], True))
 def test_power_or_tail_matches_reference(case):
     ring, bounds, tail = case
     got = spanning.power_or_tail(ring, bounds, tail)
