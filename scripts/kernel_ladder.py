@@ -1,6 +1,6 @@
 """Time the kernel rungs and the benchmark on two source trees, alternating.
 
-    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_22.json
+    python scripts/kernel_ladder.py PARENT CHANGE --out BENCH_23.json
         [--repeats 5] [--pairs 10] [--seconds 10] [--workloads witness,acceptance]
 
 PARENT and CHANGE are checkouts of this repository.  Every run is a fresh
@@ -52,6 +52,12 @@ RUNGS = (
     ("span", "reduce", "--group", "B", "--n", "2", "--poly", "e1^2000"),
     # the spanning workload's dense input: 964 terms, 13.5k tokens to parse
     ("span", "reduce", "--group", "D", "--n", "5", "--poly", poly_text(dense_terms(DEFAULT_SEED))),
+    # a change of basis in degrees 6, 8, 10, 12 and 14
+    ("span", "reduce", "--group", "D", "--n", "6", "--poly",
+     "e1^6*e2^4*e3^2*e4^2+e4^5*e5^3*e6^2+e1^14+e2^7*e6^7"),
+    # no change of basis: every remainder term is a basis monomial
+    ("span", "reduce", "--group", "D", "--n", "7", "--poly",
+     "e1^5*e2^3*e3^2*e7^2+e4^4*e5^3*e6^2*e7^3+e1^12+e2^6*e7^6"),
     ("poly", "parse", "--ring", RING_E5, "--expr", EVERY_E5_14),
     # 645120 monomials built, rendered and printed
     ("span", "basis", "--group", "B", "--n", "7"),

@@ -54,10 +54,10 @@ Standard monomials, and through them the Hilbert function, come from a
 walk up the staircase of the leading monomials (_standard_exponents), whose
 cost follows the standard monomials rather than the box below the bound.
 
-staircase_echelon, the one exact echelon over Q, decides whether monomials
-are independent modulo an ideal and divides only those in its leading
-ideal, in the order of the basis it is given: verify_presentation and
-spanning's type-D change of basis run it with the variables reversed.
+staircase_echelon, the one exact echelon over Q, decides whether packed
+monomials are independent modulo an ideal and divides only those in its
+leading ideal, in the order of the basis it is given: verify_presentation
+and spanning's type-D change of basis run it with the variables reversed.
 
 A step budget (default 10^6 single reduction steps, set only through the
 SLCC_BUDGET environment variable) applies to each Buchberger run and to each
@@ -592,20 +592,22 @@ def echelon_reduce(row: dict, pivots: dict):
     return None
 
 
-def staircase_echelon(G: GroebnerBasis, members: Sequence[Monomial], divide, carry: bool = False):
+def staircase_echelon(G: GroebnerBasis, members: Sequence[int], divide, carry: bool = False):
     """Echelon form of the members' normal forms, off the members' columns.
 
-    The members are exponent tuples of G.ring, and the staircase is that of
-    G's order: the fewer members an order puts in the leading-monomial
-    ideal, the fewer divisions (callers move a basis into the ring whose
-    grevlex it is a staircase of).  A member outside G's leading-monomial
-    ideal (on the staircase) is its own normal form, so only the others,
-    the outliers, are divided, by
-    ``divide(m)``: the normal form of the monomial m as a term dict, under
-    the caller's budget.  The members are independent modulo the ideal
-    exactly when they are distinct and the outliers' rows stay independent
-    over Q.  Returns None when they are dependent, and otherwise the monic
-    pivot rows keyed by their leading columns.
+    The members are packed monomials of G.ring (polyring.Packing), and the
+    staircase is that of G's order: the fewer members an order puts in the
+    leading-monomial ideal, the fewer divisions (callers move a basis into
+    the ring whose grevlex it is a staircase of).  A member outside G's
+    leading-monomial ideal (on the staircase) is its own normal form: no
+    lead of G._reducers divides it, each tested by the guard bits of the
+    difference, as _Engine.divide tests.  Only the others, the outliers,
+    are divided, by ``divide(m)``: the normal form of the packed monomial m
+    as a packed term dict, under the caller's budget.  The members are
+    independent modulo the ideal exactly when they are distinct and the
+    outliers' rows stay independent over Q.  Returns None when they are
+    dependent, and otherwise the monic pivot rows keyed by their leading
+    columns.
 
     Columns off the members are keyed (True, m).  With ``carry`` a row also
     keeps its part on the members, keyed (False, m) to sort below them: the
@@ -615,10 +617,11 @@ def staircase_echelon(G: GroebnerBasis, members: Sequence[Monomial], divide, car
     member_set = set(members)
     if len(member_set) < len(members):
         return None
-    leads = G.leading_monomials()
-    pivots: dict[tuple[bool, Monomial], dict] = {}
+    guard = G.ring.packing.guard
+    leads = [lm for _, lm, _ in G._reducers]
+    pivots: dict[tuple[bool, int], dict] = {}
     for o in members:
-        if not any(_monomial_divides(lm, o) for lm in leads):
+        if all((o - lm) & guard for lm in leads):
             continue  # on the staircase
         nf = divide(o).items()
         row = {(m not in member_set, m): c for m, c in nf if carry or m not in member_set}

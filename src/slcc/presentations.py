@@ -446,9 +446,10 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
         _, mismatch = series.free_module_series(hilbert, coeff_degrees, basis_degrees, max_degree)
         detail = "ok" if mismatch is None else f"first mismatch at degree {mismatch}"
         checks.append(("hilbert_factorization", mismatch is None, detail))
-        basis = [m[::-1] for m in pres.declared_basis]
+        pack = G.ring.packing.pack
+        basis = [pack(m[::-1]) for m in pres.declared_basis]
         pivots = staircase_echelon(
-            G, basis, lambda m: normal_form(Polynomial.monomial(G.ring, m), G).terms
+            G, basis, lambda m: normal_form(Polynomial._trusted(G.ring, {m: 1}), G)._terms
         )
     except BudgetExceededError as exc:
         # the basis ran out before any check was made, the normal forms after

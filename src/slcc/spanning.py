@@ -19,10 +19,12 @@ division (groebner.tracked_division):
   and multiplied by s_i (or t).
 * In type B the standard monomials are exactly the basis.  In type D (n >= 3)
   some are not; each of those is rewritten as basis monomials plus an
-  element of I, by an exact change of basis over Q in its degree
-  (groebner.staircase_echelon over the basis monomials of that degree),
-  which a call builds the first time one of its remainders reaches that
-  degree.
+  element of I, by an exact change of basis over Q in its degree, which a
+  call builds the first time one of its remainders reaches that degree:
+  groebner.staircase_echelon over the basis monomials of that degree alone,
+  generated as packed ints of the reversed ring (power_or_tail restricted
+  to the degree), never the whole basis.  The table it leaves is keyed by
+  packed monomials, as the remainders are.
 
 The work is a heap of invariant monomials s^beta in increasing degree, each
 holding the terms still to be divided at it: one division per s^beta, whose
@@ -38,7 +40,7 @@ the invariant ring) are weyl's; this module only reads them.
 from __future__ import annotations
 
 import heapq
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le
@@ -82,24 +84,40 @@ class SpanningBasis:
         return [ring.monomial_text(m) for m in self.monomials]
 
 
-def power_or_tail(ring: RingSpec, bounds: list[int], tail: bool) -> tuple[Monomial, ...]:
+def power_or_tail(ring: RingSpec, bounds: Sequence[int], tail: bool) -> tuple[Monomial, ...]:
     """Products u_1 ... u_r over the first r = len(bounds) variables of ``ring``.
 
     u_i is x_i^m with 0 <= m <= bounds[i-1] or, when ``tail`` is set, the
     product of every later variable of the ring.  Deduplicated, in ascending
-    canonical order.  The products are built as packed ints (polyring.Packing
-    is linear, so a product is a sum), whose descending order is the
-    ascending canonical one, and unpacked together in one pass.
+    canonical order.  The products are built as packed ints (_products),
+    whose descending order is the ascending canonical one, and unpacked
+    together in one pass.
     """
     layout = ring.packing
-    xs = layout.variables
+    return tuple(layout.unpack_all(sorted(_products(layout.variables, bounds, tail), reverse=True)))
+
+
+def _products(xs: Sequence[int], bounds: Sequence[int], tail: bool, degree: int | None = None) -> set[int]:
+    """The products of power_or_tail as a set of packed ints (polyring.Packing).
+
+    ``xs`` are the ring's variables, packed, in the order the choices read
+    them, so a caller may pack into the reversed ring.  Packing is linear, so
+    a product is a sum.  With ``degree`` only the products of that degree
+    are kept: the degree sits above the fields of a packed int, and a
+    partial product past it is dropped as soon as it is made.
+    """
+    shift = 64 * len(xs)
     products = {0}
     for i, bound in enumerate(bounds):
         choices = [m * xs[i] for m in range(bound + 1)]
         if tail:
             choices.append(sum(xs[i + 1 :]))
         products = {p + u for p in products for u in choices}
-    return tuple(layout.unpack_all(sorted(products, reverse=True)))
+        if degree is not None:
+            products = {p for p in products if p >> shift >= -degree}
+    if degree is not None:
+        products = {p for p in products if p >> shift == -degree}
+    return products
 
 
 @lru_cache(maxsize=32)
@@ -107,18 +125,17 @@ def _bounds(group: str, n: int) -> tuple[int, ...]:
     """The exponent bounds: e_i stays below the witness exponent of rank n+1-i.
 
     Type D has no factor of its own for e_n, which enters through the tail
-    products, so its last bound is not read.
+    products, so it has bounds for e_1 .. e_{n-1} only.
     """
-    return tuple(weyl.witness_power(group, rank) - 1 for rank in range(n, 0, -1))
+    bounds = tuple(weyl.witness_power(group, rank) - 1 for rank in range(n, 0, -1))
+    return bounds[:-1] if group == "D" else bounds
 
 
 def basis(group: str, n: int) -> SpanningBasis:
     """The spanning monomials, deduplicated, in ascending canonical order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bounds = _bounds(group, n)
-    tail = group == "D"
-    monos = power_or_tail(weyl.e_ring(n), bounds[:-1] if tail else bounds, tail)
+    monos = power_or_tail(weyl.e_ring(n), _bounds(group, n), group == "D")
     return SpanningBasis(group, n, monos)
 
 
@@ -159,38 +176,31 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
 
     m == sum_b x[b] * e^b + sum_i c[i] * g_i, with x over the basis monomials
     of that degree and c packed term dicts of the reversed ring over the
-    generators g_i of the reversed coinvariant ideal.  The basis monomials
-    of that degree are the members of a staircase echelon whose rows carry
-    their part on the members; reducing m by its pivots leaves x, and
-    ``divide`` yields the cofactors of m - x, which lies in the ideal.
-    Their coefficients come out of the echelon as Fractions; each integral
-    one becomes an int here, once, so the sums that read the table do not
-    redo Fraction arithmetic.
+    generators g_i of the reversed coinvariant ideal; m and the b are packed
+    ints of that ring too.  The basis monomials of that degree, generated on
+    their own (_products; every e_i has degree 2), are the members of a
+    staircase echelon whose rows carry their part on the members; reducing m
+    by its pivots leaves x, and ``divide`` yields the cofactors of m - x,
+    which lies in the ideal.  Their coefficients come out of the echelon as
+    Fractions; each integral one becomes an int here, once, so the sums that
+    read the table do not redo Fraction arithmetic.
     """
-    members = []
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        b = tuple(map(combo.count, range(n)))
-        if _in_basis(group, n, b):
-            members.append(b[::-1])
-    layout = ideal.ring.packing
-    G = groebner_basis(ideal)
-    pivots = staircase_echelon(
-        G, members, lambda m: layout.unpack_terms(divide({layout.pack(m): 1})[1]), carry=True
-    )
+    xs = ideal.ring.packing.variables[::-1]  # e_1 .. e_n, packed in the reversed ring
+    members = sorted(_products(xs, _bounds(group, n), group == "D", 2 * k))
+    pivots = staircase_echelon(groebner_basis(ideal), members, lambda m: divide({m: 1})[1], carry=True)
     # the basis is free, so the members are independent and every standard
-    # monomial of degree k outside the basis leads a pivot row
+    # monomial of degree 2k outside the basis leads a pivot row
     out = {}
     for lead in pivots:
         row = {lead: 1}
         echelon_reduce(row, pivots)
         x = {b: _normalize_coeff(c) for (_, b), c in row.items()}
-        diff = {layout.pack(lead[1]): 1}
-        _add_scaled(diff, {layout.pack(b): c for b, c in x.items()}, -1)
+        diff = {lead[1]: 1}
+        _add_scaled(diff, x, -1)
         cofactors, remainder = divide(diff)
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
-        cofactors = [{m: _normalize_coeff(c) for m, c in e.items()} for e in cofactors]
-        out[lead[1][::-1]] = ({b[::-1]: c for b, c in x.items()}, cofactors)
+        out[lead[1]] = (x, [{m: _normalize_coeff(c) for m, c in e.items()} for e in cofactors])
     return out
 
 
@@ -223,17 +233,18 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     # s-exponent -> packed terms of the reversed ring still to divide
     waiting = {beta: reverse_terms(ring, p._terms)}
     heap = [(0, beta)]  # (degree of s^beta, beta)
-    coords: dict[Monomial, dict[Monomial, Coefficient]] = {}
+    # packed basis monomial of the reversed ring -> its coordinates
+    coords: dict[int, dict[Monomial, Coefficient]] = {}
     changes: dict[int, dict] = {}  # exponent sum -> _change_of_basis
     while heap:
         degree, beta = heapq.heappop(heap)
         cofactors, remainder = divide(waiting.pop(beta))
         for m, c in remainder.items():
-            m = unpack(m)[::-1]
-            if _in_basis(group, n, m):
+            expo = unpack(m)[::-1]
+            if _in_basis(group, n, expo):
                 x = {m: 1}
             else:
-                k = sum(m)
+                k = sum(expo)
                 if k not in changes:
                     changes[k] = _change_of_basis(group, n, k, ideal, divide)
                 x, extra = changes[k][m]
@@ -249,7 +260,7 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
                 else:
                     waiting[key] = cofactor
                     heapq.heappush(heap, (degree + unit_degree, key))
-    terms = {b: Polynomial(cring, t) for b, t in coords.items() if t}
+    terms = {unpack(b)[::-1]: Polynomial(cring, t) for b, t in coords.items() if t}
     return SpanDecomposition(group=group, n=n, target=p, terms=terms)
 
 

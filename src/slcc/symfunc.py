@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .polyring import Polynomial, RingSpec
+from .polyring import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, RingSpec
 
 __all__ = [
     "complete",
@@ -57,7 +57,13 @@ def elementary(i: int, ring: RingSpec, names=None) -> Polynomial:
 
 
 def complete(i: int, ring: RingSpec, names=None) -> Polynomial:
-    """h_i over the given variables: the sum of all degree-i monomials."""
+    """h_i over the given variables: the sum of all degree-i monomials.
+
+    Built one variable at a time on packed ints (polyring.Packing): each
+    partial monomial, with the exponent sum it leaves, takes x_j^e for every
+    e up to what is left, and the last variable takes the rest, so the work
+    and the memory go per term.
+    """
     if i < 0:
         raise ValueError("index must be non-negative")
     idxs = _resolve(ring, names)
@@ -65,9 +71,13 @@ def complete(i: int, ring: RingSpec, names=None) -> Polynomial:
         return Polynomial.one(ring)
     if not idxs:
         return Polynomial.zero(ring)
-    xs = ring.packing.variables
-    combos = itertools.combinations_with_replacement(idxs, i)
-    return Polynomial._trusted(ring, {sum(map(xs.__getitem__, combo)): 1 for combo in combos})
+    if i >= EXPONENT_LIMIT:  # x_j^i is one of the terms
+        raise ExponentOverflowError(f"exponent {i} exceeds limit {EXPONENT_LIMIT}")
+    xs = [ring.packing.variables[j] for j in idxs]
+    partial = {0: i}  # packed monomial -> exponent sum still left
+    for x in xs[:-1]:
+        partial = {p + e * x: left - e for p, left in partial.items() for e in range(left + 1)}
+    return Polynomial._trusted(ring, {p + left * xs[-1]: 1 for p, left in partial.items()})
 
 
 def in_squares(p: Polynomial) -> Polynomial:

@@ -2,7 +2,11 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -228,6 +232,24 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+def test_change_of_basis_budget(capsys, monkeypatch):
+    # a D6 remainder reaches a change of basis in degrees 6, 8, 10, 12 and 14;
+    # every division of the call, those included, spends one budget
+    poly = "e1^6*e2^4*e3^2*e4^2+e4^5*e5^3*e6^2+e1^14+e2^7*e6^7"
+    argv = ("span", "reduce", "--group", "D", "--n", "6", "--poly", poly)
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    monkeypatch.setenv("SLCC_BUDGET", "5203")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: Groebner step budget of 5203 exceeded (raise SLCC_BUDGET)\n"
+    monkeypatch.setenv("SLCC_BUDGET", "5204")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 148
+    digest = "7b24c98d0de6e2aefa15cd9bb22fd2578939e8b25813c0844b0a43ca2e980bac"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_acceptance_budget_exhaustion_is_a_row(capsys, monkeypatch):
     monkeypatch.setenv("SLCC_BUDGET", "5")
     # an empty basis cache, so every criterion starts cold
@@ -288,6 +310,26 @@ def test_exponent_overflow_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exponent 2147483648 exceeds limit 2147483648\n"
+
+
+def test_complete_builds_per_term(capsys):
+    # h_i of one variable is one term: built without an i-long index tuple,
+    # so it fits a 1 GiB address space; past EXPONENT_LIMIT it is refused first
+    root = Path(__file__).resolve().parents[1]
+    limit = (1 << 30, 1 << 30)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slcc", "symfunc", "complete", "--i", "300000000", "--vars", "x1"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x1^300000000\n", "")
+    for i, names in itertools.product((2**31, 2**64), ("x1", "x1,x2")):
+        code, out, err = run(capsys, "symfunc", "complete", "--i", str(i), "--vars", names)
+        assert (code, out) == (2, "")
+        assert err == f"error: exponent {i} exceeds limit 2147483648\n"
 
 
 def test_parsed_monomial_outcomes(capsys):

@@ -303,8 +303,11 @@ def _echelon_independent(polys, carry):
     hands it the row polys[i-1]; its own column z^i is in no row.
     """
     G = groebner.groebner_basis(Ideal.make(_R3, [Polynomial.variable(_R3, "z")]))
-    members = [(0, 0, i) for i in range(1, len(polys) + 1)]
-    rows = {m: {(a, b, 0): c for (a, b), c in p.terms.items()} for m, p in zip(members, polys)}
+    pack = _R3.packing.pack
+    members = [pack((0, 0, i)) for i in range(1, len(polys) + 1)]
+    rows = {
+        m: {pack((a, b, 0)): c for (a, b), c in p.terms.items()} for m, p in zip(members, polys)
+    }
     return groebner.staircase_echelon(G, members, rows.__getitem__, carry) is not None
 
 
@@ -565,23 +568,39 @@ def test_verify_shares_the_spanning_basis(monkeypatch):
     assert G.representations is not None
 
 
+def _tuple_outliers(G, members):
+    """The members some lead of G divides, by the exponent-tuple test, in order."""
+    leads = G.leading_monomials()
+    return [m for m in members if any(groebner._monomial_divides(lm, m) for lm in leads)]
+
+
 @pytest.mark.parametrize("kind,params", _presentable_matrix())
 def test_staircase_verdict_matches_full_echelon(kind, params):
+    # each order's echelon divides exactly the members the tuple test puts
+    # off the staircase, in member order
     pres = pr.build(kind, **params)
     G = groebner.groebner_basis(pres.ideal)
-    nfs = {m: _normal_form(pres, m) for m in pres.declared_basis}
+    pack = G.ring.packing.pack
+    nfs = {pack(m): _normal_form(pres, m) for m in pres.declared_basis}
     reference = _reference_independent(list(nfs.values()))
-    verdict = groebner.staircase_echelon(G, pres.declared_basis, lambda m: nfs[m].terms)
+    members = [pack(m) for m in pres.declared_basis]
+    divided = []
+    verdict = groebner.staircase_echelon(G, members, lambda m: divided.append(m) or nfs[m]._terms)
     assert (verdict is not None) == reference
+    assert divided == list(map(pack, _tuple_outliers(G, pres.declared_basis)))
     # the reversed order, which verify_presentation runs in, against the
     # canonical full-normal-form echelon and Hilbert function
     R = groebner.groebner_basis(pres.ideal.reversed())
-    verdict = groebner.staircase_echelon(
-        R,
-        [m[::-1] for m in pres.declared_basis],
-        lambda m: groebner.normal_form(Polynomial.monomial(R.ring, m), R).terms,
-    )
+    reversed_basis = [m[::-1] for m in pres.declared_basis]
+    divided = []
+
+    def normal_form(m):
+        divided.append(m)
+        return groebner.normal_form(Polynomial._trusted(R.ring, {m: 1}), R)._terms
+
+    verdict = groebner.staircase_echelon(R, list(map(R.ring.packing.pack, reversed_basis)), normal_form)
     assert (verdict is not None) == reference
+    assert divided == list(map(R.ring.packing.pack, _tuple_outliers(R, reversed_basis)))
     assert groebner.quotient_hilbert(R, 24) == groebner.quotient_hilbert(G, 24)
 
 

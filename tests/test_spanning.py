@@ -216,6 +216,54 @@ def test_reduce_never_builds_the_basis(group, monkeypatch):
         assert _printed(ring, dec.terms) == _printed(ring, _reference_reduce(p, group, 7))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_change_of_basis_slices_the_basis(group, n, monkeypatch):
+    # the members _change_of_basis hands the echelon are the basis monomials
+    # of one exponent sum, generated on their own and packed in the reversed ring
+    slices = []
+
+    def members_only(G, members, divide, carry):
+        slices.append(members)
+        return {}
+
+    monkeypatch.setattr(spanning, "staircase_echelon", members_only)
+    ideal = spanning._reversed_coinvariant_ideal(group, n)
+    pack = ideal.ring.packing.pack
+    monomials = basis(group, n).monomials
+    for k in range(max(map(sum, monomials)) + 1):
+        spanning._change_of_basis(group, n, k, ideal, None)
+        expected = [pack(m[::-1]) for m in monomials if sum(m) == k]
+        assert set(slices[-1]) == set(expected)
+        assert len(slices[-1]) == len(expected)
+
+
+def test_reduce_through_a_change_of_basis_matches_reference(monkeypatch):
+    # seeded D5 inputs whose remainders leave the basis, in exponent sums 4 to 12
+    built = []
+    change_of_basis = spanning._change_of_basis
+    monkeypatch.setattr(
+        spanning, "_change_of_basis", lambda *args: built.append(args[2]) or change_of_basis(*args)
+    )
+    ring = weyl.e_ring(5)
+    rng = random.Random("D5 change of basis")
+    sums = set()
+    while len(sums) < 8:
+        terms = {}
+        for _ in range(2):
+            expo = tuple(rng.randint(0, 2 * (5 - i) + 1) for i in range(5))
+            if sum(expo) <= 14:
+                terms[expo] = rng.randint(-9, 9)
+        p = Polynomial(ring, terms)
+        built.clear()
+        dec = span_reduce(p, "D", 5)
+        if built:
+            sums.update(built)
+            assert expand(dec) == p
+            assert _printed(ring, dec.terms) == _printed(ring, _reference_reduce(p, "D", 5))
+    assert sums == {4, 5, 6, 7, 8, 9, 10, 12}
+
+
 def _printed(ring, terms):
     return sorted((ring.monomial_text(m), str(c)) for m, c in terms.items())
 
