@@ -6,10 +6,12 @@ coefficients appear internally) with the Gebauer-Moller pair criteria
 1988) and the normal selection strategy, then fully inter-reduced, so the
 reduced basis is unique: the one order is grevlex graded by cohomological
 degree, in the order of the ring's variables (the canonical order of the
-polynomial layer).  Each pair's lcm and each element's lead are packed
-once, when made (polyring.Packing, whose ints order like grevlex), and the
-pairs wait in a heap keyed by the negated packed lcm and then the indices:
-the normal strategy's order, ties included.
+polynomial layer).  The engine has one monomial form, the ring's packed
+ints (polyring.Packing, whose ints order like grevlex): each element's lead
+is the least packed int of its terms, each pair's lcm is Packing.lcm of
+two leads, made once, and a lead divides a monomial when their difference
+sets no guard bit.  The pairs wait in a heap keyed by the negated lcm and
+then the indices: the normal strategy's order, ties included.
 A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
 moves its ideal into the reversed ring with Ideal.reversed, as spanning and
 verify_presentation do; polyring.reverse_terms moves a packed term map
@@ -51,8 +53,9 @@ them, and a reduction subtracts q_j times divisor j's, the same product
 tracked_division sums into the cofactors.
 
 Standard monomials, and through them the Hilbert function, come from a
-walk up the staircase of the leading monomials (_standard_exponents), whose
-cost follows the standard monomials rather than the box below the bound.
+walk up the staircase of the packed leads (_standard_exponents), whose cost
+follows the standard monomials rather than the box below the bound; only
+standard_monomials unpacks what it returns.
 
 staircase_echelon, the one exact echelon over Q, decides whether packed
 monomials are independent modulo an ideal and divides only those in its
@@ -79,7 +82,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
 from math import gcd
-from operator import le, or_
+from operator import or_
 
 from .polyring import (
     EXPONENT_LIMIT,
@@ -156,14 +159,6 @@ class Ideal:
         return Ideal(ring, tuple(Polynomial._trusted(ring, terms) for terms in gens))
 
 
-def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 class _Tracked:
     """A monic working polynomial with its representation over the originals.
 
@@ -171,15 +166,15 @@ class _Tracked:
     ideal generator, the cofactors c_j with poly == sum_j c_j * gen_j; the
     generators themselves start as units, {0: 1}.  It is an empty list when
     Buchberger runs untracked.  The reducer, the packed form the division
-    reads, is made once per working polynomial.
+    reads, is made once per working polynomial; its first entry is the
+    packed lead that Buchberger reads.
     """
 
-    __slots__ = ("poly", "rep", "lm", "_reducer")
+    __slots__ = ("poly", "rep", "_reducer")
 
     def __init__(self, poly: Polynomial, rep: list[dict[int, Coefficient]]):
         self.poly = poly
         self.rep = rep
-        self.lm = poly.leading_term()[0] if poly else None
         self._reducer = None
 
     def reducer(self):
@@ -205,7 +200,7 @@ class _Tracked:
 
 def _reducers(divisors: Sequence[_Tracked]) -> list:
     """The divisors' reducers for _Engine.divide, each led by its index in the list."""
-    return [(j, *d.reducer()) for j, d in enumerate(divisors) if d.lm is not None]
+    return [(j, *d.reducer()) for j, d in enumerate(divisors) if d.poly._terms]
 
 
 def _overflow(layout: Packing, packed: int) -> ExponentOverflowError:
@@ -336,13 +331,15 @@ class GroebnerBasis:
     def ring(self) -> RingSpec:
         return self.ideal.ring
 
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_term()[0] for g in self.basis)
-
     @cached_property
     def _reducers(self) -> list:
         """The basis as reducers for _Engine.divide, shared by every division against it."""
         return _reducers([_Tracked(g, []) for g in self.basis])
+
+    @property
+    def leads(self) -> list[int]:
+        """The packed leading monomials (polyring.Packing), in basis order."""
+        return [lm for _, lm, _ in self._reducers]
 
 
 # one entry per ideal; an entry built with representations serves every caller.
@@ -391,14 +388,14 @@ def _buchberger(
         return [{0: 1} if j == i else {} for j in range(ngens)] if track else []
 
     layout = ring.packing
-    pack, guard = layout.pack, layout.guard
+    lcm_of, guard = layout.lcm, layout.guard
     f: list[_Tracked] = []  # all polynomials ever created, indexed
 
     def lead(i: int) -> int:
         return f[i].reducer()[0]  # packed: the smaller, the greater the monomial
 
     G: list[int] = []  # the current basis, by ascending lead: the divisor order
-    CP: dict[tuple[int, int], Monomial] = {}  # live pairs and their lcms
+    CP: dict[tuple[int, int], int] = {}  # live pairs and their packed lcms
     # every pair ever made, keyed (-packed lcm, pair): the normal strategy's
     # order, ties by indices.  A pair an update drops stays in the heap and
     # is skipped when popped; indices only grow, so it never comes back.
@@ -406,33 +403,32 @@ def _buchberger(
 
     def update(ih: int) -> None:
         # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).  Each
-        # lcm(m_h, lm(g)) is computed once.  The coprimality and chain tests
-        # read them packed: a * b is a + b, and a divides b exactly when b - a
-        # sets no guard bit.
+        # lcm(m_h, lm(g)) is computed once.  Every test reads the packed
+        # monomials: a * b is a + b, and a divides b exactly when b - a sets
+        # no guard bit.
         nonlocal G
-        mh, ph = f[ih].lm, lead(ih)
-        lcms = [_monomial_lcm(mh, f[ig].lm) for ig in G]
-        packed = list(map(pack, lcms))
+        ph = lead(ih)
+        lcms = [lcm_of(ph, lead(ig)) for ig in G]
         # an old pair goes when m_h divides its lcm and neither of its
         # elements has that lcm with h
         for pair, lcm12 in list(CP.items()):
             ig1, ig2 = pair
             if (
-                _monomial_divides(mh, lcm12)
-                and _monomial_lcm(f[ig1].lm, mh) != lcm12
-                and _monomial_lcm(f[ig2].lm, mh) != lcm12
+                not (lcm12 - ph) & guard
+                and lcm_of(lead(ig1), ph) != lcm12
+                and lcm_of(lead(ig2), ph) != lcm12
             ):
                 del CP[pair]
-        kept: list[int] = []  # the packed lcms of the new pairs the chain test kept
-        for pos, (ig, lcm, p) in enumerate(zip(G, lcms, packed)):
+        kept: list[int] = []  # the lcms of the new pairs the chain test kept
+        for pos, (ig, p) in enumerate(zip(G, lcms)):
             coprime = ph + lead(ig) == p
-            if coprime or all((p - q) & guard for q in itertools.chain(packed[pos + 1 :], kept)):
+            if coprime or all((p - q) & guard for q in itertools.chain(lcms[pos + 1 :], kept)):
                 kept.append(p)
                 # a pair with coprime leading monomials is dropped (Buchberger's 1st criterion)
                 if not coprime:
-                    CP[ih, ig] = lcm
+                    CP[ih, ig] = p
                     heapq.heappush(queue, (-p, (ih, ig)))
-        G = [ig for ig in G if not _monomial_divides(mh, f[ig].lm)]
+        G = [ig for ig in G if (lead(ig) - ph) & guard]
         G.insert(bisect.bisect(G, -ph, key=lambda i: -lead(i)), ih)
 
     def add(t: _Tracked) -> None:
@@ -442,7 +438,7 @@ def _buchberger(
     # seed with monic nonzero generators
     seeds = [_Tracked(g, unit_rep(i)).monic() for i, g in enumerate(ideal.generators)]
 
-    for t in sorted(seeds, key=lambda t: ring.sort_key(t.lm)):
+    for t in sorted(seeds, key=lambda t: -t.reducer()[0]):
         reduced = engine.reduce_tracked(t, [f[i] for i in G])
         if reduced.poly:
             add(reduced)
@@ -452,7 +448,8 @@ def _buchberger(
         if pair not in CP:
             heapq.heappop(queue)
             continue
-        if max_degree is not None and ring.monomial_degree(CP[pair]) > max_degree:
+        # the degree of a packed monomial p is -(p >> shift), not (-p) >> shift
+        if max_degree is not None and -(CP[pair] >> layout.shift) > max_degree:
             break
         heapq.heappop(queue)
         del CP[pair]
@@ -618,7 +615,7 @@ def staircase_echelon(G: GroebnerBasis, members: Sequence[int], divide, carry: b
     if len(member_set) < len(members):
         return None
     guard = G.ring.packing.guard
-    leads = [lm for _, lm, _ in G._reducers]
+    leads = G.leads
     pivots: dict[tuple[bool, int], dict] = {}
     for o in members:
         if all((o - lm) & guard for lm in leads):
@@ -635,66 +632,64 @@ def staircase_echelon(G: GroebnerBasis, members: Sequence[int], divide, carry: b
     return pivots
 
 
-def _standard_exponents(ring: RingSpec, leads: tuple[Monomial, ...], max_degree: int):
-    """Yield exponent tuples of degree <= max_degree outside the lead-term ideal.
+def _standard_exponents(ring: RingSpec, leads: Sequence[int], max_degree: int):
+    """Yield the packed monomials of degree <= max_degree outside the lead-term ideal.
 
-    A walk up the staircase: from 1, each standard monomial m is extended by
-    one variable x_i at or after its last nonzero position, while the degree
-    stays within the bound, so each monomial is reached once, from its
-    quotient by the variable at its last nonzero position.  Divisors of a
-    standard monomial are standard, so the walk misses none; it keeps the
-    results no lead divides.  A lead that divides m * x_i but not the
-    standard m has i-th exponent m_i + 1, so the leads are looked up by
-    (i, exponent).  The cost follows the staircase, not the box below the
-    bound.
+    The leads are packed as well (polyring.Packing).  A walk up the
+    staircase: from 1, each standard monomial m is extended by one variable
+    x_i at or after its last nonzero position, m + xs[i] packed, while the
+    degree stays within the bound, so each monomial is reached once, from
+    its quotient by the variable at its last nonzero position.  Divisors of
+    a standard monomial are standard, so the walk misses none; it keeps the
+    results no lead divides, each tested by the guard bits.  A lead that
+    divides m * x_i but not the standard m has i-th exponent m_i + 1, so the
+    leads are looked up by (i, exponent).  The walk keeps each monomial's
+    exponent at its last nonzero position, and m_i is 0 past it, so it never
+    unpacks a monomial.  The cost follows the staircase, not the box below
+    the bound.
     """
-    degrees = ring.degrees
-    n = len(degrees)
-    one = (0,) * n
-    if max_degree < 0 or one in leads:
+    layout = ring.packing
+    xs, guard, shift = layout.variables, layout.guard, layout.shift
+    if max_degree < 0 or 0 in leads:  # 0 is the packed monomial 1
         return
-    by_step: dict[tuple[int, int], list[Monomial]] = {}
+    by_step: dict[tuple[int, int], list[int]] = {}
     for lt in leads:
-        for i, e in enumerate(lt):
+        for i, e in enumerate(layout.unpack(lt)):
             if e:
                 by_step.setdefault((i, e), []).append(lt)
-    yield one
-    layer = [(one, 0, 0)]  # (standard monomial, its degree, its last nonzero position)
+    yield 0
+    layer = [(0, 0, 0)]  # (standard monomial, its last nonzero position, its exponent there)
     while layer:
         grown = []
-        for m, d, last in layer:
-            for i in range(last, n):
-                di = d + degrees[i]
-                if di > max_degree:
+        for m, last, top in layer:
+            for i in range(last, len(xs)):
+                mi = m + xs[i]
+                if -(mi >> shift) > max_degree:
                     continue
-                e = m[i] + 1
-                mi = m[:i] + (e,) + m[i + 1 :]
-                if any(all(map(le, lt, mi)) for lt in by_step.get((i, e), ())):
+                e = top + 1 if i == last else 1
+                if any(not (mi - lt) & guard for lt in by_step.get((i, e), ())):
                     continue
                 yield mi
-                grown.append((mi, di, i))
+                grown.append((mi, i, e))
         layer = grown
 
 
-def standard_monomials(
-    G: GroebnerBasis, max_degree: int
-) -> list[Monomial]:
+def standard_monomials(G: GroebnerBasis, max_degree: int) -> list[Monomial]:
     """Monomials outside the leading-term ideal, up to cohomological degree bound.
 
     Sorted by (degree, grevlex) ascending; their count per degree is the
     Hilbert function of the quotient.
     """
-    leads = G.leading_monomials()
-    out = list(_standard_exponents(G.ring, leads, max_degree))
-    out.sort(key=G.ring.sort_key)
-    return out
+    walk = sorted(_standard_exponents(G.ring, G.leads, max_degree), reverse=True)
+    return G.ring.packing.unpack_all(walk)
 
 
 def quotient_hilbert(G: GroebnerBasis, max_degree: int) -> list[int]:
     """Hilbert function of ring/ideal: coefficient d = #standard monomials of degree d."""
     counts = [0] * (max_degree + 1)
-    for expo in _standard_exponents(G.ring, G.leading_monomials(), max_degree):
-        counts[G.ring.monomial_degree(expo)] += 1
+    shift = G.ring.packing.shift
+    for m in _standard_exponents(G.ring, G.leads, max_degree):
+        counts[-(m >> shift)] += 1
     return counts
 
 

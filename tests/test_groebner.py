@@ -5,6 +5,7 @@ import itertools
 import random
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,21 @@ def test_primitive_integer_rescaling():
     assert str(primitive_integer(q)) == "e1 + 2*e2"
 
 
+def _tuple_divides(a, b):
+    """Whether the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _tuple_lcm(a, b):
+    """The lcm of two exponent tuples."""
+    return tuple(map(max, a, b))
+
+
+def _tuple_lead(poly):
+    """The exponent tuple of poly's leading monomial, None for zero."""
+    return poly.leading_term()[0] if poly else None
+
+
 def _reference_divide(engine, p, divisors):
     """The division loop the engine used before the heap, kept as an oracle.
 
@@ -345,13 +361,14 @@ def _reference_divide(engine, p, divisors):
     ring = engine.ring
     quotients = [Polynomial.zero(ring) for _ in divisors]
     remainder = Polynomial.zero(ring)
+    leads = [_tuple_lead(d.poly) for d in divisors]
     work = p
     while work:
         expo, coeff = work.leading_term()
-        for j, d in enumerate(divisors):
-            if d.lm is not None and all(x <= y for x, y in zip(d.lm, expo)):
+        for j, (d, lm) in enumerate(zip(divisors, leads)):
+            if lm is not None and _tuple_divides(lm, expo):
                 engine.spend()
-                q = Polynomial.monomial(ring, tuple(x - y for x, y in zip(expo, d.lm)), coeff)
+                q = Polynomial.monomial(ring, tuple(x - y for x, y in zip(expo, lm)), coeff)
                 quotients[j] = quotients[j] + q
                 work = work - q * d.poly
                 break
@@ -753,9 +770,15 @@ def _standard_exponents_by_recursion(ring, leads, max_degree):
 
 
 def _assert_walk_matches_recursion(ring, leads, max_degree):
-    walk = list(groebner._standard_exponents(ring, leads, max_degree))
+    """The walk over the packed leads finds the recursion's exponent tuples
+    once each, and reads the same degree off each packed monomial."""
+    layout = ring.packing
+    walk = list(groebner._standard_exponents(ring, list(map(layout.pack, leads)), max_degree))
     assert len(walk) == len(set(walk))
-    assert sorted(walk) == sorted(_standard_exponents_by_recursion(ring, leads, max_degree))
+    expected = list(_standard_exponents_by_recursion(ring, leads, max_degree))
+    assert sorted(layout.unpack_all(walk)) == sorted(expected)
+    degrees = Counter(-(m >> layout.shift) for m in walk)
+    assert degrees == Counter(map(ring.monomial_degree, expected))
 
 
 @st.composite
@@ -798,7 +821,7 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
     engine = engine or groebner._Engine(ideal.ring)
     ring = ideal.ring
     ngens = len(ideal.generators)
-    lcm_of, divides = groebner._monomial_lcm, groebner._monomial_divides
+    lcm_of, divides = _tuple_lcm, _tuple_divides
     pack = packing(ring.degrees).pack
 
     def mul(a, b):
@@ -809,51 +832,55 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
             return []
         return [{0: 1} if j == i else {} for j in range(ngens)]
 
-    f = []
     key = ring.sort_key
+    f, lm = [], []  # every monic polynomial made, and its tuple lead
+
+    def add(t):
+        f.append(t.monic())
+        lm.append(_tuple_lead(f[-1].poly))
 
     def lm_key(i):
-        return key(f[i].lm)
+        return key(lm[i])
 
     def update(G, B, ih):
-        mh = f[ih].lm
+        mh = lm[ih]
         D = []
         rest = sorted(G, key=lm_key)
         while rest:
             ig = rest.pop(0)
-            lcm_hg = lcm_of(mh, f[ig].lm)
+            lcm_hg = lcm_of(mh, lm[ig])
 
             def lcm_divides(ip):
-                return divides(lcm_of(mh, f[ip].lm), lcm_hg)
+                return divides(lcm_of(mh, lm[ip]), lcm_hg)
 
-            if mul(mh, f[ig].lm) == lcm_hg or (
+            if mul(mh, lm[ig]) == lcm_hg or (
                 not any(lcm_divides(ip) for ip in rest) and not any(lcm_divides(p[1]) for p in D)
             ):
                 D.append((ih, ig))
-        E = {p for p in D if mul(mh, f[p[1]].lm) != lcm_of(mh, f[p[1]].lm)}
+        E = {p for p in D if mul(mh, lm[p[1]]) != lcm_of(mh, lm[p[1]])}
         B_new = set()
         for ig1, ig2 in B:
-            lcm12 = lcm_of(f[ig1].lm, f[ig2].lm)
+            lcm12 = lcm_of(lm[ig1], lm[ig2])
             if (
                 not divides(mh, lcm12)
-                or lcm_of(f[ig1].lm, mh) == lcm12
-                or lcm_of(f[ig2].lm, mh) == lcm12
+                or lcm_of(lm[ig1], mh) == lcm12
+                or lcm_of(lm[ig2], mh) == lcm12
             ):
                 B_new.add((ig1, ig2))
-        G_new = {ig for ig in G if not divides(mh, f[ig].lm)}
+        G_new = {ig for ig in G if not divides(mh, lm[ig])}
         G_new.add(ih)
         return G_new, B_new | E
 
     seeds = [groebner._Tracked(g, unit_rep(i)).monic() for i, g in enumerate(ideal.generators)]
     G, CP = set(), set()
-    for t in sorted(seeds, key=lambda t: key(t.lm)):
+    for t in sorted(seeds, key=lambda t: key(_tuple_lead(t.poly))):
         reduced = engine.reduce_tracked(t, [f[i] for i in sorted(G, key=lm_key)])
         if reduced.poly:
-            f.append(reduced.monic())
+            add(reduced)
             G, CP = update(G, CP, len(f) - 1)
     while CP:
-        _, pair = min((key(lcm_of(f[i].lm, f[j].lm)), (i, j)) for i, j in CP)
-        lcm = lcm_of(f[pair[0]].lm, f[pair[1]].lm)
+        _, pair = min((key(lcm_of(lm[i], lm[j])), (i, j)) for i, j in CP)
+        lcm = lcm_of(lm[pair[0]], lm[pair[1]])
         if max_degree is not None and ring.monomial_degree(lcm) > max_degree:
             break
         CP.remove(pair)
@@ -862,7 +889,7 @@ def _buchberger_by_min(ideal, track, max_degree=None, engine=None):
             continue
         reduced = engine.reduce_tracked(s, [f[i] for i in sorted(G, key=lm_key)])
         if reduced.poly:
-            f.append(reduced.monic())
+            add(reduced)
             G, CP = update(G, CP, len(f) - 1)
     final = [f[i] for i in sorted(G, key=lm_key)]
     if max_degree is None:

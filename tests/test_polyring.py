@@ -326,6 +326,29 @@ def test_packed_monomial_is_the_grevlex_key(case):
     assert (not (pb - pa) & layout.guard) == divides
 
 
+@st.composite
+def _lcm_cases(draw):
+    """A ring of 0-6 variables of weight 1-4 and two of its monomials, with
+    exponents 0-4 or next to EXPONENT_LIMIT - 1."""
+    n = draw(st.integers(0, 6))
+    ring = RingSpec.make((f"x{i}", draw(st.integers(1, 4))) for i in range(n))
+    exponent = st.one_of(st.integers(0, 4), st.integers(EXPONENT_LIMIT - 4, EXPONENT_LIMIT - 1))
+    return ring, draw(st.tuples(*[exponent] * n)), draw(st.tuples(*[exponent] * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lcm_cases())
+def test_packed_lcm_matches_tuple_max(case):
+    ring, a, b = case
+    layout = ring.packing
+    pa, pb = layout.pack(a), layout.pack(b)
+    expected = tuple(map(max, a, b))
+    lcm = layout.lcm(pa, pb)
+    assert lcm == layout.pack(expected) == layout.lcm(pb, pa)
+    assert -(lcm >> layout.shift) == ring.monomial_degree(expected)
+    assert not (lcm - pa) & layout.guard and not (lcm - pb) & layout.guard
+
+
 def _tuple_product(a, b):
     """The tuple loop that multiply_packed replaced, kept as its reference."""
     out = {}
