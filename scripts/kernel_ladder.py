@@ -14,7 +14,8 @@ the tree that runs first alternates per repetition.
   inside the process (``in_process_s``, imports excluded) and reports its
   peak RSS and the sha256 of its stdout; the parent times the whole
   process (``wall_s``).  The JSON names a rung by its argv, each argument
-  over 40 characters replaced by its length and digest.
+  over 40 characters replaced by its length and digest.  ``--repeats 0``
+  skips this part.
 * perfbench: ``--pairs`` alternating pairs of ``perfbench/run.py
   --workload W --seconds S`` per workload, each run in its own tree.  Each
   metric gets its runs, median and quartiles per tree, and the number of
@@ -46,6 +47,8 @@ EVERY_E5_14 = poly_text(
     {tuple(map(c.count, range(5))): 1 for c in itertools.combinations_with_replacement(range(5), 14)}
 )
 RUNGS = (
+    # the CLI's fixed cost per run: building the parser, parsing, a one-term answer
+    ("symfunc", "elementary", "--i", "1", "--vars", "x1"),
     ("witness", "--group", "B", "--n", "7"),
     ("witness", "--group", "D", "--n", "7"),
     ("witness", "--group", "B", "--n", "8"),
@@ -206,10 +209,9 @@ def main() -> None:
     parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated")
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    record: dict = {
-        "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
-        "ladder": ladder(trees, args.repeats),
-    }
+    record: dict = {"host": {"python": platform.python_version(), "nproc": os.cpu_count()}}
+    if args.repeats:
+        record["ladder"] = ladder(trees, args.repeats)
     if args.pairs:
         workloads = args.workloads.split(",")
         record["perfbench"] = perfbench(trees, workloads, args.pairs, args.seconds)

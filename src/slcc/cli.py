@@ -578,17 +578,28 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The slcc parser; each command's parser adds its arguments only when main
-    parses with it (_CommandParser)."""
+    parses with it (_CommandParser).
+
+    A run that names a command first builds only that command's parser; any
+    other command line (--help, --version, an unknown command, none, an option
+    first) builds all of them, so argparse's help and errors list every command.
+    """
     parser = argparse.ArgumentParser(
         prog="slcc",
         description="Exact calculus of special linear characteristic classes.",
     )
     parser.add_argument("--version", action="version", version=f"slcc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(command, help=help_text, command=command)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else None
+    # the usage line lists every command even when one parser is built; argparse
+    # names the action by its metavar only in errors no such run reaches
+    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=metavar, parser_class=_CommandParser
+    )
+    for command in named or _COMMANDS:
+        sub.add_parser(command, help=_COMMANDS[command][1], command=command)
     return parser
 
 
@@ -616,8 +627,10 @@ def main(argv: list[str] | None = None) -> int:
     # only of up to the 4300 digits Python converts by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)

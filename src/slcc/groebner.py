@@ -8,10 +8,11 @@ reduced basis is unique: the one order is grevlex graded by cohomological
 degree, in the order of the ring's variables (the canonical order of the
 polynomial layer).  The engine has one monomial form, the ring's packed
 ints (polyring.Packing, whose ints order like grevlex): each element's lead
-is the least packed int of its terms, each pair's lcm is Packing.lcm of
-two leads, made once, and a lead divides a monomial when their difference
-sets no guard bit.  The pairs wait in a heap keyed by the negated lcm and
-then the indices: the normal strategy's order, ties included.
+is the least packed int of its terms, each pair's lcm is packed once from
+the exponents of the two leads, each lead unpacked once when its element
+joins the basis, and a lead divides a monomial when their difference sets
+no guard bit.  The pairs wait in a heap keyed by the negated lcm and then
+the indices: the normal strategy's order, ties included.
 A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
 moves its ideal into the reversed ring with Ideal.reversed, as spanning and
 verify_presentation do; polyring.reverse_terms moves a packed term map
@@ -388,8 +389,9 @@ def _buchberger(
         return [{0: 1} if j == i else {} for j in range(ngens)] if track else []
 
     layout = ring.packing
-    lcm_of, guard = layout.lcm, layout.guard
+    pack, guard = layout.pack, layout.guard
     f: list[_Tracked] = []  # all polynomials ever created, indexed
+    exps: list[tuple[int, ...]] = []  # f[i]'s lead, unpacked once, for the lcms
 
     def lead(i: int) -> int:
         return f[i].reducer()[0]  # packed: the smaller, the greater the monomial
@@ -403,20 +405,20 @@ def _buchberger(
 
     def update(ih: int) -> None:
         # Gebauer-Moller pair update ([BW] GROEBNERNEWS2 bookkeeping).  Each
-        # lcm(m_h, lm(g)) is computed once.  Every test reads the packed
-        # monomials: a * b is a + b, and a divides b exactly when b - a sets
-        # no guard bit.
+        # lcm(m_h, lm(g)) is computed once, packed from the unpacked leads.
+        # Every test reads the packed monomials: a * b is a + b, and a
+        # divides b exactly when b - a sets no guard bit.
         nonlocal G
-        ph = lead(ih)
-        lcms = [lcm_of(ph, lead(ig)) for ig in G]
+        ph, eh = lead(ih), exps[ih]
+        lcms = [pack(map(max, eh, exps[ig])) for ig in G]
         # an old pair goes when m_h divides its lcm and neither of its
         # elements has that lcm with h
         for pair, lcm12 in list(CP.items()):
             ig1, ig2 = pair
             if (
                 not (lcm12 - ph) & guard
-                and lcm_of(lead(ig1), ph) != lcm12
-                and lcm_of(lead(ig2), ph) != lcm12
+                and pack(map(max, exps[ig1], eh)) != lcm12
+                and pack(map(max, exps[ig2], eh)) != lcm12
             ):
                 del CP[pair]
         kept: list[int] = []  # the lcms of the new pairs the chain test kept
@@ -433,6 +435,7 @@ def _buchberger(
 
     def add(t: _Tracked) -> None:
         f.append(t.monic())
+        exps.append(layout.unpack(lead(len(f) - 1)))
         update(len(f) - 1)
 
     # seed with monic nonzero generators

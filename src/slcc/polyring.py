@@ -259,10 +259,6 @@ class Packing:
     def unpack(self, packed: int) -> Monomial:
         return self.struct.unpack((packed & self.fields).to_bytes(self.struct.size, "little"))
 
-    def lcm(self, a: int, b: int) -> int:
-        """The least common multiple of two packed monomials, packed."""
-        return self.pack(map(max, self.unpack(a), self.unpack(b)))
-
     def unpack_all(self, packed: Iterable[int]) -> list[Monomial]:
         """The exponent tuples of packed monomials, in order.
 

@@ -326,11 +326,17 @@ class FreenessReport:
 
 
 def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
-    """Check Hilb(Z[e]) == Hilb(invariants) * (sum_b q^deg b) up to max_degree."""
+    """Check Hilb(Z[e]) == Hilb(invariants) * (sum_b q^deg b) up to max_degree.
+
+    The basis degrees are read off basis(group, n)'s packed products, which
+    carry their degree above the fields, so no monomial is unpacked.
+    """
     lhs = series.poly_ring_hilbert([2] * n, max_degree)
-    ring = weyl.e_ring(n)
-    monomials = basis(group, n).monomials
-    basis_degrees = [ring.monomial_degree(m) for m in monomials]
+    layout = weyl.e_ring(n).packing  # rejects n < 0
+    if n < 1:  # basis(group, n)'s condition
+        raise ValueError("n must be >= 1")
+    products = _products(layout.variables, _bounds(group, n), group == "D")
+    basis_degrees = [-(p >> layout.shift) for p in products]
     inv_degrees = weyl.invariant_ring(group, n).degrees
     rhs, first = series.free_module_series(lhs, inv_degrees, basis_degrees, max_degree)
     return FreenessReport(
@@ -340,5 +346,5 @@ def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
         first_mismatch=first,
         lhs=tuple(lhs),
         rhs=tuple(rhs),
-        size=len(monomials),
+        size=len(products),
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slcc import acceptance, groebner, spanning, weyl
+from slcc import acceptance, cli, groebner, spanning, weyl
 from slcc.cli import main
 
 
@@ -423,6 +423,58 @@ def test_version(capsys):
     code = main(["--version"])
     assert code == 0
     assert "slcc" in capsys.readouterr().out
+
+
+def _count_command_parsers(monkeypatch):
+    built = []
+
+    class Counting(cli._CommandParser):
+        def __init__(self, *args, command, **kwargs):
+            built.append(command)
+            super().__init__(*args, command=command, **kwargs)
+
+    monkeypatch.setattr(cli, "_CommandParser", Counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, code, count",
+    [
+        (["verify", "presentation", "--kind", "sgr2", "--n", "2", "--parity", "odd"], 0, 1),
+        (["present", "sgr2", "--n", "2", "--parity", "odd", "--bogus"], 2, 1),
+        (["witness", "--help"], 0, 1),
+        (["--help"], 0, 10),
+        (["--version"], 0, 10),
+        (["bogus"], 2, 10),
+        ([], 2, 10),
+        (["--format", "json", "witness", "--group", "B", "--n", "2"], 2, 10),
+    ],
+)
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, code, count):
+    built = _count_command_parsers(monkeypatch)
+    assert run(capsys, *argv)[0] == code
+    assert len(built) == count
+    if count == 1:
+        assert built == argv[:1]
+
+
+def test_empty_command_line_lists_every_command(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "{poly,symfunc,weyl,witness,span,ideal,class,present,verify,acceptance}\n"
+        "            ...\nslcc: error: the following arguments are required: command\n"
+    )
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["witness", "--group", "B", "--n", "2", "--format", "json"]
+    expected = run(capsys, *argv)
+    built = _count_command_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["slcc", *argv])
+    code = main()
+    assert (code, *capsys.readouterr()) == expected
+    assert built == ["witness"]
 
 
 def test_verify_conventions_json(capsys):

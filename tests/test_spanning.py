@@ -142,6 +142,36 @@ def test_verify_free_closed_form_rank_one():
     assert rep.lhs == rep.rhs
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("group", ["B", "D"])
+def test_verify_free_reads_the_basis_degrees(monkeypatch, group, n):
+    # the degrees verify_free reads off packed ints are those of basis(group, n)
+    seen = []
+    free_module_series = spanning.series.free_module_series
+
+    def recording(lhs, generator_degrees, basis_degrees, bound):
+        seen.append(list(basis_degrees))
+        return free_module_series(lhs, generator_degrees, basis_degrees, bound)
+
+    monkeypatch.setattr(spanning.series, "free_module_series", recording)
+    rep = verify_free(group, n, 30)
+    ring = weyl.e_ring(n)
+    degrees = [ring.monomial_degree(m) for m in basis(group, n).monomials]
+    assert sorted(seen[0]) == sorted(degrees)
+    assert rep.size == len(degrees)
+    lhs = spanning.series.poly_ring_hilbert([2] * n, 30)
+    inv = weyl.invariant_ring(group, n).degrees
+    rhs, first = free_module_series(lhs, inv, degrees, 30)
+    assert (rep.lhs, rep.rhs, rep.first_mismatch) == (tuple(lhs), tuple(rhs), first)
+
+
+def test_verify_free_rank_errors():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        verify_free("B", 0, 10)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        verify_free("D", -1, 10)
+
+
 @pytest.mark.parametrize("group,n,bound", [("B", 2, 20), ("D", 3, 24), ("B", 5, 40), ("D", 5, 40)])
 def test_verify_free_larger(group, n, bound):
     rep = verify_free(group, n, bound)
