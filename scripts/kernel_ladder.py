@@ -10,8 +10,10 @@ the tree that runs first alternates per repetition.
 * ladder: each rung of RUNGS is an argv tuple, so one argument can hold a
   whole polynomial: two rungs parse the spanning benchmark's dense input
   and every monomial of total exponent 14 in e1..e5.  Each rung runs
-  ``--repeats`` times per tree.  The child times ``slcc.cli.main(argv)``
-  inside the process (``in_process_s``, imports excluded) and reports its
+  ``--repeats`` times per tree.  The child times ``from slcc.cli import
+  main`` first, with only ``time`` imported before it (``import_s``, the
+  start-up a change to the imports shows in), then ``slcc.cli.main(argv)``
+  inside the process (``in_process_s``, imports excluded), and reports its
   peak RSS and the sha256 of its stdout; the parent times the whole
   process (``wall_s``).  The JSON names a rung by its argv, each argument
   over 40 characters replaced by its length and digest.  ``--repeats 0``
@@ -73,8 +75,11 @@ WORKLOADS = ("witness", "verify", "spanning", "acceptance")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")
 
 CHILD = """
-import contextlib, hashlib, io, json, resource, sys, time
+import time
+start = time.perf_counter()
 from slcc.cli import main
+import_s = time.perf_counter() - start
+import contextlib, hashlib, io, json, resource, sys
 out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
@@ -82,6 +87,7 @@ with contextlib.redirect_stdout(out):
 seconds = time.perf_counter() - start
 print(json.dumps({
     "exit": code,
+    "import_s": import_s,
     "in_process_s": seconds,
     "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
@@ -127,14 +133,16 @@ def ladder(trees: dict[str, str], repeats: int) -> dict:
             for side in order:
                 runs[side].append(_run_rung(trees[side], argv))
             print(f"ladder {argv_text} #{rep + 1}: "
-                  + ", ".join(f"{s} {runs[s][-1]['in_process_s']:.3f}" for s in trees),
+                  + ", ".join(f"{s} {runs[s][-1]['in_process_s']:.3f}"
+                              f" (import {runs[s][-1]['import_s']:.3f})" for s in trees),
                   file=sys.stderr)
         rung: dict = {"argv": argv_text}
         for side, records in runs.items():
             rung[side] = {
                 key: [round(r[key], 4) for r in records]
-                for key in ("in_process_s", "wall_s", "peak_rss_mib")
+                for key in ("import_s", "in_process_s", "wall_s", "peak_rss_mib")
             }
+            rung[side]["median_import_s"] = _summary(rung[side]["import_s"])["median"]
             rung[side]["median_in_process_s"] = _summary(rung[side]["in_process_s"])["median"]
             rung[side]["median_wall_s"] = _summary(rung[side]["wall_s"])["median"]
             rung[side]["exit"] = sorted({r["exit"] for r in records})
@@ -146,7 +154,7 @@ def ladder(trees: dict[str, str], repeats: int) -> dict:
         )
         rungs.append(rung)
     return {
-        "command": "python -c <time slcc.cli.main(argv)> <argv>",
+        "command": "python -c <time the slcc.cli import, then slcc.cli.main(argv)> <argv>",
         "method": f"fresh process per run, PYTHONPATH at each tree's src; the trees alternate "
         f"and the side that runs first alternates per repetition; {repeats} repetitions",
         "rungs": rungs,

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from . import charclass, presentations, spanning, symfunc, weyl
 from .groebner import BudgetExceededError, ideal_equal, Ideal
-from .polyring import Polynomial
+from .polyring import Polynomial, _record
 
 __all__ = ["CheckResult", "all_names", "run_all", "run_check"]
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     name: str
     passed: bool

@@ -24,10 +24,8 @@ Class rules implemented on top of plain polynomial arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import symfunc
-from .polyring import Polynomial, RingSpec
+from .polyring import Polynomial, RingSpec, _record
 
 __all__ = [
     "BorelSeries",
@@ -42,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class SplitBundle:
     """A formal special linear bundle in splitting-principle normal form."""
 
@@ -90,7 +88,7 @@ def euler(b: SplitBundle, ring: RingSpec | None = None) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class BorelSeries:
     """Coefficients b_0..b_order of the total class sum b_i t^{2i} (b_0 = 1)."""
 
@@ -175,7 +173,7 @@ def pontryagin_series(b: SplitBundle, order: int, ring: RingSpec | None = None) 
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class CorDualReport:
     bundle: SplitBundle
     checks: tuple[tuple[str, bool], ...]

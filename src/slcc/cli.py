@@ -10,7 +10,8 @@ JSON (--format json), and exits with
     2  usage error (unknown flags, malformed input, a missing flag:
        "usage error: <command> <action> needs --<flag>", or a flag the
        action does not read: "... does not take --<flag>")
-    3  Groebner step budget exhausted (see SLCC_BUDGET)
+    3  a resource ran out: the Groebner step budget (see SLCC_BUDGET), or
+       memory ("out of memory", no traceback)
     4  internal error ("internal error: <type>: <message>", no traceback)
 
 Each (command, action) is one entry of the command table `_TABLE`: the flags
@@ -27,7 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import shutil
 import sys
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import __version__, acceptance, charclass, presentations, spanning, symfunc, weyl
@@ -317,8 +320,8 @@ def _build_presentation(args) -> presentations.Presentation:
     parameters = presentations.BUILDER_PARAMETERS.get(kind)
     if parameters is None:
         raise UsageError(f"unknown presentation kind {args.kind!r}")
-    params = {p.name: v for p in parameters if (v := getattr(args, p.name)) is not None}
-    missing = [f"--{p.name}" for p in parameters if p.default is p.empty and p.name not in params]
+    params = {name: v for name, _ in parameters if (v := getattr(args, name)) is not None}
+    missing = [f"--{name}" for name, required in parameters if required and name not in params]
     if missing:
         raise UsageError(f"{args.kind} needs {', '.join(missing)}")
     try:
@@ -558,8 +561,8 @@ _TABLE = {
 class _CommandParser(argparse.ArgumentParser):
     """One command's parser, which adds the command's arguments when it first parses.
 
-    Each add_argument builds a help formatter, which asks for the terminal
-    size, so main sets up only the arguments of the command it runs.
+    Each add_argument builds a help formatter, so main sets up only the
+    arguments of the command it runs.
     """
 
     def __init__(self, *args, command: str, **kwargs):
@@ -585,10 +588,16 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     A run that names a command first builds only that command's parser; any
     other command line (--help, --version, an unknown command, none, an option
     first) builds all of them, so argparse's help and errors list every command.
+
+    Every parser's help formatters get the width a HelpFormatter computes
+    itself, the terminal's columns less 2, read here once: argparse builds
+    a formatter for each add_argument, and each would read it again.
     """
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="slcc",
         description="Exact calculus of special linear characteristic classes.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"slcc {__version__}")
     named = argv[:1] if argv and argv[0] in _COMMANDS else None
@@ -599,7 +608,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         dest="command", required=True, metavar=metavar, parser_class=_CommandParser
     )
     for command in named or _COMMANDS:
-        sub.add_parser(command, help=_COMMANDS[command][1], command=command)
+        sub.add_parser(
+            command, help=_COMMANDS[command][1], command=command, formatter_class=formatter
+        )
     return parser
 
 
@@ -618,6 +629,7 @@ _EXIT_CODES = (
     (ParseError, "parse error", 2),
     (CheckFailed, "check failed", 1),
     (BudgetExceededError, "budget exhausted", 3),
+    (MemoryError, "out of memory", 3),
     ((PolyError, ValueError, KeyError, TypeError), "error", 2),
 )
 
@@ -653,11 +665,17 @@ def main(argv: list[str] | None = None) -> int:
             raise outcome
         return 0
     except Exception as exc:
+        # the traceback keeps every frame of the failed run alive, and all they
+        # built: drop it first, so that after a MemoryError there is room to report
+        exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+        if type(exc) is SystemError and exc.args == ("error return without exception set",):
+            # how CPython 3.11 reports a Python call it found no memory for
+            exc = MemoryError()
         for types, label, code in _EXIT_CODES:
             if isinstance(exc, types):
                 # str() of a KeyError is the repr of its message: print the message
-                message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-                print(f"{label}: {message}", file=sys.stderr)
+                message = str(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc)
+                print(f"{label}: {message}" if message else label, file=sys.stderr)
                 return code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -79,7 +79,6 @@ import heapq
 import itertools
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce as _reduce
 from math import gcd
@@ -95,6 +94,7 @@ from .polyring import (
     RingMismatchError,
     RingSpec,
     _normalize_coeff,
+    _record,
     multiply_packed,
     reverse_terms,
 )
@@ -133,7 +133,7 @@ def _budget_limit() -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
+@_record
 class Ideal:
     """A homogeneous ideal given by generators (each nonzero, homogeneous)."""
 
@@ -315,7 +315,7 @@ class _Engine:
         return _Tracked(poly, rep)
 
 
-@dataclass(frozen=True)
+@_record(hidden=("representations",))
 class GroebnerBasis:
     """Reduced monic Groebner basis of an ideal; only minimal when truncated."""
 
@@ -324,9 +324,7 @@ class GroebnerBasis:
     # representations[i] are packed term maps (polyring.Packing) of the
     # cofactors c_j with basis[i] == sum c_j * gen_j, integral coefficients
     # as ints; None unless Buchberger ran with tracking (for tracked_division)
-    representations: tuple[tuple[dict[int, Coefficient], ...], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    representations: tuple[tuple[dict[int, Coefficient], ...], ...] | None = None
 
     @property
     def ring(self) -> RingSpec:

@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
-from operator import mul, or_
+from operator import attrgetter, mul, or_
 from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -110,7 +109,89 @@ class ParseError(PolyError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+def _record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
+    """Give a class of annotated fields the methods a dataclass would have.
+
+    The fields are the class's annotations in order; a class attribute of
+    a field's name is its default, and the defaults come last.  The class
+    gets ``__init__`` (positional or keyword arguments bound as Python
+    binds a call, then ``__post_init__`` if the class has one), and
+    ``__repr__`` and ``__eq__`` over the fields not in ``hidden``.  A
+    ``frozen`` class hashes those fields and raises AttributeError on any
+    assignment or deletion; any other class is unhashable.
+
+    Plain closures stand in for the dataclasses module, which every CLI run
+    would otherwise pay for: importing it, with inspect, and exec-ing the
+    generated source of each class.  ``__init__`` sets one value per field
+    given positionally with object.__setattr__, as the generated one does;
+    any other call fills the instance dict in one update.  Use it as
+    ``@_record`` or ``@_record(frozen=False, hidden=(...))``.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen, hidden=hidden)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n = len(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    required = n - len(defaults)
+    if tuple(defaults) != names[required:]:
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    keys = set(names)
+    post_init = getattr(cls, "__post_init__", None)
+    where = f"{cls.__qualname__}.__init__()"
+    setattr_ = object.__setattr__
+
+    def bind(args: tuple, kwargs: dict) -> dict:
+        """Every field's value by name, or the TypeError Python raises for the call."""
+        if len(args) > n:
+            raise TypeError(f"{where} takes {n} positional arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name not in keys:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+        values = {**defaults, **values, **kwargs}
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: {', '.join(missing)}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if len(args) == n and not kwargs:
+            for name, value in zip(names, args):
+                setattr_(self, name, value)
+        else:
+            # every field by keyword is one dict update; other calls are bound first
+            self.__dict__.update(kwargs if not args and kwargs.keys() == keys else bind(args, kwargs))
+        if post_init is not None:
+            post_init(self)
+
+    shown = tuple(name for name in names if name not in hidden)
+    key = attrgetter(*shown)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    cls.__hash__ = __hash__ if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = __setattr__
+    return cls
+
+
+@_record
 class RingSpec:
     """An ordered list of graded variables defining an ambient polynomial ring.
 

@@ -42,9 +42,7 @@ coinvariant ideals and the classes of A(BSL_N) are read from weyl.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -59,7 +57,7 @@ from .groebner import (
     staircase_echelon,
     standard_monomials,
 )
-from .polyring import Monomial, Polynomial, RingSpec
+from .polyring import Monomial, Polynomial, RingSpec, _record
 from .symfunc import complete, elementary, g_poly, in_squares
 
 __all__ = [
@@ -88,7 +86,7 @@ class NoDeclaredBasisError(ValueError):
     """The requested descriptor has no declared characteristic-class basis."""
 
 
-@dataclass(frozen=True)
+@_record(hidden=("basis_source",))
 class Presentation:
     """A homogeneous ideal, its descriptor, and a declared basis.
 
@@ -104,9 +102,7 @@ class Presentation:
     ideal: Ideal
     # a builder's basis is a function of its descriptor, so equality, hash
     # and repr leave the source out (a function compares by identity)
-    basis_source: tuple[Monomial, ...] | Callable[[], tuple[Monomial, ...]] = field(
-        compare=False, repr=False
-    )
+    basis_source: tuple[Monomial, ...] | Callable[[], tuple[Monomial, ...]]
 
     @property
     def ring(self) -> RingSpec:
@@ -380,10 +376,15 @@ _BUILDERS = {
     "bsl": present_bsl,
 }
 
-# each builder's parameters, read once here: a caller still sees them after
-# the builders are wrapped (by a tracer, say) in functions without signatures
+# each builder's parameters as (name, required) pairs, read once here off its
+# code object (every parameter is positional-or-keyword, the defaults last): a
+# caller still sees them after the builders are wrapped (by a tracer, say)
 BUILDER_PARAMETERS = {
-    kind: tuple(inspect.signature(fn).parameters.values()) for kind, fn in _BUILDERS.items()
+    kind: tuple(
+        (name, i < fn.__code__.co_argcount - len(fn.__defaults__ or ()))
+        for i, name in enumerate(fn.__code__.co_varnames[: fn.__code__.co_argcount])
+    )
+    for kind, fn in _BUILDERS.items()
 }
 
 
@@ -399,7 +400,7 @@ def build(kind: str, **params) -> Presentation:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class PresentationReport:
     presentation: Presentation
     hilbert: tuple[int, ...]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le
 
@@ -54,6 +53,7 @@ from .polyring import (
     RingMismatchError,
     RingSpec,
     _normalize_coeff,
+    _record,
     multiply_packed,
     reverse_terms,
 )
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class SpanningBasis:
     group: str
     n: int
@@ -139,7 +139,7 @@ def basis(group: str, n: int) -> SpanningBasis:
     return SpanningBasis(group, n, monos)
 
 
-@dataclass
+@_record(frozen=False)
 class SpanDecomposition:
     """target == sum over terms of coefficient * basis monomial, exactly."""
 
@@ -310,7 +310,7 @@ def expand(dec: SpanDecomposition) -> Polynomial:
     return Polynomial._normalized(ring, out)
 
 
-@dataclass(frozen=True)
+@_record
 class FreenessReport:
     group: str
     n: int

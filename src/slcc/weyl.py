@@ -28,11 +28,10 @@ them deterministically; the identity is then re-verified over Z by expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .groebner import Ideal, member_with_cofactors
-from .polyring import Polynomial, RingSpec
+from .polyring import Polynomial, RingSpec, _record
 from .symfunc import elementary, in_squares
 
 __all__ = [
@@ -73,7 +72,7 @@ def group_order(group: str, n: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
+@_record
 class SignedPermutation:
     """An element e_i -> signs[i] * e_{perm[i]} (0-indexed internally)."""
 
@@ -155,7 +154,7 @@ def invariant_ring(group: str, rank: int) -> RingSpec:
     return RingSpec.make(pairs)
 
 
-@dataclass(frozen=True)
+@_record
 class InvariantGenerators:
     """The invariant-ring generators as expanded polynomials in Z[e_1..e_n]."""
 

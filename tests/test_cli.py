@@ -2,12 +2,15 @@
 
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -278,6 +281,71 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "presentation", "--kind", "bsl", "--N", "40", "--max-degree", "1000000"),
+        ("symfunc", "complete", "--i", "30000000", "--vars", "x1,x2"),
+    ],
+)
+def test_out_of_memory_exits_three(argv):
+    # under a 256 MiB address space each run fails within a second: one stderr
+    # line, no traceback, whichever allocation failed first
+    root = Path(__file__).resolve().parents[1]
+    limit = (1 << 28, 1 << 28)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slcc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (MemoryError(), 3, "out of memory\n"),
+        (MemoryError("no room"), 3, "out of memory: no room\n"),
+        # CPython 3.11's error for a frame it cannot allocate
+        (SystemError("error return without exception set"), 3, "out of memory\n"),
+        (SystemError("bad call"), 4, "internal error: SystemError: bad call\n"),
+    ],
+)
+def test_memory_errors_exit_three(capsys, monkeypatch, exc, code, err):
+    def exhausted(n):
+        raise exc
+
+    monkeypatch.setattr(weyl, "witness_B", exhausted)
+    assert run(capsys, "witness", "--group", "B", "--n", "2") == (code, "", err)
+
+
+def test_failed_frames_are_freed_before_the_report(monkeypatch):
+    # what the failed computation built is released before main prints, so
+    # the report does not need memory the computation still holds
+    events = []
+
+    class Held:
+        pass
+
+    def exhausted(n):
+        held = Held()
+        weakref.finalize(held, events.append, "freed")
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            events.append("report")
+            return super().write(text)
+
+    monkeypatch.setattr(weyl, "witness_B", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["witness", "--group", "B", "--n", "2"]) == 3
+    assert events[:2] == ["freed", "report"]
+
+
 def test_failed_witness_identity_exits_one(capsys, monkeypatch):
     # cofactors that miss the target fail member_with_cofactors' exact
     # expansion check: a failed check, exit 1, not an internal error
@@ -456,6 +524,47 @@ def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, c
     assert len(built) == count
     if count == 1:
         assert built == argv[:1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "presentation", "--kind", "partial-flag", "--m", "3", "--n", "5",
+         "--parity", "even", "--max-degree", "12"],
+        ["--help"],
+        ["witness", "--help"],
+    ],
+)
+def test_main_reads_the_terminal_size_once(capsys, monkeypatch, argv):
+    # argparse builds a help formatter per add_argument; none of them reads
+    # the terminal size again (argparse's own formatters read it 15, 14 and
+    # 8 times for these lines)
+    reads = []
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(reads) == 1
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # both cost every CLI run their import (and dataclasses an exec per class)
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys; before = set(sys.modules); import slcc.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    loaded = proc.stdout.split()
+    assert "slcc.cli" in loaded
+    assert {"dataclasses", "inspect"} & set(loaded) == set()
 
 
 def test_empty_command_line_lists_every_command(capsys):

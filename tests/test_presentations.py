@@ -1,6 +1,5 @@
 """Presentation builders, their verification, and the coherence theorems."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -261,7 +260,8 @@ def test_verify_budget_exhaustion_in_normal_forms(monkeypatch):
     ],
 )
 def test_dependent_declared_basis_fails(basis):
-    pres = dataclasses.replace(pr.present_sgr2(2, "even"), basis_source=basis)
+    sgr = pr.present_sgr2(2, "even")
+    pres = pr.Presentation(sgr.descriptor, sgr.ideal, basis_source=basis)
     rep = pr.verify_presentation(pres, 8)
     checks = {name: ok for name, ok, _ in rep.checks}
     assert checks["basis_independent_in_quotient"] is False
@@ -465,7 +465,7 @@ def test_planted_dependent_basis_fails(kind, params, swap):
     pres = pr.build(kind, **params)
     basis = list(pres.declared_basis)
     swap(basis, pres)
-    planted = dataclasses.replace(pres, basis_source=tuple(basis))
+    planted = pr.Presentation(pres.descriptor, pres.ideal, basis_source=tuple(basis))
     rep = pr.verify_presentation(planted, 24)
     checks = {name: ok for name, ok, _ in rep.checks}
     assert checks["basis_independent_in_quotient"] is False
