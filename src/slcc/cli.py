@@ -132,7 +132,10 @@ def _poly_subst(args) -> tuple:
         if "=" not in item:
             raise UsageError(f"--map entries need name=expr, got {item!r}")
         name, _, image = item.partition("=")
-        mapping[name.strip()] = parse_poly(image, target)
+        name = name.strip()
+        if name in mapping:
+            raise UsageError(f"--map names {name!r} twice")
+        mapping[name] = parse_poly(image, target)
     return _result(p.substitute(mapping, ring=target, missing="identity"))
 
 

@@ -16,8 +16,8 @@ the indices: the normal strategy's order, ties included.
 A caller that wants grevlex with the variables reversed (x_n > ... > x_1)
 moves its ideal into the reversed ring with Ideal.reversed, as spanning and
 verify_presentation do; polyring.reverse_terms moves a packed term map
-between the two rings, one repack per term.  The reversed ideal is an ideal
-of its own, with its own cache entry.
+between the two rings through the one variable map, polyring.map_variables.
+The reversed ideal is an ideal of its own, with its own cache entry.
 
 Every ideal is homogeneous, so the normal strategy meets S-pairs in
 nondecreasing degree, and a run may stop at a degree bound: the truncated
@@ -64,12 +64,12 @@ leading ideal, in the order of the basis it is given: verify_presentation
 and spanning's type-D change of basis run it with the variables reversed.
 
 A step budget (default 10^6 single reduction steps, set only through the
-SLCC_BUDGET environment variable) applies to each Buchberger run and to each
-division on its own, and as a whole to each half of ideal_equal (the
-truncated run and the divisions of the other side's generators) and to all
-divisions made through one function that tracked_division returns.  It
-turns a runaway computation into a distinct BudgetExceededError instead of
-a hang.
+SLCC_BUDGET environment variable, a non-negative integer) applies to each
+Buchberger run and to each division on its own, and as a whole to each
+half of ideal_equal (the truncated run and the divisions of the other
+side's generators) and to all divisions made through one function that
+tracked_division returns.  It turns a runaway computation into a distinct
+BudgetExceededError instead of a hang.
 """
 
 from __future__ import annotations
@@ -125,12 +125,13 @@ class BudgetExceededError(Exception):
 
 def _budget_limit() -> int:
     env = os.environ.get("SLCC_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SLCC_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    try:
+        budget = int(env or DEFAULT_BUDGET)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"SLCC_BUDGET must be a non-negative integer, got {env!r}")
+    return budget
 
 
 @_record
@@ -679,14 +680,19 @@ def standard_monomials(G: GroebnerBasis, max_degree: int) -> list[Monomial]:
     """Monomials outside the leading-term ideal, up to cohomological degree bound.
 
     Sorted by (degree, grevlex) ascending; their count per degree is the
-    Hilbert function of the quotient.
+    Hilbert function of the quotient.  A bound below 0 certifies nothing
+    and is a ValueError.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     walk = sorted(_standard_exponents(G.ring, G.leads, max_degree), reverse=True)
     return G.ring.packing.unpack_all(walk)
 
 
 def quotient_hilbert(G: GroebnerBasis, max_degree: int) -> list[int]:
     """Hilbert function of ring/ideal: coefficient d = #standard monomials of degree d."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     counts = [0] * (max_degree + 1)
     shift = G.ring.packing.shift
     for m in _standard_exponents(G.ring, G.leads, max_degree):

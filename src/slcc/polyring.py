@@ -28,8 +28,10 @@ A Packing turns an exponent tuple into one int (Monagan and Pearce,
 vectors", CASC 2007, section 3) that multiplies monomials by addition,
 tests divisibility by its guard bits and compares in grevlex; its
 docstring states and proves all three.  The term maps, the sort key, the
-Groebner division's heap and Buchberger's pair queue all read it, and
-every product of term maps is one loop, multiply_packed.
+Groebner division's heap and Buchberger's pair queue all read it.  Every
+product of term maps, and every scaled sum acc += c * terms, is one loop,
+multiply_packed; every change of variables (a renaming, the reversed ring,
+a signed permutation) is one sum per term, map_variables.
 
 The parser reads text into packed term maps with no kernel arithmetic for
 plain monomials: one regex scan makes the tokens, and a term of integer and
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from operator import attrgetter, mul, or_
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Coefficient",
@@ -59,6 +61,7 @@ __all__ = [
     "RingMismatchError",
     "RingSpec",
     "UnmappedVariableError",
+    "map_variables",
     "multiply_packed",
     "packing",
     "parse_poly",
@@ -276,12 +279,38 @@ class RingSpec:
         return "*".join(factors) if factors else "1"
 
 
+def map_variables(
+    ring: RingSpec, terms: Mapping[int, Coefficient], xs: Sequence[int], flips: int = 0
+) -> dict[int, Coefficient]:
+    """A packed term map of ``ring`` under x_i -> +-xs[i], the one change of variables.
+
+    ``xs[i]`` is the packed image of variable i in the target ring (any int
+    for a variable no term uses), and ``flips`` has bit 64i set for each
+    variable sent to minus its image.  Packing is linear, so c * x^e goes
+    to sum_i e_i * xs[i]; its sign is the parity of the exponents at the
+    flipped variables, that is of the set bits of m & flips, since the bits
+    of m below 64n are F(m) (see Packing).  Terms that meet are summed, and
+    a sum that cancels is dropped.  Coefficients are not normalized and
+    exponents not checked against EXPONENT_LIMIT: callers do that.
+    """
+    out: dict[int, Coefficient] = {}
+    get = out.get
+    for expo, (m, c) in zip(ring.packing.unpack_all(terms), terms.items()):
+        if (m & flips).bit_count() & 1:
+            c = -c
+        key = sum(map(mul, expo, xs))
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
 def reverse_terms(ring: RingSpec, terms: Mapping[int, Coefficient]) -> dict[int, Coefficient]:
-    """A packed term map of ``ring`` moved into ring.reversed(), or back: one repack per term."""
-    unpack = ring.packing.unpack
+    """A packed term map of ``ring`` moved into ring.reversed(), or back."""
     # the reversed ring's variables, listed in this ring's order
-    variables = packing(ring.degrees[::-1]).variables[::-1]
-    return {sum(map(mul, unpack(m), variables)): c for m, c in terms.items()}
+    return map_variables(ring, terms, packing(ring.degrees[::-1]).variables[::-1])
 
 
 class Packing:
@@ -666,8 +695,7 @@ class Polynomial:
             for i, e in enumerate(expo):
                 if e:
                     term = powers[i][e] if term is None else term * powers[i][e]
-            for m, c in (one if term is None else term._terms).items():
-                out[m] = out.get(m, 0) + coeff * c
+            multiply_packed({0: coeff}, one if term is None else term._terms, out)
         return Polynomial._normalized(target, out)
 
     def rename_into(self, ring: RingSpec, renaming: Mapping[str, str] | None = None) -> Polynomial:
@@ -676,26 +704,23 @@ class Polynomial:
         ``renaming`` maps old names to new names; unlisted names map to
         themselves.  Degrees of matched variables must agree.
         """
-        renaming = dict(renaming or {})
-        out: dict[Monomial, Coefficient] = {}
-        old_degs = self.ring.degrees
-        for expo, coeff in self.terms.items():
-            new_expo = [0] * len(ring)
-            for i, e in enumerate(expo):
-                if not e:
-                    continue
-                old_name = self.ring.names[i]
-                new_name = renaming.get(old_name, old_name)
+        renaming = renaming or {}
+        names, degrees = self.ring.names, self.ring.degrees
+        xs = [0] * len(names)
+        # each field of the OR of the packed terms is the OR of that variable's exponents
+        for i, e in enumerate(self.ring.packing.unpack(reduce(or_, self._terms, 0))):
+            if e:
+                new_name = renaming.get(names[i], names[i])
                 j = ring.index(new_name)
-                if ring.degrees[j] != old_degs[i]:
+                if ring.degrees[j] != degrees[i]:
                     raise ValueError(
-                        f"degree mismatch renaming {old_name} (deg {old_degs[i]}) "
+                        f"degree mismatch renaming {names[i]} (deg {degrees[i]}) "
                         f"to {new_name} (deg {ring.degrees[j]})"
                     )
-                new_expo[j] += e
-            key = tuple(new_expo)
-            out[key] = out.get(key, 0) + coeff
-        return Polynomial(ring, out)
+                xs[i] = ring.packing.variables[j]
+        out = map_variables(self.ring, self._terms, xs)
+        ring.packing.check_limit(out)
+        return Polynomial._normalized(ring, out)
 
     # -- printing / equality ------------------------------------------------
 
@@ -808,12 +833,7 @@ class _Parser:
             self.advance()
             sign = -1 if value == "-" else 1
         while True:
-            for expo, coeff in self.term().items():
-                s = out.get(expo, 0) + sign * coeff
-                if s:
-                    out[expo] = s
-                else:
-                    del out[expo]
+            multiply_packed({0: sign}, self.term(), out)
             kind, value, _ = self.peek()
             if not (kind == "op" and value in "+-"):
                 return Polynomial._trusted(self.ring, out)

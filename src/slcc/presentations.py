@@ -437,6 +437,8 @@ def verify_presentation(pres: Presentation, max_degree: int) -> PresentationRepo
     which no check reads.  Budget exhaustion is reported distinctly from a
     mathematical failure.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     checks: list[tuple[str, bool, str]] = []
     hilbert: tuple[int, ...] = ()
     try:

@@ -29,12 +29,18 @@ division (groebner.tracked_division):
 The work is a heap of invariant monomials s^beta in increasing degree, each
 holding the terms still to be divided at it: one division per s^beta, whose
 remainder gives the coordinates at s^beta and whose cofactor i moves on to
-s^(beta + e_i), a higher degree.  Decomposition coefficients live in the
-abstract invariant rings weyl.invariant_ring: Z[s_1..s_n] (B) or
-Z[s_1..s_{n-1}, t] (D) with deg s_i = 4i, deg t = 2n; expand() substitutes
-weyl.invariant_generators, named by the same ring, back and must reproduce
-the target exactly.  The Weyl-group data (witness exponents, group orders,
-the invariant ring) are weyl's; this module only reads them.
+s^(beta + e_i), a higher degree.  beta is a packed int of
+weyl.invariant_ring, so s^beta * s_i is beta plus s_i packed, and the heap
+holds -beta, whose least is of the lowest degree; the order within a degree
+is free, since each waiting s^beta is complete once every lower degree is
+divided.  Every sum into a term map is one polyring.multiply_packed.
+
+Decomposition coefficients live in the abstract invariant rings
+weyl.invariant_ring: Z[s_1..s_n] (B) or Z[s_1..s_{n-1}, t] (D) with
+deg s_i = 4i, deg t = 2n; expand() substitutes weyl.invariant_generators,
+named by the same ring, back and must reproduce the target exactly.  The
+Weyl-group data (witness exponents, group orders, the invariant ring) are
+weyl's; this module only reads them.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import add, le
+from operator import le
 
 from . import series, weyl
 from .groebner import Ideal, echelon_reduce, groebner_basis, staircase_echelon, tracked_division
@@ -161,16 +167,6 @@ def _in_basis(group: str, n: int, m: Monomial) -> bool:
     return m[-1] in tails
 
 
-def _add_scaled(acc: dict, terms: dict, factor: Coefficient) -> None:
-    """acc += factor * terms."""
-    for m, c in terms.items():
-        v = acc.get(m, 0) + factor * c
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-
 def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
     """Each standard monomial m of exponent sum k outside the basis, as (x, c).
 
@@ -195,9 +191,7 @@ def _change_of_basis(group: str, n: int, k: int, ideal: Ideal, divide) -> dict:
         row = {lead: 1}
         echelon_reduce(row, pivots)
         x = {b: _normalize_coeff(c) for (_, b), c in row.items()}
-        diff = {lead[1]: 1}
-        _add_scaled(diff, x, -1)
-        cofactors, remainder = divide(diff)
+        cofactors, remainder = divide(multiply_packed({0: -1}, x, {lead[1]: 1}))
         if remainder:
             raise AssertionError(f"change of basis in degree {2 * k} left the ideal")
         out[lead[1]] = (x, [{m: _normalize_coeff(c) for m, c in e.items()} for e in cofactors])
@@ -228,16 +222,14 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
     ideal = _reversed_coinvariant_ideal(group, n)
     divide = tracked_division(ideal)
     unpack = ideal.ring.packing.unpack
-    units = [tuple(int(i == j) for j in range(len(cring))) for i in range(len(cring))]
-    beta = (0,) * len(cring)
-    # s-exponent -> packed terms of the reversed ring still to divide
-    waiting = {beta: reverse_terms(ring, p._terms)}
-    heap = [(0, beta)]  # (degree of s^beta, beta)
-    # packed basis monomial of the reversed ring -> its coordinates
-    coords: dict[int, dict[Monomial, Coefficient]] = {}
+    # packed s-monomial s^beta of cring -> packed terms of the reversed ring still to divide
+    waiting = {0: reverse_terms(ring, p._terms)}
+    heap = [0]  # -beta, whose least is of the lowest degree (see polyring.Packing)
+    # packed basis monomial of the reversed ring -> its coordinates, packed in cring
+    coords: dict[int, dict[int, Coefficient]] = {}
     changes: dict[int, dict] = {}  # exponent sum -> _change_of_basis
     while heap:
-        degree, beta = heapq.heappop(heap)
+        beta = -heapq.heappop(heap)
         cofactors, remainder = divide(waiting.pop(beta))
         for m, c in remainder.items():
             expo = unpack(m)[::-1]
@@ -249,18 +241,18 @@ def reduce(p: Polynomial, group: str, n: int) -> SpanDecomposition:
                     changes[k] = _change_of_basis(group, n, k, ideal, divide)
                 x, extra = changes[k][m]
                 for cofactor, e in zip(cofactors, extra):
-                    _add_scaled(cofactor, e, c)
+                    multiply_packed({0: c}, e, cofactor)
             for b, xb in x.items():
-                _add_scaled(coords.setdefault(b, {}), {beta: xb}, c)
-        for unit, unit_degree, cofactor in zip(units, cring.degrees, cofactors):
+                multiply_packed({0: c}, {beta: xb}, coords.setdefault(b, {}))
+        for s, cofactor in zip(cring.packing.variables, cofactors):
             if cofactor:
-                key = tuple(map(add, beta, unit))
+                key = beta + s
                 if key in waiting:
-                    _add_scaled(waiting[key], cofactor, 1)
+                    multiply_packed({0: 1}, cofactor, waiting[key])
                 else:
                     waiting[key] = cofactor
-                    heapq.heappush(heap, (degree + unit_degree, key))
-    terms = {unpack(b)[::-1]: Polynomial(cring, t) for b, t in coords.items() if t}
+                    heapq.heappush(heap, -key)
+    terms = {unpack(b)[::-1]: Polynomial._normalized(cring, t) for b, t in coords.items() if t}
     return SpanDecomposition(group=group, n=n, target=p, terms=terms)
 
 
@@ -331,6 +323,8 @@ def verify_free(group: str, n: int, max_degree: int) -> FreenessReport:
     The basis degrees are read off basis(group, n)'s packed products, which
     carry their degree above the fields, so no monomial is unpacked.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     lhs = series.poly_ring_hilbert([2] * n, max_degree)
     layout = weyl.e_ring(n).packing  # rejects n < 0
     if n < 1:  # basis(group, n)'s condition

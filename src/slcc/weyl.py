@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .groebner import Ideal, member_with_cofactors
-from .polyring import Polynomial, RingSpec, _record
+from .polyring import Polynomial, RingSpec, _record, map_variables
 from .symfunc import elementary, in_squares
 
 __all__ = [
@@ -100,23 +100,18 @@ class SignedPermutation:
 
 
 def apply_action(g: SignedPermutation, p: Polynomial) -> Polynomial:
-    """Image of p under the ring automorphism e_i -> signs[i] * e_{perm[i]}."""
+    """Image of p under the ring automorphism e_i -> signs[i] * e_{perm[i]}.
+
+    One polyring.map_variables: a term's sign is the parity of its exponents
+    at the flipped variables.  The map is a bijection on monomials, so no
+    terms meet and the coefficients stay normalized.
+    """
     ring = p.ring
     if len(ring) != g.n:
         raise ValueError(f"element of rank {g.n} cannot act on ring with {len(ring)} variables")
-    out: dict[tuple, int] = {}
-    for expo, coeff in p.terms.items():
-        new = [0] * g.n
-        sign = 1
-        for i, e in enumerate(expo):
-            if not e:
-                continue
-            new[g.perm[i]] += e
-            if g.signs[i] == -1 and e % 2 == 1:
-                sign = -sign
-        key = tuple(new)
-        out[key] = out.get(key, 0) + sign * coeff
-    return Polynomial(ring, out)
+    xs = ring.packing.variables
+    flips = sum(1 << 64 * i for i, sign in enumerate(g.signs) if sign == -1)
+    return Polynomial._trusted(ring, map_variables(ring, p._terms, [xs[j] for j in g.perm], flips))
 
 
 def group_generators(group: str, n: int) -> list[SignedPermutation]:

@@ -235,6 +235,39 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("value, code", [("abc", 2), ("-1", 2), ("-5", 2), ("0", 3)])
+def test_budget_values(capsys, monkeypatch, value, code):
+    # a negative budget is refused like a non-integer one; 0 is a budget that a step exceeds
+    err = (
+        f"error: SLCC_BUDGET must be a non-negative integer, got {value!r}\n"
+        if code == 2
+        else "budget exhausted: Groebner step budget of 0 exceeded (raise SLCC_BUDGET)\n"
+    )
+    monkeypatch.setenv("SLCC_BUDGET", value)
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    ideal = ["ideal", "groebner", "--ring", "x:1,y:1", "--gens", "x^2; x*y+y^2"]
+    for argv in (ideal, ["witness", "--group", "B", "--n", "2"]):
+        assert run(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "span free --group B --n 2 --max-degree -1",
+        "verify spanning --group B --n 2 --max-degree -1",
+        "verify presentation --kind max-flag --N 5 --max-degree -1",
+        "verify presentation --kind bsl --N 3 --max-degree -2",
+        "ideal hilbert --ring x:1 --gens x^2 --max-degree -1",
+        "ideal standard --ring x:1 --gens x^2 --max-degree -1",
+    ],
+)
+def test_negative_degree_bound_is_an_error(capsys, argv):
+    # a bound below 0 certifies nothing: one error line and no output, not a pass
+    bound = argv.split()[-1]
+    expected = f"error: max_degree must be non-negative, got {bound}\n"
+    assert run(capsys, *argv.split()) == (2, "", expected)
+
+
 def test_change_of_basis_budget(capsys, monkeypatch):
     # a D6 remainder reaches a change of basis in degrees 6, 8, 10, 12 and 14;
     # every division of the call, those included, spends one budget
@@ -618,6 +651,9 @@ def test_poly_add_mul_subst(capsys):
     assert code == 0 and out.strip() == "e1^4"
     code, _, err = run(capsys, "poly", "add", "--ring", "e1:2", "--expr", "e1")
     assert code == 2
+    # one name mapped twice is a usage error, not the last image kept
+    argv = ["poly", "subst", "--ring", "x:1,y:1", "--expr", "x*y", "--map", "x=y", "--map", "x=2"]
+    assert run(capsys, *argv) == (2, "", "usage error: --map names 'x' twice\n")
 
 
 def test_weyl_subcommands(capsys):

@@ -801,11 +801,13 @@ def test_staircase_walk_matches_recursion(case):
 
 
 def test_empty_staircases():
-    # a negative bound, and the unit ideal, whose lead 1 divides everything
+    # a negative bound certifies nothing and is refused; the zero ideal at
+    # bound 0; and the unit ideal, whose lead 1 divides everything
     G = groebner_basis(ideal2())
-    assert quotient_hilbert(G, -1) == []
-    assert standard_monomials(G, -1) == []
-    assert standard_monomials(groebner_basis(Ideal.make(R2, [])), -1) == []
+    for fn in (quotient_hilbert, standard_monomials):
+        with pytest.raises(ValueError, match="^max_degree must be non-negative, got -1$"):
+            fn(G, -1)
+    assert standard_monomials(groebner_basis(Ideal.make(R2, [])), 0) == [(0, 0)]
     unit = groebner_basis(Ideal.make(R2, [Polynomial.one(R2)]))
     assert quotient_hilbert(unit, 4) == [0] * 5
     assert standard_monomials(unit, 4) == []

@@ -22,6 +22,7 @@ from slcc.polyring import (
     packing,
     parse_poly,
 )
+from slcc.weyl import SignedPermutation, apply_action
 
 R_EE = RingSpec.make([("e1", 2), ("e2", 2), ("e", 4)])
 R2 = RingSpec.make([("e1", 2), ("e2", 2)])
@@ -861,3 +862,116 @@ def _parser_inputs(draw):
 @given(_parser_inputs())
 def test_parser_matches_reference(text):
     _assert_parsers_agree(text)
+
+
+# -- the one variable map against substitute ---------------------------------
+
+# exponents mostly small, some one merge away from EXPONENT_LIMIT
+_MAP_EXPONENTS = st.one_of(st.integers(0, 4), st.integers(0, 4), st.just(EXPONENT_LIMIT - 1))
+_MAP_COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]))
+
+
+def _map_poly(draw, ring, used):
+    """A polynomial of ``ring`` whose terms use only the variables in ``used``."""
+    n = len(ring)
+    expo = st.tuples(*(_MAP_EXPONENTS if i in used else st.just(0) for i in range(n)))
+    return Polynomial(ring, draw(st.dictionaries(expo, _MAP_COEFFS, max_size=6)))
+
+
+def _assert_same_outcome(got, expected):
+    """got() equals expected(), coefficient types included, or both overflow."""
+    try:
+        want = expected()
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            got()
+        return
+    result = got()
+    assert result.ring == want.ring and result == want and str(result) == str(want)
+    assert [type(c) for _, c in result] == [type(c) for _, c in want]
+
+
+@st.composite
+def _signed_actions(draw):
+    n = draw(st.integers(0, 6))
+    ring = RingSpec.make((f"x{i}", draw(st.integers(1, 4))) for i in range(n))
+    perm = tuple(draw(st.permutations(range(n))))
+    signs = tuple(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    return ring, SignedPermutation(perm, signs, "B"), _map_poly(draw, ring, range(n))
+
+
+_ACT_RING = RingSpec.make([("x0", 1), ("x1", 2), ("x2", 3), ("x3", 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_actions())
+# three flipped variables, with exponents of 2 and more
+@example(
+    (
+        _ACT_RING,
+        SignedPermutation((2, 0, 3, 1), (-1, 1, -1, -1), "B"),
+        Polynomial(
+            _ACT_RING,
+            {(2, 1, 3, 0): 5, (3, 0, 2, 5): -1, (4, 4, 4, 4): Fraction(1, 2), (0, 0, 0, 2**31 - 1): 2},
+        ),
+    )
+)
+def test_apply_action_is_its_substitution(case):
+    ring, g, p = case
+    mapping = {
+        name: sign * Polynomial.variable(ring, ring.names[j])
+        for name, j, sign in zip(ring.names, g.perm, g.signs)
+    }
+    _assert_same_outcome(lambda: apply_action(g, p), lambda: p.substitute(mapping, ring=ring))
+
+
+@st.composite
+def _renamings(draw):
+    """A ring, a target ring and a renaming that keeps degrees, and a polynomial.
+
+    Each source variable is sent to a target variable, several possibly to
+    one, or to a name the target lacks, in which case the polynomial does
+    not use it.
+    """
+    k = draw(st.integers(0, 6))
+    target = RingSpec.make((f"y{j}", draw(st.integers(1, 4))) for j in range(k))
+    n = draw(st.integers(0, 6))
+    images = [draw(st.integers(-1, k - 1)) for _ in range(n)]
+    weights = [target.degrees[j] if j >= 0 else draw(st.integers(1, 4)) for j in images]
+    ring = RingSpec.make((f"x{i}", w) for i, w in enumerate(weights))
+    renaming = {f"x{i}": f"y{j}" for i, j in enumerate(images) if j >= 0}
+    used = [i for i, j in enumerate(images) if j >= 0]
+    return ring, target, renaming, _map_poly(draw, ring, used)
+
+
+_RN_SOURCE = RingSpec.make([("x0", 2), ("x1", 2), ("x2", 1)])
+_RN_TARGET = RingSpec.make([("y0", 2), ("y1", 1)])
+_RN_MERGE = {"x0": "y0", "x1": "y0", "x2": "y1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_renamings())
+# two variables merge, and their terms add up
+@example((_RN_SOURCE, _RN_TARGET, _RN_MERGE, Polynomial(_RN_SOURCE, {(2, 0, 1): 1, (1, 1, 1): 3})))
+# the merge cancels to 0
+@example((_RN_SOURCE, _RN_TARGET, _RN_MERGE, Polynomial(_RN_SOURCE, {(2, 0, 0): 1, (0, 2, 0): -1})))
+# the target lacks x2, which the polynomial does not use
+@example((_RN_SOURCE, _RN_TARGET, {"x0": "y0", "x1": "y0"}, Polynomial(_RN_SOURCE, {(1, 3, 0): -2})))
+# the merge reaches EXPONENT_LIMIT
+@example((_RN_SOURCE, _RN_TARGET, _RN_MERGE, Polynomial(_RN_SOURCE, {(2**30, 2**30, 0): 1})))
+def test_rename_into_is_its_substitution(case):
+    ring, target, renaming, p = case
+    mapping = {old: Polynomial.variable(target, new) for old, new in renaming.items()}
+    _assert_same_outcome(
+        lambda: p.rename_into(target, renaming), lambda: p.substitute(mapping, ring=target)
+    )
+
+
+def test_rename_into_errors():
+    p = Polynomial(_RN_SOURCE, {(1, 0, 1): 1})
+    with pytest.raises(ValueError, match=r"^degree mismatch renaming x0 \(deg 2\) to y1 \(deg 1\)$"):
+        p.rename_into(_RN_TARGET, {"x0": "y1", "x2": "y1"})
+    with pytest.raises(KeyError, match="unknown variable 'x2'"):
+        p.rename_into(_RN_TARGET, {"x0": "y0"})
+    with pytest.raises(ExponentOverflowError):
+        Polynomial(_RN_SOURCE, {(2**31 - 1, 1, 0): 1}).rename_into(_RN_TARGET, _RN_MERGE)
