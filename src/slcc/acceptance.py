@@ -14,7 +14,7 @@ import random
 
 from . import charclass, presentations, spanning, symfunc, weyl
 from .groebner import BudgetExceededError, ideal_equal, Ideal
-from .polyring import Polynomial, _record
+from .polyring import Polynomial, _record, linear_combination
 
 __all__ = ["CheckResult", "all_names", "run_all", "run_check"]
 
@@ -77,9 +77,7 @@ def _check_witnesses() -> str:
             inv = weyl.invariant_generators(group, n)
             wits = witness(n)
             power = weyl.witness_power(group, n)
-            total = Polynomial.zero(ring)
-            for w, s in zip(wits, inv.gens):
-                total = total + w * s
+            total = linear_combination(ring, zip(wits, inv.gens))
             if total != Polynomial.variable(ring, "e1") ** power:
                 raise AssertionError(f"witness_{group}({n}) expansion failed")
             # deg e_1^power = 2 * power, so cofactor i has degree 2 * power - deg(gen i)

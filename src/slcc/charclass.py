@@ -7,17 +7,23 @@ an optional odd trivial summand, and an orientation sign (flipping the chosen
 trivialization multiplies the Euler class by -1, the value of the unit
 epsilon once the Hopf element is inverted).
 
-Class rules implemented on top of plain polynomial arithmetic:
+Class rules, each read off the symmetric functions of symfunc (which alone
+builds sigma_k and h_k, of the symbols or of their squares):
 
-* euler():  orientation * product of the symbols; zero as soon as the rank is
-  odd (a trivial summand gives a nowhere vanishing section).
+* euler():  orientation * sigma_r(e), the product of the r symbols; zero as
+  soon as the rank is odd (a trivial summand gives a nowhere vanishing
+  section).
 * total_borel():  the rank-2 factor is 1 - e^2 t^2 under the honest
-  convention (epsilon = -1); the Whitney product over the summands gives the
-  total class.  epsilon = +1 selects the sign-twisted convention b_i ->
-  (-1)^i b_i, under which the factor reads 1 + e^2 t^2.
+  convention (epsilon = -1), so the Whitney product over the summands gives
+  b_k = epsilon^k * sigma_k(e_1^2, ..., e_r^2).  epsilon = +1 selects the
+  sign-twisted convention b_i -> (-1)^i b_i, under which the factor reads
+  1 + e^2 t^2.
 * complement_borel():  if the inner summands complete to a trivialized bundle,
   the complement's classes are the inverse series, i.e. complete homogeneous
   polynomials in the squared symbols.
+* BorelSeries products:  the Cauchy product of the coefficients, each a
+  polyring.linear_combination, so criterion-07's Whitney check compares it
+  with total_borel's sigma_k.
 * verify_cor_dual():  top-class, vanishing and odd-Pontryagin checks as exact
   polynomial identities.
 """
@@ -25,7 +31,7 @@ Class rules implemented on top of plain polynomial arithmetic:
 from __future__ import annotations
 
 from . import symfunc
-from .polyring import Polynomial, RingSpec, _record
+from .polyring import Polynomial, RingSpec, _record, linear_combination
 
 __all__ = [
     "BorelSeries",
@@ -82,10 +88,7 @@ def euler(b: SplitBundle, ring: RingSpec | None = None) -> Polynomial:
     ring = ring or bundle_ring(b)
     if b.odd_part:
         return Polynomial.zero(ring)
-    out = Polynomial.constant(ring, b.orientation)
-    for s in b.euler_symbols:
-        out = out * Polynomial.variable(ring, s)
-    return out
+    return symfunc.elementary(len(b.euler_symbols), ring, b.euler_symbols) * b.orientation
 
 
 @_record
@@ -110,13 +113,9 @@ class BorelSeries:
 
     def __mul__(self, other: BorelSeries) -> BorelSeries:
         order = min(self.order, other.order)
-        coeffs = []
-        for k in range(order + 1):
-            acc = Polynomial.zero(self.ring)
-            for i in range(k + 1):
-                acc = acc + self[i] * other[k - i]
-            coeffs.append(acc)
-        return BorelSeries(self.ring, tuple(coeffs))
+        ring, left, right = self.ring, self.coefficients, other.coefficients
+        coeffs = (linear_combination(ring, zip(left, right[k::-1])) for k in range(order + 1))
+        return BorelSeries(ring, tuple(coeffs))
 
     def texts(self) -> list[str]:
         return [str(c) for c in self.coefficients]
@@ -127,20 +126,21 @@ def total_borel(
 ) -> BorelSeries:
     """Truncated product of (1 + epsilon * e_j^2 t^2) over the rank-2 summands.
 
-    epsilon = -1 is the honest Borel class of a rank-2 piece; epsilon = +1
-    is the twisted convention.  The odd trivial summand contributes 1.
+    Its coefficient b_k is epsilon^k * sigma_k(e_1^2, ..., e_r^2), zero past
+    the number r of summands.  epsilon = -1 is the honest Borel class of a
+    rank-2 piece; epsilon = +1 is the twisted convention.  The odd trivial
+    summand contributes 1.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     ring = ring or bundle_ring(b)
-    coeffs = [Polynomial.one(ring)] + [Polynomial.zero(ring)] * order
-    for s in b.euler_symbols:
-        factor = Polynomial.variable(ring, s) ** 2 * epsilon
-        # multiply by (1 + factor * t^2): shift by one b-index
-        for k in range(order, 0, -1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1] * factor
+    names = b.euler_symbols
+    coeffs = (
+        symfunc.in_squares(symfunc.elementary(k, ring, names)) * epsilon**k
+        for k in range(order + 1)
+    )
     return BorelSeries(ring, tuple(coeffs))
 
 
@@ -154,6 +154,8 @@ def complement_borel(
     """
     if 2 * len(inner.euler_symbols) > total_rank:
         raise ValueError("inner summands exceed the total rank")
+    if order < 0:
+        raise ValueError("order must be non-negative")
     ring = ring or bundle_ring(inner)
     h = [symfunc.complete(i, ring, inner.euler_symbols) for i in range(order + 1)]
     return BorelSeries(ring, tuple(symfunc.in_squares(p) for p in h))

@@ -95,6 +95,7 @@ from .polyring import (
     RingSpec,
     _normalize_coeff,
     _record,
+    linear_combination,
     multiply_packed,
     reverse_terms,
 )
@@ -305,9 +306,9 @@ class _Engine:
         """The S-polynomial of monic f and g for their packed lcm."""
         uf, ug = lcm - f.reducer()[0], lcm - g.reducer()[0]
         self.spend()
-        # Polynomial products, which refuse exponents at EXPONENT_LIMIT
-        monomial = Polynomial._trusted
-        poly = monomial(self.ring, {uf: 1}) * f.poly - monomial(self.ring, {ug: 1}) * g.poly
+        ring, monomial = self.ring, Polynomial._trusted
+        pairs = ((monomial(ring, {uf: 1}), f.poly), (monomial(ring, {ug: -1}), g.poly))
+        poly = linear_combination(ring, pairs)
         minus = {ug: -1}
         rep = [
             multiply_packed(minus, b, {uf + m: c for m, c in a.items()})
@@ -533,10 +534,7 @@ def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | Non
     if remainder:
         return None
     cofactors = [Polynomial._normalized(ideal.ring, c) for c in cofactors]
-    check = Polynomial.zero(ideal.ring)
-    for c, g in zip(cofactors, ideal.generators):
-        check = check + c * g
-    if check != p:
+    if linear_combination(ideal.ring, zip(cofactors, ideal.generators)) != p:
         raise AssertionError("cofactor expansion failed to reproduce the target")
     return cofactors
 
@@ -648,11 +646,13 @@ def _standard_exponents(ring: RingSpec, leads: Sequence[int], max_degree: int):
     leads are looked up by (i, exponent).  The walk keeps each monomial's
     exponent at its last nonzero position, and m_i is 0 past it, so it never
     unpacks a monomial.  The cost follows the staircase, not the box below
-    the bound.
+    the bound.  A bound below 0 is a ValueError, raised at the first step.
     """
     layout = ring.packing
     xs, guard, shift = layout.variables, layout.guard, layout.shift
-    if max_degree < 0 or 0 in leads:  # 0 is the packed monomial 1
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
+    if 0 in leads:  # 0 is the packed monomial 1
         return
     by_step: dict[tuple[int, int], list[int]] = {}
     for lt in leads:
@@ -681,18 +681,14 @@ def standard_monomials(G: GroebnerBasis, max_degree: int) -> list[Monomial]:
 
     Sorted by (degree, grevlex) ascending; their count per degree is the
     Hilbert function of the quotient.  A bound below 0 certifies nothing
-    and is a ValueError.
+    and is a ValueError, raised by the walk.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     walk = sorted(_standard_exponents(G.ring, G.leads, max_degree), reverse=True)
     return G.ring.packing.unpack_all(walk)
 
 
 def quotient_hilbert(G: GroebnerBasis, max_degree: int) -> list[int]:
     """Hilbert function of ring/ideal: coefficient d = #standard monomials of degree d."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     counts = [0] * (max_degree + 1)
     shift = G.ring.packing.shift
     for m in _standard_exponents(G.ring, G.leads, max_degree):

@@ -30,8 +30,10 @@ tests divisibility by its guard bits and compares in grevlex; its
 docstring states and proves all three.  The term maps, the sort key, the
 Groebner division's heap and Buchberger's pair queue all read it.  Every
 product of term maps, and every scaled sum acc += c * terms, is one loop,
-multiply_packed; every change of variables (a renaming, the reversed ring,
-a signed permutation) is one sum per term, map_variables.
+multiply_packed; every sum of products of Polynomials, sum a * b, is one
+call, linear_combination, which runs that loop into one term map; every
+change of variables (a renaming, the reversed ring, a signed permutation)
+is one sum per term, map_variables.
 
 The parser reads text into packed term maps with no kernel arithmetic for
 plain monomials: one regex scan makes the tokens, and a term of integer and
@@ -61,6 +63,7 @@ __all__ = [
     "RingMismatchError",
     "RingSpec",
     "UnmappedVariableError",
+    "linear_combination",
     "map_variables",
     "multiply_packed",
     "packing",
@@ -419,6 +422,12 @@ def multiply_packed(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient], 
     return out
 
 
+def _check_ring(ring: RingSpec, *others: RingSpec) -> None:
+    for other in others:
+        if not ring.compatible_with(other):
+            raise RingMismatchError(f"ring mismatch: {ring.vars} vs {other.vars}")
+
+
 def _normalize_coeff(c: Coefficient) -> Coefficient:
     if type(c) is int:  # the common case, ahead of the ABC-backed isinstance checks
         return c
@@ -552,22 +561,21 @@ class Polynomial:
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) for c in self._terms.values())
 
-    def variables_present(self) -> set[str]:
+    def _indices_present(self) -> list[int]:
+        """The indices of the variables some term uses, ascending."""
         # each field of the OR of the packed terms is the OR of that variable's exponents
         present = self.ring.packing.unpack(reduce(or_, self._terms, 0))
-        return {name for name, e in zip(self.ring.names, present) if e}
+        return [i for i, e in enumerate(present) if e]
+
+    def variables_present(self) -> set[str]:
+        names = self.ring.names
+        return {names[i] for i in self._indices_present()}
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_ring(self, other: Polynomial) -> None:
-        if not self.ring.compatible_with(other.ring):
-            raise RingMismatchError(
-                f"ring mismatch: {self.ring.vars} vs {other.ring.vars}"
-            )
-
     def _coerce(self, other: Polynomial | Coefficient) -> Polynomial:
         if isinstance(other, Polynomial):
-            self._check_ring(other)
+            _check_ring(self.ring, other.ring)
             return other
         return Polynomial.constant(self.ring, other)
 
@@ -604,7 +612,7 @@ class Polynomial:
                 return Polynomial.zero(self.ring)
             terms = {e: _normalize_coeff(c * other) for e, c in self._terms.items()}
             return Polynomial._trusted(self.ring, terms)
-        self._check_ring(other)
+        _check_ring(self.ring, other.ring)
         out = multiply_packed(self._terms, other._terms, {})
         self.ring.packing.check_limit(out)
         for e, c in out.items():
@@ -707,17 +715,15 @@ class Polynomial:
         renaming = renaming or {}
         names, degrees = self.ring.names, self.ring.degrees
         xs = [0] * len(names)
-        # each field of the OR of the packed terms is the OR of that variable's exponents
-        for i, e in enumerate(self.ring.packing.unpack(reduce(or_, self._terms, 0))):
-            if e:
-                new_name = renaming.get(names[i], names[i])
-                j = ring.index(new_name)
-                if ring.degrees[j] != degrees[i]:
-                    raise ValueError(
-                        f"degree mismatch renaming {names[i]} (deg {degrees[i]}) "
-                        f"to {new_name} (deg {ring.degrees[j]})"
-                    )
-                xs[i] = ring.packing.variables[j]
+        for i in self._indices_present():
+            new_name = renaming.get(names[i], names[i])
+            j = ring.index(new_name)
+            if ring.degrees[j] != degrees[i]:
+                raise ValueError(
+                    f"degree mismatch renaming {names[i]} (deg {degrees[i]}) "
+                    f"to {new_name} (deg {ring.degrees[j]})"
+                )
+            xs[i] = ring.packing.variables[j]
         out = map_variables(self.ring, self._terms, xs)
         ring.packing.check_limit(out)
         return Polynomial._normalized(ring, out)
@@ -761,6 +767,25 @@ class Polynomial:
 
     def __iter__(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(self.sorted_terms())
+
+
+def linear_combination(
+    ring: RingSpec, pairs: Iterable[tuple[Polynomial, Polynomial]]
+) -> Polynomial:
+    """sum a * b over pairs of Polynomials of ``ring``: the one sum of products.
+
+    Each product is summed into one packed term map by multiply_packed, and
+    the map is normalized once, at the end.  Each pair raises what a * b
+    raises, where it would: RingMismatchError for an operand of another
+    ring, and ExponentOverflowError from check_limit on the map after the
+    pair.  The terms the map held before the pair are within the limit, so
+    the map's terms past it are the product's.
+    """
+    out: dict[int, Coefficient] = {}
+    for a, b in pairs:
+        _check_ring(ring, a.ring, b.ring)
+        ring.packing.check_limit(multiply_packed(a._terms, b._terms, out))
+    return Polynomial._normalized(ring, out)
 
 
 # -- parsing ---------------------------------------------------------------

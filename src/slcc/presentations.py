@@ -57,7 +57,7 @@ from .groebner import (
     staircase_echelon,
     standard_monomials,
 )
-from .polyring import Monomial, Polynomial, RingSpec, _record
+from .polyring import Monomial, Polynomial, RingSpec, _record, linear_combination
 from .symfunc import complete, elementary, g_poly, in_squares
 
 __all__ = [
@@ -200,7 +200,7 @@ def present_sgr2_relative(n: int, parity: str, epsilon: int = -1) -> Presentatio
     k = n if odd else n - 1
     twisted = _b_images([Polynomial.variable(ring, f"b{j}") for j in range(1, k + 1)], epsilon == 1)
     b = [Polynomial.one(ring), *twisted.values()]
-    total = sum((b[k - i] * e1 ** (2 * i) for i in range(k + 1)), Polynomial.zero(ring))
+    total = linear_combination(ring, ((b[k - i], e1 ** (2 * i)) for i in range(k + 1)))
     basis = [(i,) + (0,) * (len(ring) - 1) for i in range(2 * n if odd else 2 * n - 1)]
     if odd:
         gens = [total]

@@ -23,7 +23,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .polyring import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, RingSpec
+from .polyring import (
+    EXPONENT_LIMIT, ExponentOverflowError, Polynomial, RingSpec, linear_combination
+)
 
 __all__ = [
     "complete",
@@ -107,14 +109,12 @@ def g_poly(i: int, m: int) -> Polynomial:
     if i < 0:
         raise ValueError("i must be non-negative")
     ring = g_ring(m)
-    sigmas = [Polynomial.variable(ring, f"sigma{j}") for j in range(1, min(i, m) + 1)]
+    sigmas = (Polynomial.variable(ring, f"sigma{j}") for j in range(1, min(i, m) + 1))
+    # signed[j - 1] is (-1)^(j-1) sigma_j, and h_k pairs it with h_{k-j}: h read backwards
+    signed = [-s if j % 2 else s for j, s in enumerate(sigmas)]
     h = [Polynomial.one(ring)]
-    for k in range(1, i + 1):
-        acc = Polynomial.zero(ring)
-        for j in range(1, min(k, m) + 1):
-            term = sigmas[j - 1] * h[k - j]
-            acc = acc + (term if j % 2 == 1 else -term)
-        h.append(acc)
+    for _ in range(i):
+        h.append(linear_combination(ring, zip(signed, reversed(h))))
     return h[i]
 
 
@@ -130,10 +130,8 @@ def verify_h_split(k: int, l: int) -> bool:
     lhs = complete(k, ring)
     head = [f"x{j}" for j in range(1, l)]
     x_l = Polynomial.variable(ring, f"x{l}")
-    rhs = Polynomial.zero(ring)
-    for i in range(k + 1):
-        rhs = rhs + complete(i, ring, head) * x_l ** (k - i)
-    return lhs == rhs
+    pairs = ((complete(i, ring, head), x_l ** (k - i)) for i in range(k + 1))
+    return lhs == linear_combination(ring, pairs)
 
 
 def verify_h_peel(i: int, n: int) -> bool:
@@ -152,6 +150,8 @@ def generating_function_check(num_vars: int, order: int) -> bool:
     Coefficients of powers of u are exact polynomials in x_1..x_n; this is
     the independent oracle pinning complete() and hence g_poly().
     """
+    if num_vars < 0 or order < 0:
+        raise ValueError("need n >= 0 and order >= 0")
     ring = x_ring(num_vars)
     # coefficient list in u of prod (1 - x_j u): (-1)^j sigma_j at u^j
     left = [
@@ -160,9 +160,7 @@ def generating_function_check(num_vars: int, order: int) -> bool:
     ]
     right = [complete(i, ring) for i in range(order + 1)]
     for d in range(order + 1):
-        coeff = Polynomial.zero(ring)
-        for j in range(min(d, len(left) - 1) + 1):
-            coeff = coeff + left[j] * right[d - j]
+        coeff = linear_combination(ring, zip(left, right[d::-1]))
         expected = Polynomial.one(ring) if d == 0 else Polynomial.zero(ring)
         if coeff != expected:
             return False

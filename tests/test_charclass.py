@@ -1,10 +1,12 @@
 """Euler/Borel calculus on split bundles."""
 
+import itertools
+
 import pytest
 
 from slcc import charclass as cc
 from slcc import symfunc
-from slcc.polyring import Polynomial, parse_poly
+from slcc.polyring import Polynomial, RingSpec, parse_poly
 
 
 def test_euler_rank_two():
@@ -132,3 +134,52 @@ def test_duality_is_invisible():
     b = cc.SplitBundle(("e1", "e2"))
     assert b.dual() == b
     assert cc.euler(b.dual()) == cc.euler(b)
+
+
+def _euler_by_product(b, ring):
+    """euler() as a product loop over the symbols, kept as its reference."""
+    if b.odd_part:
+        return Polynomial.zero(ring)
+    out = Polynomial.constant(ring, b.orientation)
+    for s in b.euler_symbols:
+        out = out * Polynomial.variable(ring, s)
+    return out
+
+
+def _total_borel_by_whitney(b, order, epsilon, ring):
+    """total_borel()'s coefficients as the Whitney product loop over the
+    summands, each a factor 1 + epsilon * e^2 t^2, kept as its reference."""
+    coeffs = [Polynomial.one(ring)] + [Polynomial.zero(ring)] * order
+    for s in b.euler_symbols:
+        factor = Polynomial.variable(ring, s) ** 2 * epsilon
+        for k in range(order, 0, -1):
+            coeffs[k] = coeffs[k] + coeffs[k - 1] * factor
+    return coeffs
+
+
+# a larger ring than any bundle's: the symbols interleaved with variables of other degrees
+_BIG = RingSpec.make([("e1", 2), ("t", 1), ("e2", 2), ("e3", 2), ("u", 4), ("e4", 2), ("e5", 2)])
+_SYMBOLS = ("e1", "e2", "e3", "e4", "e5")
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("epsilon", [-1, 1])
+def test_classes_match_product_loops(epsilon, orientation):
+    # every subset of the symbols, in ascending and descending order, odd or even
+    for r in range(len(_SYMBOLS) + 1):
+        for combo in itertools.combinations(_SYMBOLS, r):
+            for names, odd in itertools.product((combo, combo[::-1]), (False, True)):
+                b = cc.SplitBundle(names, odd, orientation)
+                for ring in (_BIG, cc.bundle_ring(b)):
+                    assert cc.euler(b, ring) == _euler_by_product(b, ring)
+                    for order in range(9):
+                        series = cc.total_borel(b, order, epsilon, ring)
+                        expected = _total_borel_by_whitney(b, order, epsilon, ring)
+                        assert list(series.coefficients) == expected
+                        assert series.texts() == [str(c) for c in expected]
+
+
+def test_complement_refuses_negative_order():
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        cc.complement_borel(cc.SplitBundle(("e1",)), 3, -1)
+    assert cc.complement_borel(cc.SplitBundle(("e1",)), 3, 0).texts() == ["1"]

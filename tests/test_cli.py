@@ -268,6 +268,24 @@ def test_negative_degree_bound_is_an_error(capsys, argv):
     assert run(capsys, *argv.split()) == (2, "", expected)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("symfunc check-generating --n -1 --order 3", "need n >= 0 and order >= 0"),
+        ("symfunc check-generating --n 2 --order -1", "need n >= 0 and order >= 0"),
+        ("class complement --symbols e1 --total-rank 3 --order -1", "order must be non-negative"),
+    ],
+)
+def test_negative_size_is_an_error(capsys, argv, message):
+    # neither a failed check (exit 1) nor a pass that checked nothing
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_generating_check_without_variables(capsys):
+    # the empty product is 1, so the identity holds with no variables
+    assert run(capsys, *"symfunc check-generating --n 0 --order 3".split()) == (0, "pass\n", "")
+
+
 def test_change_of_basis_budget(capsys, monkeypatch):
     # a D6 remainder reaches a change of basis in degrees 6, 8, 10, 12 and 14;
     # every division of the call, those included, spends one budget

@@ -785,7 +785,7 @@ def _assert_walk_matches_recursion(ring, leads, max_degree):
 def _monomial_ideals(draw):
     """Leads of a monomial ideal in a weighted ring, not always minimal, and
     now and then the unit ideal (a lead with every exponent 0), with a bound
-    from -1 up."""
+    from -1 up (a negative bound is refused)."""
     ring = draw(st.sampled_from(_WEIGHTED_RINGS))
     n = len(ring.vars)
     expo = st.tuples(*[st.integers(0, 4)] * n)
@@ -797,6 +797,12 @@ def _monomial_ideals(draw):
 @given(_monomial_ideals())
 def test_staircase_walk_matches_recursion(case):
     ring, leads, max_degree = case
+    if max_degree < 0:
+        # the walk itself refuses a negative bound, even for the unit ideal
+        walk = groebner._standard_exponents(ring, [ring.packing.pack(lt) for lt in leads], -1)
+        with pytest.raises(ValueError, match="^max_degree must be non-negative, got -1$"):
+            next(walk)
+        return
     _assert_walk_matches_recursion(ring, leads, max_degree)
 
 

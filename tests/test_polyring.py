@@ -18,6 +18,7 @@ from slcc.polyring import (
     RingSpec,
     UnmappedVariableError,
     _normalize_coeff,
+    linear_combination,
     multiply_packed,
     packing,
     parse_poly,
@@ -414,6 +415,72 @@ def test_multiply_packed_matches_tuple_loop(case):
                 p * q
         else:
             assert list((p * q).terms.items()) == expected
+
+
+def _sum_of_products(ring, pairs):
+    """sum a * b by Polynomial additions, the loop linear_combination replaces."""
+    total = Polynomial.zero(ring)
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@st.composite
+def _combinations(draw):
+    """A ring of 0-5 weighted variables and pairs of its polynomials.
+
+    Exponents are small, so that products collide, or now and then up to
+    2^31 - 1, so that a product may overflow.  Some cases append a pair
+    with one operand negated, so that the two products cancel, and some
+    put a pair with an operand of another ring somewhere in the list.
+    """
+    n = draw(st.integers(0, 5))
+    ring = RingSpec.make((f"x{i}", draw(st.integers(1, 4))) for i in range(n))
+    exponent = st.integers(0, 2)
+    if draw(st.booleans()):
+        exponent = st.one_of(exponent, st.integers(2**31 - 4, 2**31 - 1))
+    terms = st.dictionaries(st.tuples(*[exponent] * n), mixed_coeffs, max_size=4)
+    poly = terms.map(lambda t: Polynomial(ring, t))
+    pairs = draw(st.lists(st.tuples(poly, poly), max_size=5))
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((-a, b) if draw(st.booleans()) else (a, -b))
+    if draw(st.integers(0, 4)) == 0:
+        other = RingSpec.make((*ring.vars, ("z", 1)))
+        pair = (Polynomial.variable(other, "z"), draw(st.one_of(st.just(Polynomial.one(other)), poly)))
+        pairs.insert(draw(st.integers(0, len(pairs))), pair[:: draw(st.sampled_from([1, -1]))])
+    return ring, pairs
+
+
+_LC_RING = RingSpec.make([("x", 1), ("y", 2)])
+_LC_X, _LC_Y = Polynomial.variable(_LC_RING, "x"), Polynomial.variable(_LC_RING, "y")
+_LC_BIG = Polynomial(_LC_RING, {(2**31 - 1, 0): 1})
+_LC_OTHER = Polynomial.one(RingSpec.make([("x", 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_combinations())
+# no pairs: the zero of the ring
+@example((_LC_RING, []))
+# Fractions that sum to an int, and a sum that cancels
+@example((_LC_RING, [(_LC_X * Fraction(1, 3), _LC_Y), (_LC_X * Fraction(2, 3), _LC_Y)]))
+@example((_LC_RING, [(_LC_X, _LC_Y), (-_LC_Y, _LC_X)]))
+# an overflow before a ring mismatch, and after one
+@example((_LC_RING, [(_LC_BIG, _LC_X), (_LC_OTHER, _LC_X)]))
+@example((_LC_RING, [(_LC_X, _LC_OTHER), (_LC_BIG, _LC_X)]))
+# a zero operand beside a term at the limit: the product is 0 and checks nothing
+@example((_LC_RING, [(_LC_BIG, Polynomial.zero(_LC_RING)), (_LC_BIG, _LC_Y)]))
+def test_linear_combination_is_the_sum_of_products(case):
+    ring, pairs = case
+    try:
+        want = _sum_of_products(ring, pairs)
+    except (RingMismatchError, ExponentOverflowError) as err:
+        with pytest.raises(type(err)):
+            linear_combination(ring, pairs)
+        return
+    result = linear_combination(ring, iter(pairs))
+    assert result.ring == ring and result == want and str(result) == str(want)
+    assert [type(c) for _, c in result] == [type(c) for _, c in want]
 
 
 def test_mul_cancels_and_stores_int():
