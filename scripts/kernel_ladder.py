@@ -14,8 +14,9 @@ the tree that runs first alternates per repetition.
   main`` first, with only ``time`` imported before it (``import_s``, the
   start-up a change to the imports shows in), then ``slcc.cli.main(argv)``
   inside the process (``in_process_s``, imports excluded), and reports its
-  peak RSS and the sha256 of its stdout; the parent times the whole
-  process (``wall_s``).  The JSON names a rung by its argv, each argument
+  peak RSS, the sha256 of its stdout and main's exit code (2 on the rung
+  whose line is a usage error); the parent times the whole process
+  (``wall_s``).  The JSON names a rung by its argv, each argument
   over 40 characters replaced by its length and digest.  ``--repeats 0``
   skips this part.
 * perfbench: ``--pairs`` alternating pairs of ``perfbench/run.py
@@ -49,8 +50,10 @@ EVERY_E5_14 = poly_text(
     {tuple(map(c.count, range(5))): 1 for c in itertools.combinations_with_replacement(range(5), 14)}
 )
 RUNGS = (
-    # the CLI's fixed cost per run: building the parser, parsing, a one-term answer
+    # the CLI's fixed cost per run: parsing off the command table, a one-term answer
     ("symfunc", "elementary", "--i", "1", "--vars", "x1"),
+    # a line the table does not parse: argparse builds its parser to report the error
+    ("witness", "--group", "B", "--n", "2", "--bogus"),
     ("witness", "--group", "B", "--n", "7"),
     ("witness", "--group", "D", "--n", "7"),
     ("witness", "--group", "B", "--n", "8"),

@@ -15,8 +15,10 @@ JSON (--format json), and exits with
     4  internal error ("internal error: <type>: <message>", no traceback)
 
 Each (command, action) is one entry of the command table `_TABLE`: the flags
-it reads, the flags it needs, and a handler.  `main` builds the parser from
-the tables, prints, and maps exceptions to exit codes, each in one place.
+it reads, the flags it needs, and a handler.  `main` reads a well-formed
+command line straight off the tables and leaves every other line (help,
+--version, errors) to an argparse parser built from them; it prints, and maps
+exceptions to exit codes, each in one place.
 
 Big coefficients only ever appear inside polynomial strings, so the JSON
 payloads never carry numbers beyond machine width; Hilbert coefficients and
@@ -25,12 +27,10 @@ ranks are desk-scale counts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import operator
-import shutil
 import sys
-from functools import partial
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__, acceptance, charclass, presentations, spanning, symfunc, weyl
@@ -439,6 +439,7 @@ _GROUP_N = {"group": dict(_GROUP, required=True), "n": dict(_INT, required=True)
 _SIZES = {"n": _INT, "m": _INT, "N": _INT}
 _PARITY_EPSILON_DEGREE = {"parity": _PARITY, "epsilon": _SIGN, "max-degree": dict(_INT, default=16)}
 _PRESENT_ACCEPTS = "n m N parity epsilon max-degree"
+_FORMAT = dict(choices=("text", "json"), default="text")
 
 # command -> (name of its positional or None, help)
 _COMMANDS = {
@@ -455,8 +456,8 @@ _COMMANDS = {
 }
 
 # command -> {flag: add_argument keywords}; every command also takes --format.
-# The parser leaves a flag that was not given unset, so main can tell it from
-# one given at its default, and fills in the default afterwards.
+# Parsing leaves a flag that was not given unset, so main can tell it from one
+# given at its default, and fills in the default afterwards.
 _FLAGS = {
     "poly": {
         "ring": dict(required=True, help="e.g. 'e1:2,e2:2,e:4'"),
@@ -561,59 +562,75 @@ _TABLE = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, which adds the command's arguments when it first parses.
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build for a well-formed command line, read
+    off the tables; None for any other line, which main leaves to argparse.
 
-    Each add_argument builds a help formatter, so main sets up only the
-    arguments of the command it runs.
+    Well formed: the command, its action if it takes one, then --flag value or
+    --flag=value pairs naming the command's flags exactly, every value passing
+    the flag's type and choices, and every required flag given.  A value given
+    as its own token starts with '-' only as a negative integer, which argparse
+    reads as a value too; '--' is no value (argparse drops it), and a
+    store_true flag takes none.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    args = {"command": command, "format": _FORMAT["default"]}
+    positional = _COMMANDS[command][0]
+    if positional:
+        action = next(tokens, None)
+        if (command, action) not in _TABLE:
+            return None
+        args[positional] = action
+    flags = {**_FLAGS[command], "format": _FORMAT}
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        spec = flags.get(name[2:]) if name.startswith("--") else None
+        if spec is None or value == "--":
+            return None
+        dest = name[2:].replace("-", "_")
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-") and not value[1:].isdecimal():
+                return None
+        if spec.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        if spec.get("action") == "append":
+            args.setdefault(dest, []).append(value)
+        else:
+            args[dest] = value
+    if any(spec.get("required") and f.replace("-", "_") not in args for f, spec in flags.items()):
+        return None
+    return SimpleNamespace(**args)
 
-    def __init__(self, *args, command: str, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending = command
 
-    def parse_known_args(self, args=None, namespace=None):
-        command, self._pending = self._pending, None
-        if command is not None:
-            positional = _COMMANDS[command][0]
-            if positional:
-                self.add_argument(positional, choices=[a for c, a in _TABLE if c == command])
-            for flag, kwargs in _FLAGS[command].items():
-                self.add_argument(f"--{flag}", **{**kwargs, "default": argparse.SUPPRESS})
-            self.add_argument("--format", choices=("text", "json"), default="text")
-        return super().parse_known_args(args, namespace)
+def _build_parser():
+    """The whole slcc argparse parser, for the lines _table_args leaves: help,
+    --version and every malformed line, so argparse owns all their text."""
+    import argparse
 
-
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The slcc parser; each command's parser adds its arguments only when main
-    parses with it (_CommandParser).
-
-    A run that names a command first builds only that command's parser; any
-    other command line (--help, --version, an unknown command, none, an option
-    first) builds all of them, so argparse's help and errors list every command.
-
-    Every parser's help formatters get the width a HelpFormatter computes
-    itself, the terminal's columns less 2, read here once: argparse builds
-    a formatter for each add_argument, and each would read it again.
-    """
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="slcc",
-        description="Exact calculus of special linear characteristic classes.",
-        formatter_class=formatter,
+        prog="slcc", description="Exact calculus of special linear characteristic classes."
     )
     parser.add_argument("--version", action="version", version=f"slcc {__version__}")
-    named = argv[:1] if argv and argv[0] in _COMMANDS else None
-    # the usage line lists every command even when one parser is built; argparse
-    # names the action by its metavar only in errors no such run reaches
-    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=metavar, parser_class=_CommandParser
-    )
-    for command in named or _COMMANDS:
-        sub.add_parser(
-            command, help=_COMMANDS[command][1], command=command, formatter_class=formatter
-        )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (positional, help_text) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        if positional:
+            command_parser.add_argument(positional, choices=[a for c, a in _TABLE if c == command])
+        for flag, kwargs in _FLAGS[command].items():
+            command_parser.add_argument(f"--{flag}", **{**kwargs, "default": argparse.SUPPRESS})
+        command_parser.add_argument("--format", **_FORMAT)
     return parser
 
 
@@ -645,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _table_args(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)

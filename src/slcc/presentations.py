@@ -598,6 +598,8 @@ def sgr2_relative_holds_in_splitting(n: int, parity: str, epsilon: int) -> bool:
 
 def convention_report(max_n: int = 3) -> list[dict]:
     """For each presentation family, which b-sign convention is literal."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     out: list[dict] = []
     for parity, pairs in (("odd", [(1, 2), (2, 3)]), ("even", [(1, 3), (2, 3)])):
         for m, n in pairs:

@@ -274,6 +274,7 @@ def test_negative_degree_bound_is_an_error(capsys, argv):
         ("symfunc check-generating --n -1 --order 3", "need n >= 0 and order >= 0"),
         ("symfunc check-generating --n 2 --order -1", "need n >= 0 and order >= 0"),
         ("class complement --symbols e1 --total-rank 3 --order -1", "order must be non-negative"),
+        ("verify conventions --max-n -1", "max_n must be non-negative, got -1"),
     ],
 )
 def test_negative_size_is_an_error(capsys, argv, message):
@@ -284,6 +285,13 @@ def test_negative_size_is_an_error(capsys, argv, message):
 def test_generating_check_without_variables(capsys):
     # the empty product is 1, so the identity holds with no variables
     assert run(capsys, *"symfunc check-generating --n 0 --order 3".split()) == (0, "pass\n", "")
+
+
+def test_conventions_up_to_zero_is_empty(capsys):
+    # no family has n <= 0: an empty report, not an error
+    assert run(capsys, *"verify conventions --max-n 0".split()) == (0, "", "")
+    code, out, _ = run(capsys, *"verify conventions --max-n 0 --format json".split())
+    assert (code, json.loads(out)) == (0, {"families": []})
 
 
 def test_change_of_basis_budget(capsys, monkeypatch):
@@ -544,52 +552,51 @@ def test_version(capsys):
     assert "slcc" in capsys.readouterr().out
 
 
-def _count_command_parsers(monkeypatch):
+def _count_parsers(monkeypatch):
     built = []
+    build = cli._build_parser
 
-    class Counting(cli._CommandParser):
-        def __init__(self, *args, command, **kwargs):
-            built.append(command)
-            super().__init__(*args, command=command, **kwargs)
+    def counting():
+        built.append(1)
+        return build()
 
-    monkeypatch.setattr(cli, "_CommandParser", Counting)
+    monkeypatch.setattr(cli, "_build_parser", counting)
     return built
 
 
+VERIFY_LINE = ["verify", "presentation", "--kind", "partial-flag", "--m", "3", "--n", "5",
+               "--parity", "even", "--max-degree", "12"]
+
+
 @pytest.mark.parametrize(
-    "argv, code, count",
+    "argv, code, builds",
     [
-        (["verify", "presentation", "--kind", "sgr2", "--n", "2", "--parity", "odd"], 0, 1),
+        (VERIFY_LINE, 0, 0),
+        (["verify", "presentation", "--kind=sgr2", "--n=2", "--parity=odd", "--format=json"], 0, 0),
+        (["class", "euler", "--symbols", "e1,e2", "--orientation", "-1", "--odd-part"], 0, 0),
+        # well formed, refused by main or the handler: still no parser
+        (["poly", "add", "--ring", "e1:2", "--expr", "e1"], 2, 0),
+        (["span", "basis", "--group", "B", "--n", "2", "--poly", "e1"], 2, 0),
         (["present", "sgr2", "--n", "2", "--parity", "odd", "--bogus"], 2, 1),
         (["witness", "--help"], 0, 1),
-        (["--help"], 0, 10),
-        (["--version"], 0, 10),
-        (["bogus"], 2, 10),
-        ([], 2, 10),
-        (["--format", "json", "witness", "--group", "B", "--n", "2"], 2, 10),
+        (["--help"], 0, 1),
+        (["--version"], 0, 1),
+        (["bogus"], 2, 1),
+        ([], 2, 1),
+        (["--format", "json", "witness", "--group", "B", "--n", "2"], 2, 1),
+        (["witness", "--gr", "B", "--n", "2"], 0, 1),
+        (["class", "euler", "--odd-part=x"], 2, 1),
     ],
 )
-def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, code, count):
-    built = _count_command_parsers(monkeypatch)
+def test_main_builds_a_parser_only_for_help_and_errors(capsys, monkeypatch, argv, code, builds):
+    built = _count_parsers(monkeypatch)
     assert run(capsys, *argv)[0] == code
-    assert len(built) == count
-    if count == 1:
-        assert built == argv[:1]
+    assert len(built) == builds
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "presentation", "--kind", "partial-flag", "--m", "3", "--n", "5",
-         "--parity", "even", "--max-degree", "12"],
-        ["--help"],
-        ["witness", "--help"],
-    ],
-)
-def test_main_reads_the_terminal_size_once(capsys, monkeypatch, argv):
-    # argparse builds a help formatter per add_argument; none of them reads
-    # the terminal size again (argparse's own formatters read it 15, 14 and
-    # 8 times for these lines)
+@pytest.mark.parametrize("argv", [VERIFY_LINE, ["witness", "--group", "D", "--n", "3"]])
+def test_well_formed_line_reads_no_terminal_size(capsys, monkeypatch, argv):
+    # only argparse's help formatters read the terminal size
     reads = []
     size = shutil.get_terminal_size
 
@@ -599,13 +606,19 @@ def test_main_reads_the_terminal_size_once(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(shutil, "get_terminal_size", counting)
     assert run(capsys, *argv)[0] == 0
-    assert len(reads) == 1
+    assert reads == []
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
-    # both cost every CLI run their import (and dataclasses an exec per class)
+    # each costs every CLI run its import (dataclasses an exec per class too);
+    # argparse, and the gettext and locale its first parse imports, serve only
+    # help and error lines
     root = Path(__file__).resolve().parents[1]
-    probe = "import sys; before = set(sys.modules); import slcc.cli; print(*sorted(set(sys.modules) - before))"
+    probe = (
+        "import sys; before = set(sys.modules); import slcc.cli; "
+        f"code = slcc.cli.main({VERIFY_LINE!r}); "
+        "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
@@ -613,9 +626,9 @@ def test_import_leaves_dataclasses_and_inspect_out():
         text=True,
         timeout=60,
     )
-    loaded = proc.stdout.split()
-    assert "slcc.cli" in loaded
-    assert {"dataclasses", "inspect"} & set(loaded) == set()
+    code, *loaded = proc.stderr.split()
+    assert code == "0" and "slcc.cli" in loaded
+    assert {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(loaded) == set()
 
 
 def test_empty_command_line_lists_every_command(capsys):
@@ -630,11 +643,11 @@ def test_empty_command_line_lists_every_command(capsys):
 def test_main_reads_sys_argv(capsys, monkeypatch):
     argv = ["witness", "--group", "B", "--n", "2", "--format", "json"]
     expected = run(capsys, *argv)
-    built = _count_command_parsers(monkeypatch)
+    built = _count_parsers(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["slcc", *argv])
     code = main()
     assert (code, *capsys.readouterr()) == expected
-    assert built == ["witness"]
+    assert built == []
 
 
 def test_verify_conventions_json(capsys):
