@@ -57,6 +57,8 @@ RUNGS = (
     ("witness", "--group", "B", "--n", "7"),
     ("witness", "--group", "D", "--n", "7"),
     ("witness", "--group", "B", "--n", "8"),
+    # a tracked Buchberger run in which 27 of 57 reductions end at 0
+    ("witness", "--group", "D", "--n", "8"),
     ("span", "reduce", "--group", "B", "--n", "2", "--poly", "e1^2000"),
     # the spanning workload's dense input: 964 terms, 13.5k tokens to parse
     ("span", "reduce", "--group", "D", "--n", "5", "--poly", poly_text(dense_terms(DEFAULT_SEED))),

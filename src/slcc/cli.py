@@ -570,8 +570,8 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     --flag=value pairs naming the command's flags exactly, every value passing
     the flag's type and choices, and every required flag given.  A value given
     as its own token starts with '-' only as a negative integer, which argparse
-    reads as a value too; '--' is no value (argparse drops it), and a
-    store_true flag takes none.
+    reads as a value too; '--' is no value (argparse refuses it, after '='
+    as well), and a store_true flag takes none.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -619,7 +619,15 @@ def _build_parser():
     --version and every malformed line, so argparse owns all their text."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # argparse drops a '--' given after '=' (--n=-- would read n=[]):
+            # refuse it with the error of --n --
+            if action.option_strings and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
+    parser = Parser(
         prog="slcc", description="Exact calculus of special linear characteristic classes."
     )
     parser.add_argument("--version", action="version", version=f"slcc {__version__}")

@@ -47,11 +47,14 @@ maps that polynomials store (polyring.Packing): the working polynomial is
 a term dict updated in place, the pending packed monomials sit in a heap of
 bare ints, each divisor's lead and tail are split once (its reducer; a
 GroebnerBasis keeps its list), and the quotients and the remainder come
-back as packed term dicts, the quotients keyed by the divisors used.  The representations are packed term dicts as
-well, from the generators' unit representations to tracked_division: an
-S-polynomial shifts them by its packed cofactor monomials, monic scales
-them, and a reduction subtracts q_j times divisor j's, the same product
-tracked_division sums into the cofactors.
+back as packed term dicts, the quotients keyed by the divisors used.  The
+representations are packed term dicts as well, from the generators' unit
+representations to tracked_division: an S-polynomial shifts them by its
+packed cofactor monomials, monic scales them, and a reduction subtracts q_j
+times divisor j's, the same product tracked_division sums into the
+cofactors.  An S-polynomial's representation is built only when its
+reduction leaves a nonzero remainder; one that reduces to 0 is dropped
+unbuilt.
 
 Standard monomials, and through them the Hilbert function, come from a
 walk up the staircase of the packed leads (_standard_exponents), whose cost
@@ -168,9 +171,11 @@ class _Tracked:
     The representation holds one packed term map (polyring.Packing) per
     ideal generator, the cofactors c_j with poly == sum_j c_j * gen_j; the
     generators themselves start as units, {0: 1}.  It is an empty list when
-    Buchberger runs untracked.  The reducer, the packed form the division
-    reads, is made once per working polynomial; its first entry is the
-    packed lead that Buchberger reads.
+    Buchberger runs untracked.  An S-polynomial's rep is a function that
+    builds that list, which _Engine.reduce_tracked calls only when the
+    reduction leaves a nonzero remainder.  The reducer, the packed form the
+    division reads, is made once per working polynomial; its first entry is
+    the packed lead that Buchberger reads.
     """
 
     __slots__ = ("poly", "rep", "_reducer")
@@ -181,15 +186,15 @@ class _Tracked:
         self._reducer = None
 
     def reducer(self):
-        """(lm, tail terms), packed, built on first use.
+        """(lm, tail terms with negated coefficients), packed, built on first use.
 
         A divisor serves many divisions, so its lead and tail are split off
-        once.
+        once, the tail negated for the division's subtraction.
         """
         if self._reducer is None:
             terms = self.poly._terms
             lead = min(terms)  # the greatest monomial (polyring.Packing)
-            self._reducer = (lead, [(m, c) for m, c in terms.items() if m != lead])
+            self._reducer = (lead, [(m, -c) for m, c in terms.items() if m != lead])
         return self._reducer
 
     def monic(self) -> _Tracked:
@@ -242,15 +247,19 @@ class _Engine:
         dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
         Each divisor's lead and tail are split once for all divisions
         (_Tracked.reducer).  The heap holds the packed ints themselves, the
-        least of which is the greatest monomial.  A step pops the greatest live monomial, skips
-        cancelled ones, and subtracts coeff * x^q * tail(d) term by term,
-        where x^q * t is q + t packed.  lm divides expo exactly when
+        least of which is the greatest monomial.  A step pops the greatest
+        monomial, skips it when its sum cancelled to 0, and adds
+        coeff * x^q * (-tail(d)) term by term, where x^q * t is q + t
+        packed: one dict lookup per term.  A monomial goes on the heap when
+        it first enters the term dict, and stays in the dict until it is
+        popped, as 0 if its sum cancels; a popped monomial never comes
+        back, since every term a step adds is smaller than it, so each
+        monomial is pushed once.  lm divides expo exactly when
         q = expo - lm sets no guard bit, which needs every field below
         2^63, so a monomial with an exponent that large raises
-        ExponentOverflowError, as does a remainder with an exponent at
-        EXPONENT_LIMIT.  A popped monomial never comes back: every term a
-        step adds is smaller than it.  The remainder's terms are in the
-        order they were popped.
+        ExponentOverflowError when first seen, as does a remainder with an
+        exponent at EXPONENT_LIMIT.  The remainder's terms are in the order
+        they were popped.
         """
         layout = self.packing
         guard = layout.guard
@@ -259,12 +268,12 @@ class _Engine:
             raise _overflow(layout, next(m for m in work if m & guard))
         heap = list(work)
         heapq.heapify(heap)
-        queued = set(work)
+        get, push = work.get, heapq.heappush
         quotients: dict[int, dict[int, Coefficient]] = {}
         remainder: dict[int, Coefficient] = {}
         while heap:
             expo = heapq.heappop(heap)
-            coeff = work.pop(expo, 0)
+            coeff = work.pop(expo)
             if not coeff:
                 continue
             for j, lm, tail in reducers:
@@ -274,16 +283,14 @@ class _Engine:
                     quotients.setdefault(j, {})[q] = coeff
                     for m, c in tail:
                         m += q
-                        value = work.get(m, 0) - coeff * c
-                        if value:
-                            work[m] = value
-                        else:
-                            work.pop(m, None)
-                        if m not in queued:
+                        old = get(m)
+                        if old is None:
                             if m & guard:
                                 raise _overflow(layout, m)
-                            queued.add(m)
-                            heapq.heappush(heap, m)
+                            push(heap, m)
+                            work[m] = coeff * c
+                        else:
+                            work[m] = old + coeff * c
                     break
             else:
                 remainder[expo] = _normalize_coeff(coeff)
@@ -291,9 +298,15 @@ class _Engine:
         return quotients, remainder
 
     def reduce_tracked(self, t: _Tracked, divisors: list[_Tracked]) -> _Tracked:
-        """t's remainder by the divisors; its representation loses q_j * divisor j's."""
+        """t's remainder by the divisors; its representation loses q_j * divisor j's.
+
+        A zero remainder comes back with an empty representation, since
+        Buchberger drops it: an S-polynomial's representation (a function,
+        see _Tracked) is built only for a nonzero remainder, from the same
+        products in the same order.
+        """
         quotients, remainder = self.divide(t.poly._terms, _reducers(divisors))
-        rep = t.rep
+        rep = (t.rep() if callable(t.rep) else t.rep) if remainder else []
         if rep and quotients:
             rep = [dict(r) for r in rep]
             for j, q in quotients.items():
@@ -303,18 +316,24 @@ class _Engine:
         return _Tracked(Polynomial._trusted(self.ring, remainder), rep)
 
     def s_poly(self, f: _Tracked, g: _Tracked, lcm: int) -> _Tracked:
-        """The S-polynomial of monic f and g for their packed lcm."""
+        """The S-polynomial of monic f and g for their packed lcm.
+
+        Its representation, x^uf * f's - x^ug * g's, is left to a function
+        that reduce_tracked calls once the S-polynomial survives reduction.
+        """
         uf, ug = lcm - f.reducer()[0], lcm - g.reducer()[0]
         self.spend()
         ring, monomial = self.ring, Polynomial._trusted
         pairs = ((monomial(ring, {uf: 1}), f.poly), (monomial(ring, {ug: -1}), g.poly))
-        poly = linear_combination(ring, pairs)
         minus = {ug: -1}
-        rep = [
-            multiply_packed(minus, b, {uf + m: c for m, c in a.items()})
-            for a, b in zip(f.rep, g.rep)
-        ]
-        return _Tracked(poly, rep)
+
+        def rep():
+            return [
+                multiply_packed(minus, b, {uf + m: c for m, c in a.items()})
+                for a, b in zip(f.rep, g.rep)
+            ]
+
+        return _Tracked(linear_combination(ring, pairs), rep)
 
 
 @_record(hidden=("representations",))
@@ -519,7 +538,13 @@ def tracked_division(ideal: Ideal):
         cofactors: list[dict] = [{} for _ in ideal.generators]
         for j, q in quotients.items():
             for i, r in reps[j]:
-                multiply_packed(q, r, cofactors[i])
+                # the smaller map outside: q is often much the larger.  An if,
+                # since a swapped argument tuple slowed spanning's many
+                # one-term divisions by 8% (span reduce e1^2000, B2)
+                if len(r) < len(q):
+                    multiply_packed(r, q, cofactors[i])
+                else:
+                    multiply_packed(q, r, cofactors[i])
         return cofactors, remainder
 
     return divide
@@ -534,7 +559,8 @@ def member_with_cofactors(p: Polynomial, ideal: Ideal) -> list[Polynomial] | Non
     if remainder:
         return None
     cofactors = [Polynomial._normalized(ideal.ring, c) for c in cofactors]
-    if linear_combination(ideal.ring, zip(cofactors, ideal.generators)) != p:
+    # each generator outside its cofactor: the generators are the smaller maps
+    if linear_combination(ideal.ring, zip(ideal.generators, cofactors)) != p:
         raise AssertionError("cofactor expansion failed to reproduce the target")
     return cofactors
 

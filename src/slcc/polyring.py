@@ -710,7 +710,9 @@ class Polynomial:
         """Move the polynomial into ``ring`` by renaming variables.
 
         ``renaming`` maps old names to new names; unlisted names map to
-        themselves.  Degrees of matched variables must agree.
+        themselves.  Degrees of matched variables must agree.  A term whose
+        image has an exponent at EXPONENT_LIMIT raises ExponentOverflowError,
+        as substitute does, even when the images of two terms cancel.
         """
         renaming = renaming or {}
         names, degrees = self.ring.names, self.ring.degrees
@@ -724,9 +726,10 @@ class Polynomial:
                     f"to {new_name} (deg {ring.degrees[j]})"
                 )
             xs[i] = ring.packing.variables[j]
-        out = map_variables(self.ring, self._terms, xs)
-        ring.packing.check_limit(out)
-        return Polynomial._normalized(ring, out)
+        # the images with every coefficient 1 add up and never cancel, so the
+        # check sees each term's image before the terms merge
+        ring.packing.check_limit(map_variables(self.ring, dict.fromkeys(self._terms, 1), xs))
+        return Polynomial._normalized(ring, map_variables(self.ring, self._terms, xs))
 
     # -- printing / equality ------------------------------------------------
 

@@ -177,7 +177,7 @@ def test_representations_reconstruct_basis():
 
 
 @pytest.mark.parametrize("group", ["B", "D"])
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("reversed_", [False, True])
 def test_representations_reconstruct_coinvariant_bases(group, n, reversed_):
     I = weyl.coinvariant_ideal(group, n)
@@ -460,8 +460,26 @@ def _division_cases(draw):
     return ring, p, divisors
 
 
+def _division_example(ring, p, *divisors):
+    return (ring, Polynomial(ring, p), [Polynomial(ring, d) for d in divisors]), None
+
+
 @settings(max_examples=200, deadline=None)
 @given(_division_cases(), st.data())
+# x's sum cancels to 0 at the step on x^4 and comes back at the step on x^3,
+# before it is popped
+@example(*_division_example(_ONE_VARIABLE, {(4,): 1, (3,): 1, (1,): 1}, {(3,): 1, (1,): 1, (0,): 1}))
+# x's sum cancels to 0 and stays 0 until it is popped
+@example(*_division_example(_ONE_VARIABLE, {(4,): 1, (1,): 1}, {(3,): 1, (1,): 1, (0,): 1}))
+# two monomials cancel and come back, through both divisors
+@example(
+    *_division_example(
+        _WEIGHTED_RINGS[1],
+        {(3, 0, 0): -1, (0, 1, 2): 1, (2, 2, 3): 1},
+        {(1, 0, 1): -1, (0, 0, 2): 1, (1, 2, 0): -1},
+        {(2, 1, 0): 1, (1, 0, 1): 1, (1, 0, 0): -1},
+    )
+)
 def test_heap_division_matches_reference(case, data):
     ring, p, divisors = case
     tracked = [groebner._Tracked(d, []) for d in divisors]
@@ -478,18 +496,23 @@ def test_heap_division_matches_reference(case, data):
     for q, d in zip(quotients, divisors):
         total = total + q * d
     assert total == p
-    # a budget short of the step count runs out at the same step in both
-    budget = data.draw(st.integers(0, steps[0]), label="budget")
-    raised_at = []
-    for divide in (_heap_divide, _reference_divide):
-        engine = groebner._Engine(ring)
-        engine.budget = budget
-        try:
-            divide(engine, p, tracked)
-            raised_at.append(None)
-        except BudgetExceededError:
-            raised_at.append(engine.steps)
-    assert raised_at[0] == raised_at[1] == (None if budget == steps[0] else budget + 1)
+    # a budget short of the step count runs out at the same step in both;
+    # an explicit example (data None) tries every budget
+    if data is None:
+        budgets = range(steps[0] + 1)
+    else:
+        budgets = [data.draw(st.integers(0, steps[0]), label="budget")]
+    for budget in budgets:
+        raised_at = []
+        for divide in (_heap_divide, _reference_divide):
+            engine = groebner._Engine(ring)
+            engine.budget = budget
+            try:
+                divide(engine, p, tracked)
+                raised_at.append(None)
+            except BudgetExceededError:
+                raised_at.append(engine.steps)
+        assert raised_at[0] == raised_at[1] == (None if budget == steps[0] else budget + 1)
 
 
 @settings(max_examples=100, deadline=None)

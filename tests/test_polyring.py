@@ -1014,6 +1014,8 @@ def _renamings(draw):
 _RN_SOURCE = RingSpec.make([("x0", 2), ("x1", 2), ("x2", 1)])
 _RN_TARGET = RingSpec.make([("y0", 2), ("y1", 1)])
 _RN_MERGE = {"x0": "y0", "x1": "y0", "x2": "y1"}
+_RN_WIDE = RingSpec.make((f"x{i}", 1) for i in range(4))
+_RN_ONE = RingSpec.make([("y0", 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1026,6 +1028,15 @@ _RN_MERGE = {"x0": "y0", "x1": "y0", "x2": "y1"}
 @example((_RN_SOURCE, _RN_TARGET, {"x0": "y0", "x1": "y0"}, Polynomial(_RN_SOURCE, {(1, 3, 0): -2})))
 # the merge reaches EXPONENT_LIMIT
 @example((_RN_SOURCE, _RN_TARGET, _RN_MERGE, Polynomial(_RN_SOURCE, {(2**30, 2**30, 0): 1})))
+# two terms' images pass EXPONENT_LIMIT and cancel: substitute raises, so must rename_into
+@example(
+    (
+        _RN_WIDE,
+        _RN_ONE,
+        {"x0": "y0", "x1": "y0", "x2": "y0"},
+        Polynomial(_RN_WIDE, {(2**31 - 1, 1, 2**31 - 1, 0): -1, (1, 2**31 - 1, 2**31 - 1, 0): 1}),
+    )
+)
 def test_rename_into_is_its_substitution(case):
     ring, target, renaming, p = case
     mapping = {old: Polynomial.variable(target, new) for old, new in renaming.items()}
