@@ -4,21 +4,27 @@
         [--repeats 5] [--pairs 10] [--seconds 10] [--workloads witness,acceptance]
 
 PARENT and CHANGE are checkouts of this repository.  Every run is a fresh
-process with PYTHONPATH at that tree's src, and the two trees alternate;
-the tree that runs first alternates per repetition.
+process, and the two trees alternate; the tree that runs first alternates
+per repetition.  Every child runs with PYTHONPYCACHEPREFIX at a fresh,
+empty temporary directory, so it reads no bytecode that a tree's
+__pycache__ or an earlier run left: both trees compile what they import.
 
 * ladder: each rung of RUNGS is an argv tuple, so one argument can hold a
   whole polynomial: two rungs parse the spanning benchmark's dense input
   and every monomial of total exponent 14 in e1..e5.  Each rung runs
-  ``--repeats`` times per tree.  The child times ``from slcc.cli import
-  main`` first, with only ``time`` imported before it (``import_s``, the
-  start-up a change to the imports shows in), then ``slcc.cli.main(argv)``
-  inside the process (``in_process_s``, imports excluded), and reports its
-  peak RSS, the sha256 of its stdout and main's exit code (2 on the rung
-  whose line is a usage error); the parent times the whole process
-  (``wall_s``).  The JSON names a rung by its argv, each argument
-  over 40 characters replaced by its length and digest.  ``--repeats 0``
-  skips this part.
+  ``--repeats`` times per tree, and 3 * ``--repeats`` times when either
+  tree's median ``in_process_s`` is below SHORT_RUNG_S: the millisecond
+  rungs' run-to-run spread is as large as the changes they are to show.
+  The child, with PYTHONPATH at its tree's src, times ``from slcc.cli
+  import main`` first, with only ``time`` imported before it
+  (``import_s``, the start-up a change to the imports shows in), then
+  ``slcc.cli.main(argv)`` inside the process, by the clock
+  (``in_process_s``, imports excluded) and by the process's CPU time
+  (``cpu_s``), and reports its peak RSS, the sha256 of its stdout and
+  main's exit code (2 on the rung whose line is a usage error); the
+  parent times the whole process (``wall_s``).  The JSON names a rung by
+  its argv, each argument over 40 characters replaced by its length and
+  digest.  ``--repeats 0`` skips this part.
 * perfbench: ``--pairs`` alternating pairs of ``perfbench/run.py
   --workload W --seconds S`` per workload, each run in its own tree.  Each
   metric gets its runs, median and quartiles per tree, and the number of
@@ -38,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +83,8 @@ RUNGS = (
     ("verify", "presentation", "--kind", "max-flag", "--N", "13", "--max-degree", "80"),
     ("present", "sgr-even", "--m", "5", "--n", "10", "--parity", "even"),
 )
+# a rung faster than this in process runs 3 * --repeats times
+SHORT_RUNG_S = 0.1
 WORKLOADS = ("witness", "verify", "spanning", "acceptance")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")
 
@@ -86,26 +95,32 @@ from slcc.cli import main
 import_s = time.perf_counter() - start
 import contextlib, hashlib, io, json, resource, sys
 out = io.StringIO()
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-seconds = time.perf_counter() - start
+seconds, cpu_s = time.perf_counter() - start, time.process_time() - cpu
 print(json.dumps({
     "exit": code,
     "import_s": import_s,
     "in_process_s": seconds,
+    "cpu_s": cpu_s,
     "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
 }))
 """
 
 
+def _run_child(argv: list[str], env=None, cwd=None) -> subprocess.CompletedProcess:
+    """Run argv with stdout and stderr captured, under a fresh, empty bytecode cache."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(env or os.environ, PYTHONPYCACHEPREFIX=cache)
+        return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True)
+
+
 def _run_rung(tree: str, argv: tuple[str, ...]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
-    )
+    proc = _run_child([sys.executable, "-c", CHILD, *argv], env=env)
     wall = time.perf_counter() - start
     if proc.returncode:
         raise SystemExit(f"{tree}: {_label(argv)} failed:\n{proc.stderr}")
@@ -133,23 +148,28 @@ def ladder(trees: dict[str, str], repeats: int) -> dict:
     for argv in RUNGS:
         argv_text = _label(argv)
         runs: dict[str, list[dict]] = {side: [] for side in trees}
-        for rep in range(repeats):
+        rep, total = 0, repeats
+        while rep < total:
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
             for side in order:
                 runs[side].append(_run_rung(trees[side], argv))
-            print(f"ladder {argv_text} #{rep + 1}: "
+            rep += 1
+            print(f"ladder {argv_text} #{rep}: "
                   + ", ".join(f"{s} {runs[s][-1]['in_process_s']:.3f}"
                               f" (import {runs[s][-1]['import_s']:.3f})" for s in trees),
                   file=sys.stderr)
-        rung: dict = {"argv": argv_text}
+            if rep == repeats and min(
+                statistics.median(r["in_process_s"] for r in records) for records in runs.values()
+            ) < SHORT_RUNG_S:
+                total = 3 * repeats
+        rung: dict = {"argv": argv_text, "repetitions": total}
         for side, records in runs.items():
             rung[side] = {
                 key: [round(r[key], 4) for r in records]
-                for key in ("import_s", "in_process_s", "wall_s", "peak_rss_mib")
+                for key in ("import_s", "in_process_s", "cpu_s", "wall_s", "peak_rss_mib")
             }
-            rung[side]["median_import_s"] = _summary(rung[side]["import_s"])["median"]
-            rung[side]["median_in_process_s"] = _summary(rung[side]["in_process_s"])["median"]
-            rung[side]["median_wall_s"] = _summary(rung[side]["wall_s"])["median"]
+            for key in ("import_s", "in_process_s", "cpu_s", "wall_s"):
+                rung[side][f"median_{key}"] = _summary(rung[side][key])["median"]
             rung[side]["exit"] = sorted({r["exit"] for r in records})
             rung[side]["stdout_sha256"] = sorted({r["stdout_sha256"] for r in records})
         sides = list(trees)
@@ -160,16 +180,19 @@ def ladder(trees: dict[str, str], repeats: int) -> dict:
         rungs.append(rung)
     return {
         "command": "python -c <time the slcc.cli import, then slcc.cli.main(argv)> <argv>",
-        "method": f"fresh process per run, PYTHONPATH at each tree's src; the trees alternate "
-        f"and the side that runs first alternates per repetition; {repeats} repetitions",
+        "method": f"fresh process per run, PYTHONPATH at each tree's src and PYTHONPYCACHEPREFIX "
+        f"at a fresh, empty temporary directory, so no bytecode cache is read and every module "
+        f"compiles from source; the trees alternate and the side that runs first alternates per "
+        f"repetition; {repeats} repetitions, {3 * repeats} for a rung whose median in_process_s "
+        f"is below {SHORT_RUNG_S} s on either tree",
         "rungs": rungs,
     }
 
 
 def _perfbench_run(tree: str, workload: str, seconds: float) -> dict:
-    proc = subprocess.run(
+    proc = _run_child(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = {name: m["value"] for name, m in result["metrics"].items() if name in METRICS}
@@ -181,7 +204,9 @@ def perfbench(trees: dict[str, str], workloads: list[str], pairs: int, seconds: 
     parent, change = trees
     out: dict = {
         "command": f"python3 perfbench/run.py --workload <w> --seconds {seconds:g} (default seed)",
-        "method": "alternating parent/change runs, the side that runs first alternates per pair",
+        "method": "alternating parent/change runs, the side that runs first alternates per "
+        "pair; PYTHONPYCACHEPREFIX at a fresh, empty temporary directory per run, which its "
+        "children share",
     }
     for workload in workloads:
         runs: dict[str, list[dict]] = {side: [] for side in trees}

@@ -115,60 +115,48 @@ class ParseError(PolyError):
         self.offset = offset
 
 
-def _record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
-    """Give a class of annotated fields the methods a dataclass would have.
+def _record(cls=None, *, hidden: tuple[str, ...] = ()):
+    """Give a class of annotated fields the methods a frozen dataclass would have.
 
     The fields are the class's annotations in order; a class attribute of
     a field's name is its default, and the defaults come last.  The class
-    gets ``__init__`` (positional or keyword arguments bound as Python
-    binds a call, then ``__post_init__`` if the class has one), and
-    ``__repr__`` and ``__eq__`` over the fields not in ``hidden``.  A
-    ``frozen`` class hashes those fields and raises AttributeError on any
-    assignment or deletion; any other class is unhashable.
+    gets ``__init__`` (every field given once, by position or keyword, or
+    left to its default, then ``__post_init__`` if the class has one),
+    ``__repr__``, ``__eq__`` and ``__hash__`` over the fields not in
+    ``hidden``, and raises AttributeError on any assignment or deletion.
+    Any other call raises TypeError naming the class and the arguments.
 
     Plain closures stand in for the dataclasses module, which every CLI run
     would otherwise pay for: importing it, with inspect, and exec-ing the
     generated source of each class.  ``__init__`` sets one value per field
     given positionally with object.__setattr__, as the generated one does;
     any other call fills the instance dict in one update.  Use it as
-    ``@_record`` or ``@_record(frozen=False, hidden=(...))``.
+    ``@_record`` or ``@_record(hidden=(...))``.
     """
     if cls is None:
-        return lambda cls: _record(cls, frozen=frozen, hidden=hidden)
+        return lambda cls: _record(cls, hidden=hidden)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    required = n - len(defaults)
-    if tuple(defaults) != names[required:]:
+    if tuple(defaults) != names[n - len(defaults) :]:
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     keys = set(names)
     post_init = getattr(cls, "__post_init__", None)
     where = f"{cls.__qualname__}.__init__()"
     setattr_ = object.__setattr__
 
-    def bind(args: tuple, kwargs: dict) -> dict:
-        """Every field's value by name, or the TypeError Python raises for the call."""
-        if len(args) > n:
-            raise TypeError(f"{where} takes {n} positional arguments but {len(args)} were given")
-        values = dict(zip(names, args))
-        for name in kwargs:
-            if name not in keys:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-        values = {**defaults, **values, **kwargs}
-        missing = [name for name in names if name not in values]
-        if missing:
-            raise TypeError(f"{where} missing required arguments: {', '.join(missing)}")
-        return values
-
     def __init__(self, *args, **kwargs):
         if len(args) == n and not kwargs:
             for name, value in zip(names, args):
                 setattr_(self, name, value)
         else:
-            # every field by keyword is one dict update; other calls are bound first
-            self.__dict__.update(kwargs if not args and kwargs.keys() == keys else bind(args, kwargs))
+            # a field given twice or a positional argument past the last
+            # field shrinks ``given``; an unknown or missing one shows in ``values``
+            given = {**dict(zip(names, args)), **kwargs}
+            values = {**defaults, **given}
+            if len(given) < len(args) + len(kwargs) or values.keys() != keys:
+                raise TypeError(f"{where} takes each of {names} once, got {args!r}, {kwargs!r}")
+            self.__dict__.update(values)
         if post_init is not None:
             post_init(self)
 
@@ -190,10 +178,8 @@ def _record(cls=None, *, frozen: bool = True, hidden: tuple[str, ...] = ()):
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__hash__ = __hash__ if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = __setattr__
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = __init__, __repr__, __eq__, __hash__
+    cls.__setattr__ = cls.__delattr__ = __setattr__
     return cls
 
 
@@ -465,12 +451,7 @@ class Polynomial:
                         raise ValueError(f"exponents must be non-negative integers, got {expo}")
                     if e >= EXPONENT_LIMIT:
                         raise ExponentOverflowError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
-                coeff = _normalize_coeff(coeff)
-                if coeff != 0:
-                    m = pack(expo)
-                    clean[m] = clean.get(m, 0) + coeff
-                    if clean[m] == 0:
-                        del clean[m]
+                multiply_packed({pack(expo): _normalize_coeff(coeff)}, {0: 1}, clean)
         self._terms = clean
         self._hash: int | None = None
 
@@ -580,20 +561,8 @@ class Polynomial:
         return Polynomial.constant(self.ring, other)
 
     def __add__(self, other: Polynomial | Coefficient) -> Polynomial:
-        other = self._coerce(other)
-        # both operands' coefficients are normal: only sums need normalizing
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            cur = out.get(expo)
-            if cur is None:
-                out[expo] = coeff
-            else:
-                s = cur + coeff
-                if s == 0:
-                    del out[expo]
-                else:
-                    out[expo] = _normalize_coeff(s)
-        return Polynomial._trusted(self.ring, out)
+        terms = multiply_packed({0: 1}, self._coerce(other)._terms, dict(self._terms))
+        return Polynomial._normalized(self.ring, terms)
 
     __radd__ = __add__
 
@@ -601,7 +570,8 @@ class Polynomial:
         return Polynomial._trusted(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Coefficient) -> Polynomial:
-        return self + (-self._coerce(other))
+        terms = multiply_packed({0: -1}, self._coerce(other)._terms, dict(self._terms))
+        return Polynomial._normalized(self.ring, terms)
 
     def __rsub__(self, other: Coefficient) -> Polynomial:
         return self._coerce(other) - self

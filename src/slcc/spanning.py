@@ -145,7 +145,7 @@ def basis(group: str, n: int) -> SpanningBasis:
     return SpanningBasis(group, n, monos)
 
 
-@_record(frozen=False)
+@_record
 class SpanDecomposition:
     """target == sum over terms of coefficient * basis monomial, exactly."""
 

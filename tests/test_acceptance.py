@@ -23,6 +23,11 @@ def test_criterion(name, capsys):
     assert result.passed, f"{result.name}: {result.detail}"
 
 
+def test_unknown_check_is_refused():
+    with pytest.raises(KeyError, match="unknown acceptance check 'criterion-99'"):
+        acceptance.run_check("criterion-99")
+
+
 def test_cli_acceptance_byte_identical_across_processes():
     cmd = [sys.executable, "-m", "slcc", "acceptance", "--format", "json"]
     first = subprocess.run(cmd, capture_output=True, timeout=600)

@@ -1,6 +1,7 @@
 """Euler/Borel calculus on split bundles."""
 
 import itertools
+import re
 
 import pytest
 
@@ -177,6 +178,15 @@ def test_classes_match_product_loops(epsilon, orientation):
                         expected = _total_borel_by_whitney(b, order, epsilon, ring)
                         assert list(series.coefficients) == expected
                         assert series.texts() == [str(c) for c in expected]
+
+
+@pytest.mark.parametrize(
+    "order, epsilon, message",
+    [(-1, -1, "order must be non-negative"), (3, 0, "epsilon must be +1 or -1")],
+)
+def test_total_borel_refuses(order, epsilon, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cc.total_borel(cc.SplitBundle(("e1",)), order, epsilon)
 
 
 def test_complement_refuses_negative_order():

@@ -159,6 +159,9 @@ def test_usage_error_exits_two(capsys):
     code, _, err = run(capsys, "poly", "parse", "--ring", "e1:zz", "--expr", "e1")
     assert code == 2
     assert "usage error" in err
+    # RingSpec's own refusal, reported as a usage error
+    code, out, err = run(capsys, "poly", "parse", "--ring", "x:1,x:1", "--expr", "x")
+    assert (code, out, err) == (2, "", "usage error: duplicate variable names in ['x', 'x']\n")
     code, _, err = run(capsys, "present", "sgr2", "--n", "1", "--parity", "odd")
     assert code == 2
     for argv, flag in [

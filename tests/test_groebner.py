@@ -23,7 +23,14 @@ from slcc.groebner import (
     quotient_hilbert,
     standard_monomials,
 )
-from slcc.polyring import ExponentOverflowError, Polynomial, RingSpec, packing, parse_poly
+from slcc.polyring import (
+    ExponentOverflowError,
+    Polynomial,
+    RingMismatchError,
+    RingSpec,
+    packing,
+    parse_poly,
+)
 from slcc import groebner, weyl
 
 R1 = RingSpec.make([("e1", 2)])
@@ -87,6 +94,14 @@ def test_ideal_equal():
         Ideal.make(R1, [parse_poly("e1^4", R1)]),
         Ideal.make(R1, [parse_poly("e1^4", R1)]),
     )
+
+
+def test_rings_must_match():
+    G = groebner_basis(ideal2())
+    with pytest.raises(RingMismatchError, match="^polynomial and basis live in different rings$"):
+        normal_form(parse_poly("e1", R1), G)
+    with pytest.raises(RingMismatchError, match="^ideals live in different rings$"):
+        ideal_equal(ideal2(), Ideal.make(R1, [parse_poly("e1", R1)]))
 
 
 def test_quotient_hilbert_examples():

@@ -129,6 +129,35 @@ def test_parse_errors_carry_offsets():
         parse_poly(f"e1^{2**40}", R2)
 
 
+_R_X, _R_Y = RingSpec.make([("x", 1)]), RingSpec.make([("y", 1)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Polynomial(R2, {(1,): 1}), ValueError,
+         "exponent tuple (1,) has wrong length for ring ('e1', 'e2')"),
+        (lambda: Polynomial(R2, {(1, -1): 1}), ValueError,
+         "exponents must be non-negative integers, got (1, -1)"),
+        (lambda: Polynomial.zero(R2).leading_term(), ValueError, "zero polynomial has no leading term"),
+        (lambda: Polynomial.variable(R2, "e1") ** -1, ValueError,
+         "polynomial powers must be non-negative integers"),
+        (lambda: parse_poly("e1", R2).substitute({}, missing="x"), ValueError,
+         "missing must be 'error' or 'identity'"),
+        (lambda: parse_poly("e1 + e2", R2).substitute(
+            {"e1": Polynomial.variable(_R_X, "x"), "e2": Polynomial.variable(_R_Y, "y")}),
+         RingMismatchError, "substitution images live in different rings"),
+        # an unknown name after a parenthesised factor is read as a Polynomial factor
+        (lambda: parse_poly("2*(e1)*zz", R2), ParseError, "unknown variable 'zz' (at offset 7)"),
+    ],
+    ids=["short exponent tuple", "negative exponent", "lead of zero", "negative power",
+         "bad missing", "images in two rings", "unknown name after a parenthesis"],
+)
+def test_kernel_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_exponent_overflow_detected():
     with pytest.raises(ExponentOverflowError):
         Polynomial(R2, {(2**31, 0): 1})

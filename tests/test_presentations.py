@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,27 @@ def test_rank_table_no_declared_basis():
         pr.rank_table("sgr", k=3, N=6)
     with pytest.raises(pr.NoDeclaredBasisError):
         pr.rank_table("sgr", k=1, N=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pr.present_sgr2(2, "both"), "parity must be 'even' or 'odd', got 'both'"),
+        (lambda: pr.present_sgr2_relative(2, "odd", epsilon=0), "epsilon must be +1 or -1"),
+        (lambda: pr.present_sgr2_relative(0, "odd"), "odd case requires n >= 1"),
+        (lambda: pr.present_sgr_even(1, 2, "odd", epsilon=2), "epsilon must be +1 or -1"),
+        (lambda: pr.present_max_flag(1), "N must be >= 2"),
+        (lambda: pr.rank_table("partial_flag", m=0, N=5), "need 1 <= m <= (N-1)/2"),
+        (lambda: pr.rank_table("partial_flag", m=3, N=6), "need 1 <= m <= N/2 - 1"),
+        (lambda: pr.rank_table("max_flag", N=1), "need N >= 2"),
+        (lambda: pr.rank_table("flag", N=4), "unknown rank descriptor kind 'flag'"),
+    ],
+    ids=["parity", "sgr2_relative epsilon", "sgr2_relative n", "sgr_even epsilon", "max_flag N",
+         "odd partial_flag m", "even partial_flag m", "max_flag rank N", "rank kind"],
+)
+def test_builders_and_rank_table_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_verify_budget_exhaustion_reported_distinctly(monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import runpy
 import sys
 from functools import lru_cache
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slcc import spanning, weyl
-from slcc.polyring import Polynomial, RingSpec, parse_poly
+from slcc.polyring import Polynomial, RingMismatchError, RingSpec, parse_poly
 from slcc.spanning import basis, expand, reduce as span_reduce, verify_free
 
 
@@ -170,6 +171,14 @@ def test_verify_free_rank_errors():
         verify_free("B", 0, 10)
     with pytest.raises(ValueError, match="n must be non-negative"):
         verify_free("D", -1, 10)
+
+
+def test_reduce_refuses_a_polynomial_outside_z_e():
+    # e2 of degree 4 is not the e2 of Z[e1, e2]
+    ring = RingSpec.make([("e1", 2), ("e2", 4)])
+    message = "polynomial must live in Z[e_1..e_2] with degree-2 variables"
+    with pytest.raises(RingMismatchError, match=f"^{re.escape(message)}$"):
+        span_reduce(parse_poly("e1", ring), "B", 2)
 
 
 @pytest.mark.parametrize("group,n,bound", [("B", 2, 20), ("D", 3, 24), ("B", 5, 40), ("D", 5, 40)])

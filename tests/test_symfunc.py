@@ -18,6 +18,11 @@ def test_elementary_examples():
     assert elementary(2, r3) == parse_poly("x1*x2 + x1*x3 + x2*x3", r3)
 
 
+def test_negative_index_is_refused():
+    with pytest.raises(ValueError, match="^index must be non-negative$"):
+        elementary(-1, x_ring(2))
+
+
 def test_complete_examples():
     r2 = x_ring(2)
     assert complete(0, r2) == Polynomial.one(r2)

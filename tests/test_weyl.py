@@ -72,6 +72,13 @@ def test_d_validation_rejects_odd_signs():
         SignedPermutation((0, 1), (-1, 1), "D")
 
 
+def test_rank_errors():
+    with pytest.raises(ValueError, match="^element of rank 2 cannot act on ring with 1 variables$"):
+        apply_action(SignedPermutation((1, 0), (1, 1), "B"), parse_poly("e1", weyl.e_ring(1)))
+    with pytest.raises(ValueError, match="^rank must be non-negative$"):
+        weyl.invariant_ring("B", -1)
+
+
 def _compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     """The element acting as a after b: act(_compose(a, b)) == act(a) o act(b)."""
     perm = tuple(a.perm[b.perm[i]] for i in range(a.n))
