@@ -247,41 +247,34 @@ def _check_determinism() -> str:
     return "report serialization is byte-identical across repeated evaluation"
 
 
-_CHECKS: tuple[tuple[str, object], ...] = (
-    ("criterion-01-grassmannian-ranks", _check_grassmannian_ranks),
-    ("criterion-02-coinvariant-dimensions", _check_coinvariant_dimensions),
-    ("criterion-03-witnesses", _check_witnesses),
-    ("criterion-04-spanning", _check_spanning),
-    ("criterion-05-flag-ideal-equality", _check_flag_ideal_equality),
-    ("criterion-06-sgr-even-collapse", _check_sgr_even_collapse),
-    ("criterion-07-charclass", _check_charclass),
-    ("criterion-08-specialization", _check_specialization),
-    ("criterion-09-symfunc", _check_symfunc),
-    ("criterion-10-determinism", _check_determinism),
-)
+_CHECKS = {
+    "criterion-01-grassmannian-ranks": _check_grassmannian_ranks,
+    "criterion-02-coinvariant-dimensions": _check_coinvariant_dimensions,
+    "criterion-03-witnesses": _check_witnesses,
+    "criterion-04-spanning": _check_spanning,
+    "criterion-05-flag-ideal-equality": _check_flag_ideal_equality,
+    "criterion-06-sgr-even-collapse": _check_sgr_even_collapse,
+    "criterion-07-charclass": _check_charclass,
+    "criterion-08-specialization": _check_specialization,
+    "criterion-09-symfunc": _check_symfunc,
+    "criterion-10-determinism": _check_determinism,
+}
 
 
 def all_names() -> list[str]:
-    return [name for name, _ in _CHECKS]
+    return list(_CHECKS)
 
 
 def run_check(name: str) -> CheckResult:
-    for check_name, fn in _CHECKS:
-        if check_name == name:
-            try:
-                detail = fn()
-                return CheckResult(check_name, True, detail)
-            except AssertionError as exc:
-                return CheckResult(check_name, False, str(exc))
-            except BudgetExceededError as exc:
-                return CheckResult(check_name, False, f"budget exhausted: {exc}", True)
-    raise KeyError(f"unknown acceptance check {name!r}")
+    if name not in _CHECKS:
+        raise KeyError(f"unknown acceptance check {name!r}")
+    try:
+        return CheckResult(name, True, _CHECKS[name]())
+    except AssertionError as exc:
+        return CheckResult(name, False, str(exc))
+    except BudgetExceededError as exc:
+        return CheckResult(name, False, f"budget exhausted: {exc}", True)
 
 
 def run_all(name_filter: str | None = None) -> list[CheckResult]:
-    results = []
-    for name, _ in _CHECKS:
-        if name_filter and name_filter not in name:
-            continue
-        results.append(run_check(name))
-    return results
+    return [run_check(name) for name in _CHECKS if not name_filter or name_filter in name]

@@ -69,18 +69,13 @@ class SplitBundle:
         return self
 
     @staticmethod
-    def standard(k: int, odd_part: bool = False, orientation: int = 1) -> SplitBundle:
-        return SplitBundle(tuple(f"e{i}" for i in range(1, k + 1)), odd_part, orientation)
+    def standard(k: int) -> SplitBundle:
+        return SplitBundle(tuple(f"e{i}" for i in range(1, k + 1)))
 
 
-def bundle_ring(*bundles: SplitBundle) -> RingSpec:
-    """Common ring holding the symbols of the given bundles, each of degree 2."""
-    names: list[str] = []
-    for b in bundles:
-        for s in b.euler_symbols:
-            if s not in names:
-                names.append(s)
-    return RingSpec.make((s, 2) for s in names)
+def bundle_ring(b: SplitBundle) -> RingSpec:
+    """The ring of the bundle's Euler symbols, each of degree 2."""
+    return RingSpec.make((s, 2) for s in b.euler_symbols)
 
 
 def euler(b: SplitBundle, ring: RingSpec | None = None) -> Polynomial:
@@ -185,16 +180,14 @@ class CorDualReport:
         return all(ok for _, ok in self.checks)
 
 
-def verify_cor_dual(b: SplitBundle, order: int | None = None) -> CorDualReport:
-    """Exact polynomial checks on the total class of a split bundle.
+def verify_cor_dual(b: SplitBundle, order: int) -> CorDualReport:
+    """Exact polynomial checks on the total class of a split bundle, b_0..b_order.
 
-    (1) duality is invisible at the symbol level (recorded, not computed);
-    (2) the t-series of the hyperbolic bundle has no odd terms;
-    (3) b_i = 0 for i beyond the number of rank-2 summands;
-    (4) for even rank, b_n = (-1)^n * euler^2 under the honest convention.
+    (1) the t-series of the hyperbolic bundle has no odd terms;
+    (2) b_i = 0 for i beyond the number n of rank-2 summands;
+    (3) for even rank, b_n = (-1)^n * euler^2 under the honest convention.
     """
     n = len(b.euler_symbols)
-    order = order if order is not None else n + 3
     ring = bundle_ring(b)
     borel = total_borel(b, order, epsilon=-1, ring=ring)
     pont = pontryagin_series(b, 2 * order, ring=ring)

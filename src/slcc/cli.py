@@ -173,6 +173,8 @@ def _int_entries(flag: str, text: str) -> tuple[int, ...]:
 def _weyl_act(args) -> tuple:
     p = parse_poly(args.poly, weyl.e_ring(args.n))
     perm = tuple(x - 1 for x in _int_entries("perm", args.perm))
+    if len(perm) != args.n:
+        raise UsageError(f"expected {args.n} perm entries, got {len(perm)}")
     signs = _int_entries("signs", args.signs) if args.signs else (1,) * args.n
     if len(signs) != args.n:
         raise UsageError(f"expected {args.n} signs, got {len(signs)}")

@@ -560,9 +560,20 @@ class Polynomial:
             return other
         return Polynomial.constant(self.ring, other)
 
+    def _plus(self, other: Polynomial | Coefficient, sign: int) -> Polynomial:
+        """self + sign * other.  Only the sums at other's monomials that did not
+        cancel need normalizing: self's other terms already are, and
+        multiply_packed pops the sums that cancel.  So the loop runs over the
+        smaller of other and the result (both hold every such sum)."""
+        other = self._coerce(other)._terms
+        terms = multiply_packed({0: sign}, other, dict(self._terms))
+        for m in min(other, terms, key=len):
+            if type(terms.get(m, 0)) is not int:
+                terms[m] = _normalize_coeff(terms[m])
+        return Polynomial._trusted(self.ring, terms)
+
     def __add__(self, other: Polynomial | Coefficient) -> Polynomial:
-        terms = multiply_packed({0: 1}, self._coerce(other)._terms, dict(self._terms))
-        return Polynomial._normalized(self.ring, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -570,8 +581,7 @@ class Polynomial:
         return Polynomial._trusted(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Coefficient) -> Polynomial:
-        terms = multiply_packed({0: -1}, self._coerce(other)._terms, dict(self._terms))
-        return Polynomial._normalized(self.ring, terms)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Coefficient) -> Polynomial:
         return self._coerce(other) - self

@@ -43,8 +43,8 @@ coinvariant ideals and the classes of A(BSL_N) are read from weyl.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property
-from math import comb
+from functools import cached_property, partial
+from math import comb, prod
 
 from . import series, spanning, weyl
 from .groebner import (
@@ -499,19 +499,10 @@ def rank_table(kind: str, **params) -> int:
         return 2 * comb(N // 2, m)
     if kind == "partial_flag":
         m, N = params["m"], params["N"]
-        if N % 2 == 1:
-            if not 1 <= m <= (N - 1) // 2:
-                raise ValueError("need 1 <= m <= (N-1)/2")
-            out = 1
-            for i in range(1, m + 1):
-                out *= N - 2 * i + 1
-            return out
-        if not 1 <= m <= N // 2 - 1:
-            raise ValueError("need 1 <= m <= N/2 - 1")
-        out = 1
-        for i in range(1, m + 1):
-            out *= N - 2 * i + 2
-        return out
+        if not 1 <= m <= (N - 1) // 2:  # (N-1)//2 is N/2 - 1 for even N
+            raise ValueError("need 1 <= m <= (N-1)/2" if N % 2 else "need 1 <= m <= N/2 - 1")
+        # box sizes N - 2i + 1, one more for the tail when N is even
+        return prod(N - 2 * i + 1 + (N % 2 == 0) for i in range(1, m + 1))
     if kind == "max_flag":
         N = params["N"]
         if N < 2:
@@ -538,9 +529,9 @@ def specializes_to(
     return ideal_equal(Ideal.make(target.ring, gens), target)
 
 
-def relative_specializes_to_absolute(n: int, parity: str, epsilon: int = -1) -> bool:
+def relative_specializes_to_absolute(n: int, parity: str) -> bool:
     """Setting the base-bundle classes to zero must recover the absolute ideal."""
-    rel = present_sgr2_relative(n, parity, epsilon)
+    rel = present_sgr2_relative(n, parity)
     zero = {v: 0 for v in rel.coefficient_vars}
     return specializes_to(rel, zero, present_sgr2(n, parity).ideal)
 
@@ -596,39 +587,28 @@ def sgr2_relative_holds_in_splitting(n: int, parity: str, epsilon: int) -> bool:
     return all(g.substitute(mapping, ring=ring).is_zero() for g in pres.ideal.generators)
 
 
-def convention_report(max_n: int = 3) -> list[dict]:
+# the (family, parity, m, n) cases of convention_report, in report order;
+# sgr2_relative has no m
+_CONVENTION_CASES = (
+    *(("sgr_even", "odd", m, n) for m, n in ((1, 2), (2, 3))),
+    *(("sgr_even", "even", m, n) for m, n in ((1, 3), (2, 3))),
+    *(("sgr2_relative", "odd", None, n) for n in (1, 2, 3)),
+    *(("sgr2_relative", "even", None, n) for n in (2, 3)),
+)
+
+
+def convention_report(max_n: int) -> list[dict]:
     """For each presentation family, which b-sign convention is literal."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     out: list[dict] = []
-    for parity, pairs in (("odd", [(1, 2), (2, 3)]), ("even", [(1, 3), (2, 3)])):
-        for m, n in pairs:
-            if n > max_n:
-                continue
-            entry = {
-                "family": "sgr_even",
-                "m": m,
-                "n": n,
-                "parity": parity,
-                "literal_under": [
-                    eps for eps in (1, -1) if sgr_even_holds_in_flag(m, n, parity, eps)
-                ],
-            }
-            out.append(entry)
-    for parity, ns in (("odd", [1, 2, 3]), ("even", [2, 3])):
-        for n in ns:
-            if n > max_n:
-                continue
-            out.append(
-                {
-                    "family": "sgr2_relative",
-                    "n": n,
-                    "parity": parity,
-                    "literal_under": [
-                        eps
-                        for eps in (1, -1)
-                        if sgr2_relative_holds_in_splitting(n, parity, eps)
-                    ],
-                }
-            )
+    for family, parity, m, n in _CONVENTION_CASES:
+        if n > max_n:
+            continue
+        if m is None:
+            entry, holds = {"family": family}, sgr2_relative_holds_in_splitting
+        else:
+            entry, holds = {"family": family, "m": m}, partial(sgr_even_holds_in_flag, m)
+        literal = [eps for eps in (1, -1) if holds(n, parity, eps)]
+        out.append({**entry, "n": n, "parity": parity, "literal_under": literal})
     return out

@@ -185,10 +185,8 @@ def invariant_generators(group: str, n: int) -> InvariantGenerators:
     return InvariantGenerators(group, n, cring, gens)
 
 
-def is_invariant(p: Polynomial, group: str, n: int | None = None) -> bool:
+def is_invariant(p: Polynomial, group: str, n: int) -> bool:
     """Whether p is fixed by the whole group (checked on group generators)."""
-    if n is None:
-        n = len(p.ring)
     for g in group_generators(group, n):
         if apply_action(g, p) != p:
             return False

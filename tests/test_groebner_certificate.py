@@ -243,3 +243,64 @@ def test_random_weighted_ideals_reach_fractions_and_unit_ideals():
 
     tally()
     assert all(seen[k] for k in ("fraction", "unit", "no variables", "six variables", "weight 4")), seen
+
+
+def _up_to(weights, degree: int) -> list:
+    """Every exponent tuple of weighted degree at most ``degree``."""
+    return [m for d in range(degree + 1) for m in _monomials(weights, d)]
+
+
+def _certify_truncated(ideal: Ideal, rnd: random.Random) -> None:
+    """Certify the runs of ideal truncated at every degree d up to its top
+    generator degree + 2: the truncated basis is monic, reduces to 0 every
+    generator and every S-pair whose leads share a variable up to degree d,
+    and gives the full basis's remainder (so its membership verdict) on
+    random polynomials of degree <= d and on combinations of the generators."""
+    weights, n = ideal.ring.degrees, len(ideal.ring)
+    key = _grevlex(weights)
+    degree = lambda m: sum(map(int.__mul__, weights, m))  # noqa: E731
+    coeff = lambda: rnd.choice([-3, -2, -1, 1, 2, 3])  # noqa: E731
+    full = [_plain(g._terms, n) for g in groebner.groebner_basis(ideal).basis]
+    full = [(max(g, key=key), g) for g in full]
+    gens = [_plain(g._terms, n) for g in ideal.generators]
+    top = max((degree(next(iter(f))) for f in gens), default=0)
+    for d in range(top + 3):
+        basis = [_plain(g._terms, n) for g in groebner._buchberger(ideal, False, d).basis]
+        divisors = [(max(g, key=key), g) for g in basis]
+        assert all(g[lead] == 1 for lead, g in divisors)
+        for f in gens:
+            if degree(next(iter(f))) <= d:
+                assert not _remainder(f, divisors, key)
+        for (a, f), (b, g) in combinations(divisors, 2):
+            lcm = tuple(map(max, a, b))
+            if any(x and y for x, y in zip(a, b)) and degree(lcm) <= d:
+                s: dict = {}
+                _add_multiple(s, 1, tuple(map(sub, lcm, a)), f)
+                _add_multiple(s, -1, tuple(map(sub, lcm, b)), g)
+                assert not _remainder(s, divisors, key)
+        monos = _up_to(weights, d)
+        for _ in range(3):
+            terms = rnd.sample(monos, min(len(monos), rnd.randint(1, 4)))
+            combo: dict = {}
+            for f in gens:
+                gap = d - degree(next(iter(f)))
+                if gap >= 0 and rnd.random() < 0.7:
+                    _add_multiple(combo, coeff(), rnd.choice(_up_to(weights, gap)), f)
+            for p in ({m: coeff() for m in terms}, combo):
+                assert _remainder(p, divisors, key) == _remainder(p, full, key)
+
+
+def test_truncated_runs_are_certified():
+    # at least 50 drawn ideals, each at every bound from 0 to its top
+    # generator degree + 2; one seed draws the ideal and the test polynomials
+    ideals = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64))
+    def certify(seed):
+        ideal = _random_weighted_ideal(seed)
+        _certify_truncated(ideal, random.Random(~seed))
+        ideals.add(ideal)
+
+    certify()
+    assert len(ideals) >= 50
